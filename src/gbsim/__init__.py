@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .engines import (
     enumerate_patterns,
     pairing_matrix,
-    pattern_weight,
     prob_coherent,
     prob_general,
     prob_squeezed,
@@ -40,9 +39,9 @@ from .interferometer import (
 from .matrix_functions import (
     HAFNIAN_LIMIT,
     PERMANENT_LIMIT,
+    detected_modes,
     hafnian,
     permanent,
-    permanent_naive,
     submatrix_by_pattern,
 )
 from .psd_permanent import (
@@ -55,7 +54,6 @@ from .psd_permanent import (
 from .qform import OutputQForm, build_qform
 from .sampler import (
     SampleReport,
-    draw_coherent_inputs,
     estimate_pattern_probability,
     sample_patterns,
 )
@@ -80,11 +78,11 @@ __all__ = [
     "Interferometer", "TwoModeLayer", "NetworkDecomposition", "validate_unitary",
     "haar_random", "propagate_coherent", "decompose", "tmsv_network",
     "OutputQForm", "build_qform",
-    "permanent", "permanent_naive", "hafnian", "submatrix_by_pattern",
+    "permanent", "hafnian", "submatrix_by_pattern", "detected_modes",
     "PERMANENT_LIMIT", "HAFNIAN_LIMIT",
-    "pattern_weight", "enumerate_patterns", "pairing_matrix",
+    "enumerate_patterns", "pairing_matrix",
     "prob_coherent", "prob_general", "prob_thermal", "prob_squeezed",
-    "SampleReport", "draw_coherent_inputs", "sample_patterns",
+    "SampleReport", "sample_patterns",
     "estimate_pattern_probability",
     "ThermalEmbedding", "PermanentEstimate", "embed", "estimate_permanent",
     "exact_permanent_psd",

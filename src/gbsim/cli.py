@@ -21,17 +21,16 @@ import json
 import os
 import sys
 import tempfile
-
-import numpy as np
+from dataclasses import replace
 
 from . import __version__
-from .engines import enumerate_patterns, prob_general, prob_squeezed, prob_thermal
+from .engines import ENGINES, applicable, enumerate_patterns
 from .errors import CostLimitError, GbsimError, ValidationError
 from .fock_oracle import apply_network, pattern_probability, prepare_input
-from .interferometer import haar_random, validate_unitary
-from .matrix_functions import hafnian, permanent
+from .interferometer import Interferometer, haar_random, validate_unitary
+from .matrix_functions import detected_modes, hafnian, permanent
 from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json
-from .psd_permanent import EXACT_CROSSCHECK_LIMIT, estimate_permanent, exact_permanent_psd
+from .psd_permanent import estimate_permanent, exact_permanent_psd
 from .qform import build_qform
 from .sampler import sample_patterns
 from .states import state_from_descriptor
@@ -41,8 +40,6 @@ EXIT_VALIDATION = 1
 EXIT_COST = 2
 
 ORACLE_TOL = 1e-6
-_THERMAL_TOL = 1e-14
-_PURE_TOL = 1e-12
 
 
 def _fmt(x: float) -> str:
@@ -101,19 +98,25 @@ def _config_unitary(cfg: dict, base_dir: str):
     return net
 
 
+def _load_run(path: str) -> tuple[dict, list, Interferometer]:
+    """The config at `path` with its parsed states and network."""
+    cfg = _load_config(path)
+    states = _config_states(cfg)
+    return cfg, states, _config_unitary(cfg, os.path.dirname(os.path.abspath(path)))
+
+
 def _config_patterns(cfg: dict, m: int) -> list[tuple[int, ...]]:
     if "patterns" in cfg:
         pats = []
         for i, p in enumerate(cfg["patterns"]):
-            if len(p) != m or any(int(x) not in (0, 1) for x in p):
-                raise ValidationError(f"patterns[{i}] must be a length-{m} 0/1 vector")
+            try:
+                detected_modes(p, m)
+            except ValidationError as exc:
+                raise ValidationError(f"patterns[{i}]: {exc}") from None
             pats.append(tuple(int(x) for x in p))
         return pats
     if "n_max" in cfg:
-        n_max = int(cfg["n_max"])
-        if not 0 <= n_max <= m:
-            raise ValidationError(f"n_max must be in [0, {m}]")
-        return list(enumerate_patterns(m, n_max))
+        return list(enumerate_patterns(m, int(cfg["n_max"])))
     raise ValidationError("config needs either 'patterns' or 'n_max'")
 
 
@@ -181,18 +184,6 @@ def _pattern_str(p) -> str:
     return ",".join(str(int(x)) for x in p)
 
 
-def _applicable_engines(qform) -> list[str]:
-    names = ["general"]
-    if float(np.abs(qform.lams).max()) <= _THERMAL_TOL:
-        names.append("thermal")
-    if float(np.abs(qform.mus - 1.0).max()) <= _PURE_TOL:
-        names.append("squeezed")
-    return names
-
-
-_ENGINE_FN = {"general": prob_general, "thermal": prob_thermal, "squeezed": prob_squeezed}
-
-
 def cmd_haar(args) -> int:
     net = haar_random(args.modes, args.seed)
     _emit(dump_complex_matrix(net.u), args.out)
@@ -212,30 +203,25 @@ def cmd_hafnian(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    cfg = _load_config(args.config)
-    states = _config_states(cfg)
-    net = _config_unitary(cfg, os.path.dirname(os.path.abspath(args.config)))
+    cfg, states, net = _load_run(args.config)
     patterns = _config_patterns(cfg, net.m)
     qform = build_qform(states, net)
-    applicable = _applicable_engines(qform)
-    if args.engine == "auto":
-        # prefer the specialized engine when its precondition holds
-        engine = applicable[-1]
-    else:
-        engine = args.engine
-        if engine not in applicable:
-            raise ValidationError(f"engine '{engine}' is not applicable to these inputs")
+    names = applicable(qform)
+    # auto prefers the most specialized engine whose precondition holds
+    engine = names[-1] if args.engine == "auto" else args.engine
+    if engine not in names:
+        raise ValidationError(f"engine '{engine}' is not applicable to these inputs")
     columns = ["pattern", "N", "probability", "engine"]
     if args.validate:
         columns.append("crosscheck_delta")
+    run = names if args.validate else [engine]
     rows = []
     for pat in patterns:
-        n = sum(pat)
-        p = _ENGINE_FN[engine](qform, pat)
-        row = {"pattern": _pattern_str(pat), "N": n, "probability": p, "engine": engine}
+        vals = {name: ENGINES[name](qform, pat) for name in run}
+        p = vals[engine]
+        row = {"pattern": _pattern_str(pat), "N": sum(pat), "probability": p, "engine": engine}
         if args.validate:
-            vals = [_ENGINE_FN[name](qform, pat) for name in applicable]
-            row["crosscheck_delta"] = float(max(vals) - min(vals))
+            row["crosscheck_delta"] = float(max(vals.values()) - min(vals.values()))
         rows.append(row)
     meta = {"version": __version__, "config_hash": _config_hash(cfg)}
     text = _render(meta, columns, rows, args.format)
@@ -253,9 +239,7 @@ def cmd_prob(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    states = _config_states(cfg)
-    net = _config_unitary(cfg, os.path.dirname(os.path.abspath(args.config)))
+    cfg, states, net = _load_run(args.config)
     workers = args.workers or int(os.environ.get("GBSIM_WORKERS", "1"))
     report = sample_patterns(states, net, args.shots, args.seed, workers=workers)
     items = sorted(report.histogram.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -276,47 +260,33 @@ def cmd_sample(args) -> int:
 def cmd_permanent_psd(args) -> int:
     h = load_complex_matrix(args.matrix)
     result = estimate_permanent(h, args.shots, args.seed, headroom=args.headroom)
-    exact = result.exact
-    if exact is None and (args.exact or h.shape[0] <= EXACT_CROSSCHECK_LIMIT):
-        exact = exact_permanent_psd(h)
-    ratio = result.estimate / exact if exact else None
-    rows = [
-        {
-            "estimate": result.estimate,
-            "stderr": result.stderr,
-            "count": result.count,
-            "shots": result.shots,
-            "exact": exact,
-            "ratio": ratio,
-            "low_confidence": result.low_confidence,
-        }
-    ]
+    if result.exact is None and args.exact:
+        result = replace(result, exact=exact_permanent_psd(h))
     meta = {"version": __version__, "matrix": os.path.basename(args.matrix), "seed": args.seed}
     columns = ["estimate", "stderr", "count", "shots", "exact", "ratio", "low_confidence"]
+    rows = [{c: getattr(result, c) for c in columns}]
     _emit(_render(meta, columns, rows, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    states = _config_states(cfg)
-    net = _config_unitary(cfg, os.path.dirname(os.path.abspath(args.config)))
-    try:
+    cfg, states, net = _load_run(args.config)
+    if "patterns" in cfg or "n_max" in cfg:
         patterns = _config_patterns(cfg, net.m)
-    except ValidationError:
+    else:
         patterns = list(enumerate_patterns(net.m, net.m))
     qform = build_qform(states, net)
-    applicable = _applicable_engines(qform)
+    names = applicable(qform)
     fock = apply_network(prepare_input(states, cutoff=args.cutoff), net)
-    columns = ["pattern", "N"] + applicable + (["oracle"] if args.oracle else []) + ["delta"]
+    columns = ["pattern", "N"] + names + (["oracle"] if args.oracle else []) + ["delta"]
     rows = []
     worst = 0.0
     for pat in patterns:
         oracle_p = pattern_probability(fock, pat)
         row = {"pattern": _pattern_str(pat), "N": sum(pat)}
         delta = 0.0
-        for name in applicable:
-            p = _ENGINE_FN[name](qform, pat)
+        for name in names:
+            p = ENGINES[name](qform, pat)
             row[name] = p
             delta = max(delta, abs(p - oracle_p))
         if args.oracle:

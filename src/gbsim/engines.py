@@ -20,9 +20,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ContractError, CostLimitError, NumericalIntegrityError, ValidationError
+from .errors import ContractError, NumericalIntegrityError, ValidationError
 from .interferometer import Interferometer, propagate_coherent
-from .matrix_functions import HAFNIAN_LIMIT, hafnian, permanent, submatrix_by_pattern
+from .matrix_functions import detected_modes, hafnian, permanent, submatrix_by_pattern
 from .qform import OutputQForm
 
 _IM_TOL = 1e-10
@@ -31,15 +31,18 @@ _THERMAL_LAM_TOL = 1e-14
 _PURE_MU_TOL = 1e-12
 
 
-def pattern_weight(pattern) -> int:
-    """Validate a {0,1} detection pattern and return N = number of clicks."""
-    n = 0
-    for x in pattern:
-        xi = int(x)
-        if xi not in (0, 1):
-            raise ValidationError("detection pattern entries must be 0 or 1")
-        n += xi
-    return n
+def applicable(qform: OutputQForm) -> list[str]:
+    """Names of the engines in ENGINES whose preconditions hold for these inputs.
+
+    Ordered general, thermal, squeezed; the last entry is the most specialized
+    applicable engine, so all-vacuum inputs pick the squeezed engine.
+    """
+    names = ["general"]
+    if float(np.abs(qform.lams).max()) <= _THERMAL_LAM_TOL:
+        names.append("thermal")
+    if float(np.abs(qform.mus - 1.0).max()) <= _PURE_MU_TOL:
+        names.append("squeezed")
+    return names
 
 
 def enumerate_patterns(m: int, n_max: int) -> Iterator[tuple[int, ...]]:
@@ -59,15 +62,12 @@ def enumerate_patterns(m: int, n_max: int) -> Iterator[tuple[int, ...]]:
 
 def prob_coherent(net: Interferometer, alpha, pattern) -> float:
     """Detection probability for a multimode coherent input."""
-    pattern_weight(pattern)
-    if len(pattern) != net.m:
-        raise ValidationError(f"pattern length {len(pattern)} does not match {net.m} modes")
+    idx = detected_modes(pattern, net.m)
     beta = propagate_coherent(net, alpha)
     intens = np.abs(beta) ** 2
     p = float(np.exp(-intens.sum()))
-    for k, nk in enumerate(pattern):
-        if int(nk) == 1:
-            p *= intens[k]
+    for k in idx:
+        p *= intens[k]
     return p
 
 
@@ -78,8 +78,9 @@ def pairing_matrix(qform: OutputQForm, pattern) -> np.ndarray:
     detected modes ascending.  Blocks: [[2C, Dt], [Dt^T, 2 conj(C)]], all
     restricted to the detected modes.
     """
-    cs = submatrix_by_pattern(qform.c, pattern)
-    ds = submatrix_by_pattern(qform.d_tilde, pattern)
+    idx = detected_modes(pattern, qform.m)
+    ix = np.ix_(idx, idx)
+    cs, ds = qform.c[ix], qform.d_tilde[ix]
     return np.block([[2.0 * cs, ds], [ds.T, 2.0 * cs.conj()]])
 
 
@@ -92,16 +93,12 @@ def _check_real(value: complex, what: str) -> float:
     return re
 
 
-def prob_general(qform: OutputQForm, pattern, hafnian_limit: int = HAFNIAN_LIMIT) -> float:
+def prob_general(qform: OutputQForm, pattern) -> float:
     """K * haf(pairing matrix): valid for every Gaussian input mix."""
-    n = pattern_weight(pattern)
-    if len(pattern) != qform.m:
-        raise ValidationError(f"pattern length {len(pattern)} does not match {qform.m} modes")
-    if 2 * n > hafnian_limit:
-        raise CostLimitError(f"pattern with N = {n} needs a {2 * n}x{2 * n} hafnian (limit {hafnian_limit})")
-    if n == 0:
+    b = pairing_matrix(qform, pattern)
+    if b.size == 0:
         return qform.k
-    val = qform.k * hafnian(pairing_matrix(qform, pattern), limit=hafnian_limit)
+    val = qform.k * hafnian(b)
     return min(_check_real(val, "general-engine probability"), 1.0)
 
 
@@ -111,12 +108,10 @@ def prob_thermal(qform: OutputQForm, pattern) -> float:
     Precondition: every input mode is thermal or vacuum (lam_s = 0); calling
     it with squeezing present is a contract violation, not a silent fallback.
     """
-    pattern_weight(pattern)
-    if len(pattern) != qform.m:
-        raise ValidationError(f"pattern length {len(pattern)} does not match {qform.m} modes")
-    if np.abs(qform.lams).max() > _THERMAL_LAM_TOL:
+    ds = submatrix_by_pattern(qform.d_tilde, pattern)
+    if "thermal" not in applicable(qform):
         raise ContractError("thermal engine requires lam_s = 0 for every mode (thermal/vacuum inputs)")
-    val = np.prod(qform.mus) * permanent(submatrix_by_pattern(qform.d_tilde, pattern))
+    val = np.prod(qform.mus) * permanent(ds)
     return min(_check_real(val, "thermal-engine probability"), 1.0)
 
 
@@ -125,14 +120,17 @@ def prob_squeezed(qform: OutputQForm, pattern) -> float:
 
     Precondition: every input mode is pure squeezed vacuum (mu_s = 1).
     """
-    n = pattern_weight(pattern)
-    if len(pattern) != qform.m:
-        raise ValidationError(f"pattern length {len(pattern)} does not match {qform.m} modes")
-    if np.abs(qform.mus - 1.0).max() > _PURE_MU_TOL:
+    idx = detected_modes(pattern, qform.m)
+    if "squeezed" not in applicable(qform):
         raise ContractError("squeezed engine requires mu_s = 1 for every mode (pure squeezed vacuum)")
+    n = len(idx)
     if n % 2 == 1:
         return 0.0
     if n == 0:
         return qform.k
-    o_n = 2.0 ** (n / 2) * hafnian(submatrix_by_pattern(qform.c, pattern))
+    o_n = 2.0 ** (n / 2) * hafnian(qform.c[np.ix_(idx, idx)])
     return min(qform.k * float(abs(o_n)) ** 2, 1.0)
+
+
+# Engine table keyed by the names `applicable` returns.
+ENGINES = {"general": prob_general, "thermal": prob_thermal, "squeezed": prob_squeezed}

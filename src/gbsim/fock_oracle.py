@@ -31,7 +31,7 @@ DEFAULT_LEAK_BUDGET = 1e-10
 DEFAULT_LEAK_TOL = 1e-9
 
 _VAC_TOL = 1e-14
-_PURE_TOL = 1e-12
+_MIN_UNCERTAINTY_TOL = 1e-12
 
 
 @dataclass
@@ -57,7 +57,7 @@ def _classify(state: GaussianModeState) -> tuple[str, float]:
         return "vacuum", 0.0
     if state.v_x == state.v_p:
         return "thermal", (state.v_x - 1.0) / 2.0  # mean photon number
-    if abs(state.v_x * state.v_p - 1.0) <= _PURE_TOL:
+    if abs(state.v_x * state.v_p - 1.0) <= _MIN_UNCERTAINTY_TOL:
         return "squeezed", 0.5 * math.log(state.v_x)  # squeezing parameter r
     raise ValidationError(
         "the Fock oracle supports vacuum, thermal and squeezed-vacuum inputs only "

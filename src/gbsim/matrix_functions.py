@@ -1,7 +1,7 @@
 """Exact combinatorial matrix functions: permanent and hafnian.
 
-Both grow exponentially with dimension and are guarded by configurable cost
-limits.  The permanent uses Ryser's inclusion-exclusion sum evaluated in
+Both grow exponentially with dimension and are guarded by cost limits.
+The permanent uses Ryser's inclusion-exclusion sum evaluated in
 vectorized chunks; the hafnian sums the products of matched entries over all
 (n-1)!! perfect matchings, evaluated by dynamic programming over index
 subsets (first-unmatched-index recursion with memoization, which regroups
@@ -18,7 +18,6 @@ from .errors import CostLimitError, ValidationError
 
 PERMANENT_LIMIT = 24
 HAFNIAN_LIMIT = 20
-_NAIVE_LIMIT = 9
 _CHUNK_BITS = 14  # subsets per vectorized Ryser chunk: 2**14
 
 
@@ -29,7 +28,7 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def permanent(a, limit: int = PERMANENT_LIMIT) -> complex:
+def permanent(a) -> complex:
     """Permanent via Ryser's formula, O(2^n n^2) with chunked vector ops.
 
     per(A) = (-1)^n sum_{S nonempty} (-1)^{|S|} prod_i sum_{j in S} A_{ij}.
@@ -41,8 +40,8 @@ def permanent(a, limit: int = PERMANENT_LIMIT) -> complex:
     n = a.shape[0]
     if n == 0:
         return complex(1.0)
-    if n > limit:
-        raise CostLimitError(f"permanent of {n}x{n} exceeds the cost limit (n <= {limit})")
+    if n > PERMANENT_LIMIT:
+        raise CostLimitError(f"permanent of {n}x{n} exceeds the cost limit (n <= {PERMANENT_LIMIT})")
     bit_positions = np.arange(n, dtype=np.uint64)
     total = 1 << n
     chunk = min(total, 1 << _CHUNK_BITS)
@@ -64,27 +63,7 @@ def permanent(a, limit: int = PERMANENT_LIMIT) -> complex:
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
-def permanent_naive(a) -> complex:
-    """Direct n! permutation sum; test oracle only, guarded at n <= 9."""
-    from itertools import permutations
-
-    a = _as_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return complex(1.0)
-    if n > _NAIVE_LIMIT:
-        raise CostLimitError(f"naive permanent guarded at n <= {_NAIVE_LIMIT}, got {n}")
-    total = 0j
-    rng = range(n)
-    for sigma in permutations(rng):
-        p = 1.0 + 0j
-        for i in rng:
-            p *= a[i, sigma[i]]
-        total += p
-    return total
-
-
-def hafnian(b, limit: int = HAFNIAN_LIMIT) -> complex:
+def hafnian(b) -> complex:
     """Sum over all perfect matchings of prod of matched entries.
 
     The matrix is symmetrized on entry and its diagonal is never referenced.
@@ -98,8 +77,8 @@ def hafnian(b, limit: int = HAFNIAN_LIMIT) -> complex:
         return complex(1.0)
     if n % 2:
         raise ValidationError(f"hafnian requires even dimension, got {n}")
-    if n > limit:
-        raise CostLimitError(f"hafnian of {n}x{n} exceeds the cost limit (n <= {limit})")
+    if n > HAFNIAN_LIMIT:
+        raise CostLimitError(f"hafnian of {n}x{n} exceeds the cost limit (n <= {HAFNIAN_LIMIT})")
     bs = (b + b.T) * 0.5
     rows = [list(map(complex, bs[i])) for i in range(n)]
 
@@ -129,13 +108,27 @@ def hafnian(b, limit: int = HAFNIAN_LIMIT) -> complex:
     return complex(h[full])
 
 
+def detected_modes(pattern, m: int) -> list[int]:
+    """Validate a detection pattern over m modes; return its detected modes, ascending.
+
+    The engines, `submatrix_by_pattern` and the CLI all check patterns here.
+    The length must be m and every entry must equal 0 or 1, so 1, 1.0, True
+    and np.int64(1) are clicks, while 0.5, 2 or "1" are rejected rather than
+    truncated.
+    """
+    if len(pattern) != m:
+        raise ValidationError(f"pattern length {len(pattern)} does not match {m} modes")
+    idx = []
+    for i, x in enumerate(pattern):
+        if x == 1:
+            idx.append(i)
+        elif x != 0:
+            raise ValidationError(f"detection pattern entries must be 0 or 1, got {x!r}")
+    return idx
+
+
 def submatrix_by_pattern(m, pattern) -> np.ndarray:
     """Keep the rows and columns of the detected modes, in ascending order."""
     m = _as_square(m)
-    pattern = list(pattern)
-    if len(pattern) != m.shape[0]:
-        raise ValidationError(f"pattern length {len(pattern)} does not match matrix size {m.shape[0]}")
-    if any(int(x) not in (0, 1) for x in pattern):
-        raise ValidationError("detection pattern entries must be 0 or 1")
-    idx = [i for i, x in enumerate(pattern) if int(x) == 1]
+    idx = detected_modes(pattern, m.shape[0])
     return m[np.ix_(idx, idx)]

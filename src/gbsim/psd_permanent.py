@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .interferometer import validate_unitary
-from .matrix_functions import PERMANENT_LIMIT, permanent
+from .matrix_functions import permanent
 from .sampler import estimate_pattern_probability, sample_patterns
 from .states import GaussianModeState, thermal
 
@@ -151,10 +151,6 @@ def exact_permanent_psd(h) -> float:
     non-negative up to roundoff."""
     h = _check_psd_hermitian(h)
     n = h.shape[0]
-    if n > PERMANENT_LIMIT:
-        from .errors import CostLimitError
-
-        raise CostLimitError(f"permanent of {n}x{n} exceeds the cost limit (n <= {PERMANENT_LIMIT})")
     val = permanent(h)
     scale = max(float(np.abs(h).max()), 1e-300) ** n if n else 1.0
     if abs(val.imag) > 1e-10 * max(abs(val), scale):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .interferometer import Interferometer
+from .interferometer import Interferometer, _readonly
 from .states import GaussianModeState, derive_q_params
 
 _SYM_TOL = 1e-12
@@ -52,12 +52,6 @@ class OutputQForm:
     def d(self) -> np.ndarray:
         """The D matrix, reconstructed on demand as 1 - D-tilde."""
         return np.eye(self.m) - self.d_tilde
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 def build_qform(states: list[GaussianModeState], net: Interferometer) -> OutputQForm:

@@ -47,18 +47,6 @@ def _p_function_scales(states) -> tuple[np.ndarray, np.ndarray]:
     return sx, sp
 
 
-def draw_coherent_inputs(states: list[GaussianModeState], rng: np.random.Generator) -> np.ndarray:
-    """One sample of input coherent amplitudes from the per-mode P functions.
-
-    Re(alpha_s) ~ N(0, (v_x - 1)/4), Im(alpha_s) ~ N(0, (v_p - 1)/4);
-    vacuum modes draw exactly 0.
-    """
-    _require_classical(states)
-    sx, sp = _p_function_scales(states)
-    m = len(states)
-    return rng.standard_normal(m) * sx + 1j * rng.standard_normal(m) * sp
-
-
 @dataclass
 class SampleReport:
     """Histogram of photon-count patterns from a sampling run."""

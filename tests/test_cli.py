@@ -25,6 +25,15 @@ def thermal_config(tmp_path):
     return path
 
 
+def _edited_config(path, **fields):
+    """A copy of the config at `path` with some fields replaced."""
+    cfg = json.loads(path.read_text())
+    cfg.update(fields)
+    out = path.with_name("edited-" + path.name)
+    out.write_text(json.dumps(cfg))
+    return out
+
+
 @pytest.fixture
 def tmsv_config(tmp_path):
     net = gbsim.tmsv_network()
@@ -110,6 +119,30 @@ class TestProb:
         out = capsys.readouterr().out
         assert "# K = " in out and "# D-tilde:" in out
 
+    @pytest.mark.parametrize(
+        "config, engine, rc",
+        [
+            ("thermal_config", "general", 0),
+            ("thermal_config", "thermal", 0),
+            ("thermal_config", "squeezed", 1),
+            ("tmsv_config", "squeezed", 0),
+            ("tmsv_config", "thermal", 1),
+        ],
+    )
+    def test_engine_choice(self, request, config, engine, rc, capsys):
+        path = _edited_config(request.getfixturevalue(config), n_max=2)
+        assert main(["prob", "--config", str(path), "--engine", engine, "--format", "json"]) == rc
+        if rc == 0:
+            assert {row["engine"] for row in json.loads(capsys.readouterr().out)["rows"]} == {engine}
+        else:
+            assert "not applicable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patterns", [[[0.5, 1]], [[1.9, 0]], [[2, 0]], [["1", 0]], [[1, 0, 0]]])
+    def test_pattern_entries_must_be_0_or_1(self, thermal_config, patterns, capsys):
+        path = _edited_config(thermal_config, patterns=patterns)
+        assert main(["prob", "--config", str(path)]) == 1
+        assert "patterns[0]" in capsys.readouterr().err
+
     def test_malformed_config(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"schema": 1, "modes": 2, "states": []}))
@@ -178,6 +211,19 @@ class TestPermanentPsd:
         assert abs(row["estimate"] - 2.0) < 5 * max(row["stderr"], 1e-3)
         assert row["ratio"] == pytest.approx(row["estimate"] / 2.0, rel=1e-12)
 
+    def test_exact_above_crosscheck_limit(self, tmp_path, capsys):
+        # n = 13 is past the estimator's own cross-check, so only --exact fills these
+        f = tmp_path / "eye.txt"
+        f.write_text(dump_complex_matrix(np.eye(13)))
+        argv = ["permanent-psd", "--matrix", str(f), "--shots", "2000", "--seed", "1", "--format", "json"]
+        assert main(argv) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["exact"] is None and row["ratio"] is None
+        assert main(argv + ["--exact"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["exact"] == pytest.approx(1.0, rel=1e-12)
+        assert row["ratio"] == pytest.approx(row["estimate"] / row["exact"], rel=1e-12)
+
 
 class TestValidate:
     def test_tmsv_fixture_passes(self, tmsv_config, capsys):
@@ -188,6 +234,13 @@ class TestValidate:
         r = 0.5
         assert rows["1,1"]["oracle"] == pytest.approx(math.tanh(r) ** 2 / math.cosh(r) ** 2, abs=1e-9)
         assert all(row["delta"] <= 1e-6 for row in report["rows"])
+
+    @pytest.mark.parametrize("fields", [{"patterns": [[2, 0]]}, {"patterns": [[0.5, 1]]}, {"n_max": 3}])
+    def test_malformed_patterns_rejected(self, tmsv_config, fields, capsys):
+        # only a config with neither key falls back to all patterns
+        path = _edited_config(tmsv_config, **fields)
+        assert main(["validate", "--config", str(path), "--cutoff", "30"]) == 1
+        assert capsys.readouterr().out == ""
 
 
 def test_version_embedded_in_reports(thermal_config, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from gbsim import (
     ContractError,
+    ValidationError,
     build_qform,
     enumerate_patterns,
     haar_random,
@@ -21,6 +22,7 @@ from gbsim import (
     vacuum,
     validate_unitary,
 )
+from gbsim.engines import ENGINES, applicable
 
 
 def rel_close(a, b, tol=1e-10):
@@ -173,3 +175,52 @@ class TestStructure:
             # output k of the permuted network is output perm[k] of the original
             pat_p = tuple(pat[j] for j in perm)
             assert prob_general(qf_p, pat_p) == pytest.approx(prob_general(qf, pat), rel=1e-12)
+
+
+def _every_engine_on_two_vacuum_modes():
+    # all-vacuum inputs satisfy every engine's precondition
+    net = validate_unitary(np.eye(2))
+    qf = build_qform([vacuum()] * 2, net)
+    return [lambda pat, fn=fn: fn(qf, pat) for fn in ENGINES.values()] + [
+        lambda pat: prob_coherent(net, [0.0, 0.0], pat)
+    ]
+
+
+class TestPatternRule:
+    @pytest.mark.parametrize("pat", [(1.9, 0), (0.5, 1), (2, 0), ("1", 0), (None, 0), (1, 0, 0), (1,)])
+    def test_rejects_entries_other_than_0_or_1(self, pat):
+        for prob in _every_engine_on_two_vacuum_modes():
+            with pytest.raises(ValidationError):
+                prob(pat)
+
+    @pytest.mark.parametrize("pat", [(1, 0), (1.0, 0.0), (True, False), (np.int64(1), np.int64(0)), np.array([1, 0])])
+    def test_accepts_entries_equal_to_0_or_1(self, pat):
+        for prob in _every_engine_on_two_vacuum_modes():
+            assert prob(pat) == prob((1, 0))
+
+
+APPLICABILITY = [
+    ([thermal(2.0), thermal(1.4)], ["general", "thermal"]),
+    ([vacuum(), thermal(1.4)], ["general", "thermal"]),
+    ([squeezed(0.4), squeezed(0.9)], ["general", "squeezed"]),
+    ([vacuum(), squeezed(0.9)], ["general", "squeezed"]),
+    ([thermal(2.0), squeezed(0.4)], ["general"]),
+    ([squeezed_thermal(1.5, 0.3), vacuum()], ["general"]),
+    ([vacuum(), vacuum()], ["general", "thermal", "squeezed"]),
+]
+
+
+class TestApplicable:
+    @pytest.mark.parametrize("states, expected", APPLICABILITY)
+    def test_names_in_order(self, states, expected):
+        assert applicable(build_qform(states, haar_random(2, 70))) == expected
+
+    @pytest.mark.parametrize("states, expected", APPLICABILITY)
+    def test_guards_agree_with_applicable(self, states, expected):
+        qf = build_qform(states, haar_random(2, 70))
+        for name in ("thermal", "squeezed"):
+            if name in expected:
+                ENGINES[name](qf, (1, 1))
+            else:
+                with pytest.raises(ContractError):
+                    ENGINES[name](qf, (1, 1))

@@ -8,9 +8,9 @@ from gbsim import (
     ValidationError,
     hafnian,
     permanent,
-    permanent_naive,
     submatrix_by_pattern,
 )
+from permutil import permanent_naive
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
 

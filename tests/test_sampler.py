@@ -7,55 +7,19 @@ from gbsim import (
     SampleReport,
     ValidationError,
     build_qform,
-    draw_coherent_inputs,
     estimate_pattern_probability,
     haar_random,
+    is_classical,
     mean_photon_number,
     prob_thermal,
     sample_patterns,
     squeezed,
+    squeezed_thermal,
     thermal,
     vacuum,
     validate_unitary,
 )
 from statutil import thermal_chi2_pvalue, total_photon_moments
-
-
-class TestDrawCoherentInputs:
-    def test_vacuum_draws_exactly_zero(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert np.all(draw_coherent_inputs([vacuum()] * 3, rng) == 0)
-
-    def test_thermal_mean_intensity(self):
-        rng = np.random.default_rng(1)
-        v = 3.0
-        n = 100_000
-        draws = np.array([draw_coherent_inputs([thermal(v)], rng)[0] for _ in range(n)])
-        mean = (np.abs(draws) ** 2).mean()
-        se = (np.abs(draws) ** 2).std(ddof=1) / math.sqrt(n)
-        assert abs(mean - (v - 1) / 2) < 5 * se
-
-    def test_squeezed_rejected_with_mode_index(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ValidationError, match="mode 1"):
-            draw_coherent_inputs([thermal(2.0), squeezed(0.5)], rng)
-
-    def test_classicality_decides_acceptance(self):
-        from gbsim import is_classical, squeezed_thermal
-
-        rng = np.random.default_rng(3)
-        candidates = [
-            vacuum(), thermal(1.7), squeezed(0.2), squeezed(1.1),
-            squeezed_thermal(1.1, 0.3), squeezed_thermal(4.0, 0.3),
-            squeezed_thermal(2.0, 0.6),
-        ]
-        for s in candidates:
-            if is_classical(s):
-                draw_coherent_inputs([s], rng)
-            else:
-                with pytest.raises(ValidationError):
-                    draw_coherent_inputs([s], rng)
 
 
 class TestSamplePatterns:
@@ -87,6 +51,29 @@ class TestSamplePatterns:
     def test_rejects_squeezed(self):
         with pytest.raises(ValidationError):
             sample_patterns([squeezed(0.3)], validate_unitary(np.eye(1)), 10, seed=0)
+        with pytest.raises(ValidationError, match="mode 1"):
+            sample_patterns([thermal(2.0), squeezed(0.5)], haar_random(2, 2), 10, seed=0)
+
+    def test_classicality_decides_acceptance(self):
+        candidates = [
+            vacuum(), thermal(1.7), squeezed(0.2), squeezed(1.1),
+            squeezed_thermal(1.1, 0.3), squeezed_thermal(4.0, 0.3),
+            squeezed_thermal(2.0, 0.6),
+        ]
+        net = validate_unitary(np.eye(1))
+        for s in candidates:
+            if is_classical(s):
+                sample_patterns([s], net, 10, seed=3)
+            else:
+                with pytest.raises(ValidationError):
+                    sample_patterns([s], net, 10, seed=3)
+
+    def test_thermal_mean_intensity(self):
+        # through the identity, the mean count equals the P function's mean intensity (v - 1)/2
+        v = 3.0
+        rep = sample_patterns([thermal(v)], validate_unitary(np.eye(1)), 100_000, seed=1)
+        mean, se = total_photon_moments(rep)
+        assert abs(mean - (v - 1) / 2) < 5 * se
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValidationError):
