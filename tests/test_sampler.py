@@ -51,6 +51,15 @@ class TestSamplePatterns:
     def test_rejects_squeezed(self):
         with pytest.raises(ValidationError):
             sample_patterns([squeezed(0.3)], validate_unitary(np.eye(1)), 10, seed=0)
+
+    def test_vacuum_draws_exactly_zero(self):
+        # through the identity, a vacuum mode next to thermal ones never clicks
+        states = [thermal(3.0), vacuum(), thermal(2.0), vacuum()]
+        rep = sample_patterns(states, validate_unitary(np.eye(4)), 5000, seed=0)
+        assert all(pat[1] == 0 and pat[3] == 0 for pat in rep.histogram)
+        assert any(pat[0] == 1 for pat in rep.histogram)
+
+    def test_squeezed_rejected_with_mode_index(self):
         with pytest.raises(ValidationError, match="mode 1"):
             sample_patterns([thermal(2.0), squeezed(0.5)], haar_random(2, 2), 10, seed=0)
 
