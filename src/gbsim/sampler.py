@@ -7,44 +7,35 @@ mode's photon count from a Poisson law with mean |beta_k|^2.  The resulting
 histogram covers the full photon-count distribution; the {0,1} patterns of
 the exact engines are a sub-event of it.
 
-Determinism: shots are processed in fixed-size blocks of 4096, each block
-drawing from its own counter-based Philox stream keyed by (seed, block
-index), and every shot consumes a fixed number of uniforms.  Histograms
-merge additively, so the result is identical for any worker count and any
-shard ordering.
+Determinism: shots are processed in fixed-size blocks of 4096, and each
+block draws from its own counter-based Philox stream keyed by (seed, block
+index).  How many numbers a block consumes depends on the data (numpy's
+Poisson sampler rejects and redraws), but no two blocks share a stream, so
+each block's counts depend only on the seed and its index.  Histograms merge
+additively, so the result is identical for any worker count and any shard
+ordering.
 """
 
 from __future__ import annotations
 
+import operator
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
 from .interferometer import Interferometer
-from .states import GaussianModeState, is_classical
+from .states import GaussianModeState, is_classical, mean_photon_number
 
 BLOCK_SHOTS = 4096  # fixed: part of the deterministic stream-derivation policy
-_U64 = (1 << 64) - 1
-
-
-def _require_classical(states: list[GaussianModeState]) -> None:
-    for i, s in enumerate(states):
-        if not is_classical(s):
-            raise ValidationError(
-                f"mode {i} is non-classical (v_p = {s.v_p} < 1): no non-negative "
-                "P function exists, so the classical sampler does not apply"
-            )
-
-
-def _p_function_scales(states) -> tuple[np.ndarray, np.ndarray]:
-    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
-    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
-    return sx, sp
+# numpy's Poisson sampler refuses means above about 9.2e18, and the output
+# intensity of a classical input has an exponential tail about its mean, so
+# a total mean this far below that limit never reaches it.
+MAX_MEAN_PHOTONS = 1e15
 
 
 @dataclass
@@ -58,7 +49,7 @@ class SampleReport:
     elapsed: float = 0.0
 
     def frequency(self, pattern) -> float:
-        return self.histogram.get(tuple(int(x) for x in pattern), 0) / self.shots
+        return self.histogram.get(_histogram_key(self, pattern), 0) / self.shots
 
 
 class PatternEstimate(NamedTuple):
@@ -67,32 +58,28 @@ class PatternEstimate(NamedTuple):
     observed: bool
 
 
+def _histogram_key(report: SampleReport, pattern) -> tuple[int, ...]:
+    """`pattern` as a histogram key: `report.modes` entries, each equal to a
+    non-negative integer (2, 2.0, np.int64(2)).  1.9 or "1" are rejected,
+    never truncated."""
+    try:
+        pattern = tuple(pattern)
+        key = tuple(int(x) for x in pattern)
+        valid = len(key) == report.modes and all(k >= 0 and k == x for k, x in zip(key, pattern))
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValidationError(f"pattern {pattern!r} is not {report.modes} non-negative integer photon counts")
+    return key
+
+
 def _block_counts(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int) -> np.ndarray:
-    """Photon counts for one block of shots; fixed 3M uniforms per shot."""
+    """Photon counts for one block of shots, drawn from the block's own stream."""
     m = u_mat.shape[0]
-    gen = np.random.Generator(np.random.Philox(key=[seed & _U64, block]))
-    u = gen.random((nrows, 3 * m))
-    normals = ndtri(np.clip(u[:, : 2 * m], 1e-310, None))
-    alpha = normals[:, :m] * sx[None, :] + 1j * normals[:, m : 2 * m] * sp[None, :]
-    beta = alpha @ u_mat
-    lam = np.abs(beta) ** 2
-    # inverse-CDF Poisson: exactly one uniform per mode, loop over count values
-    u3 = u[:, 2 * m :]
-    pmf = np.exp(-lam)
-    cdf = pmf.copy()
-    counts = np.zeros(lam.shape, dtype=np.int64)
-    undecided = u3 >= cdf
-    k = 0
-    while undecided.any():
-        k += 1
-        if k > 1000:
-            counts[undecided] = k  # residual mass below float resolution
-            break
-        pmf *= lam / k
-        cdf += pmf
-        counts[undecided] = k
-        undecided &= u3 >= cdf
-    return counts
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    normals = gen.standard_normal((nrows, 2 * m))
+    alpha = normals[:, :m] * sx + 1j * normals[:, m:] * sp
+    return gen.poisson(np.abs(alpha @ u_mat) ** 2)
 
 
 def sample_patterns(
@@ -107,38 +94,48 @@ def sample_patterns(
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
     if shots < 1:
         raise ValidationError(f"shot count must be >= 1, got {shots}")
-    if seed < 0:
-        raise ValidationError("seed must be a non-negative integer")
-    _require_classical(states)
-    sx, sp = _p_function_scales(states)
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+    for i, s in enumerate(states):
+        if not is_classical(s):
+            raise ValidationError(
+                f"mode {i} is non-classical (v_p = {s.v_p} < 1): no non-negative "
+                "P function exists, so the classical sampler does not apply"
+            )
+    total = sum(mean_photon_number(s) for s in states)
+    if total > MAX_MEAN_PHOTONS:
+        raise ValidationError(f"total mean photon number {total:.3g} exceeds {MAX_MEAN_PHOTONS:g}")
+    # P-function standard deviations of each mode's two quadratures
+    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
+    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
     u_mat = np.asarray(net.u)
 
     t0 = time.perf_counter()
     nblocks = (shots + BLOCK_SHOTS - 1) // BLOCK_SHOTS
-    sizes = [min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS) for b in range(nblocks)]
 
-    histogram: dict[tuple[int, ...], int] = {}
+    def block(b: int) -> np.ndarray:
+        return _block_counts(u_mat, sx, sp, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS))
 
-    def reduce_block(counts: np.ndarray) -> None:
-        uniq, cnt = np.unique(counts, axis=0, return_counts=True)
-        for row, c in zip(uniq, cnt):
-            key = tuple(int(x) for x in row)
-            histogram[key] = histogram.get(key, 0) + int(c)
-
-    if workers <= 1:
-        for b in range(nblocks):
-            reduce_block(_block_counts(u_mat, sx, sp, seed, b, sizes[b]))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_block_counts, u_mat, sx, sp, seed, b, sizes[b]) for b in range(nblocks)]
-            for fut in futs:
-                reduce_block(fut.result())
+    histogram: Counter[tuple[int, ...]] = Counter()
+    workers = max(workers, 1)
+    window = 4 * workers  # blocks in flight: memory stays flat in the shot count
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = map if workers == 1 else pool.map
+        for start in range(0, nblocks, window):
+            for counts in run(block, range(start, min(start + window, nblocks))):
+                # zip over the column lists reuses one row tuple: no container per
+                # shot for the garbage collector to scan, whose passes made it vary
+                histogram.update(zip(*counts.T.tolist()))
 
     return SampleReport(
         shots=shots,
         seed=seed,
         modes=net.m,
-        histogram=histogram,
+        histogram=dict(histogram),
         elapsed=time.perf_counter() - t0,
     )
 
@@ -153,7 +150,7 @@ def estimate_pattern_probability(report: SampleReport, pattern) -> PatternEstima
     """
     if report.shots < 1:
         raise ValidationError("empty report")
-    count = report.histogram.get(tuple(int(x) for x in pattern), 0)
+    count = report.histogram.get(_histogram_key(report, pattern), 0)
     p_hat = count / report.shots
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / report.shots))
     return PatternEstimate(p_hat, stderr, count > 0)

@@ -42,3 +42,20 @@ def total_photon_moments(report):
     mean = float((totals * counts).sum() / report.shots)
     var = float(((totals - mean) ** 2 * counts).sum() / report.shots)
     return mean, (var / report.shots) ** 0.5
+
+
+def geometric_chi2_pvalue(report, nbar: float, bins: int = 20) -> float:
+    """Binned chi-squared p-value of a one-mode sample against the thermal law
+    P(n) = nbar^n / (nbar + 1)^(n + 1).
+
+    Since P(N >= n) = q^n with q = nbar / (nbar + 1), bin edges at the law's
+    quantiles give bins of about equal expected mass; the last bin is open.
+    """
+    q = nbar / (nbar + 1.0)
+    edges = np.unique(np.round(np.log1p(-np.arange(bins) / bins) / np.log(q)))
+    probs = q**edges - np.append(q ** edges[1:], 0.0)
+    n = np.array([pat[0] for pat in report.histogram])
+    counts = np.array(list(report.histogram.values()), dtype=float)
+    obs = np.bincount(np.searchsorted(edges, n, side="right") - 1, weights=counts, minlength=len(edges))
+    exp = probs * report.shots
+    return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), len(edges) - 1))

@@ -199,6 +199,17 @@ class TestSample:
         assert rc == 1
         assert "non-classical" in capsys.readouterr().err
 
+    def test_rejects_seed_outside_64_bits(self, thermal_config, capsys):
+        rc = main(["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "18446744073709551616"])
+        assert rc == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_rejects_inputs_too_bright_for_counts(self, thermal_config, capsys):
+        path = _edited_config(thermal_config, states=[{"type": "thermal", "v": 1e19}, {"type": "vacuum"}])
+        rc = main(["sample", "--config", str(path), "--shots", "10", "--seed", "0"])
+        assert rc == 1
+        assert "mean photon number" in capsys.readouterr().err
+
 
 class TestPermanentPsd:
     def test_record_fields(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import gbsim.sampler as sampler_module
 from gbsim import (
     SampleReport,
     ValidationError,
@@ -19,7 +21,7 @@ from gbsim import (
     vacuum,
     validate_unitary,
 )
-from statutil import thermal_chi2_pvalue, total_photon_moments
+from statutil import geometric_chi2_pvalue, thermal_chi2_pvalue, total_photon_moments
 
 
 class TestSamplePatterns:
@@ -119,6 +121,66 @@ class TestSamplePatterns:
         rep = sample_patterns(states, net, 100_000, seed=6)
         assert thermal_chi2_pvalue(rep, qf) > 1e-3
 
+    def test_bright_mode_follows_geometric_law(self):
+        # through the identity a thermal mode's counts are geometric with mean (v - 1)/2
+        v = 1001.0
+        rep = sample_patterns([thermal(v)], validate_unitary(np.eye(1)), 20_000, seed=11)
+        mean, se = total_photon_moments(rep)
+        assert abs(mean - (v - 1) / 2) < 5 * se
+        assert geometric_chi2_pvalue(rep, (v - 1) / 2) > 1e-3
+
+    def test_bright_per_mode_means(self):
+        # <n_k> = sum_j |U_jk|^2 nbar_j through any network, one bright input among dim ones
+        states = [thermal(4001.0), thermal(2.0), vacuum()]
+        net = haar_random(3, 12)
+        shots = 20_000
+        rep = sample_patterns(states, net, shots, seed=12)
+        pats = np.array(list(rep.histogram), dtype=float)
+        counts = np.array(list(rep.histogram.values()), dtype=float)[:, None]
+        mean = (pats * counts).sum(axis=0) / shots
+        se = np.sqrt(((pats - mean) ** 2 * counts).sum(axis=0) / shots / shots)
+        nbar = np.array([mean_photon_number(s) for s in states])
+        expected = (np.abs(np.asarray(net.u)) ** 2).T @ nbar
+        assert np.all(np.abs(mean - expected) < 5 * se)
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5, "3", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_patterns([thermal(2.0)], validate_unitary(np.eye(1)), 10, seed=seed)
+
+    def test_large_seeds_are_distinct(self):
+        # every seed in [0, 2**64) keys its own streams: none wraps onto another
+        states = [thermal(2.0)]
+        net = validate_unitary(np.eye(1))
+        seeds = [0, 2**63, 2**63 + 1, 2**64 - 1, np.uint64(2**64 - 2)]
+        hists = [sample_patterns(states, net, 4096, seed=s).histogram for s in seeds]
+        assert all(hists[i] != hists[j] for i in range(len(hists)) for j in range(i))
+
+    def test_rejects_inputs_too_bright_for_counts(self):
+        net = validate_unitary(np.eye(1))
+        with pytest.raises(ValidationError, match="mean photon number"):
+            sample_patterns([thermal(1e19)], net, 10, seed=0)
+        rep = sample_patterns([thermal(2e15)], net, 10, seed=0)  # just below MAX_MEAN_PHOTONS
+        assert sum(rep.histogram.values()) == 10
+
+    def test_blocks_in_flight_bounded(self, monkeypatch):
+        # while block 0 stalls, at most 4 * workers blocks are in flight, so
+        # memory stays flat in the shot count
+        started, started_during_stall = [], []
+        inner = sampler_module._block_counts
+
+        def stall_first(u_mat, sx, sp, seed, block, nrows):
+            started.append(block)
+            if block == 0:
+                time.sleep(0.3)
+                started_during_stall.append(max(started))
+            return inner(u_mat, sx, sp, seed, block, nrows)
+
+        monkeypatch.setattr(sampler_module, "_block_counts", stall_first)
+        rep = sample_patterns([thermal(2.0)], validate_unitary(np.eye(1)), 100 * 4096, seed=0, workers=2)
+        assert sum(rep.histogram.values()) == 100 * 4096
+        assert started_during_stall[0] < 4 * 2
+
 
 class TestEstimate:
     def _report(self, counts, shots):
@@ -141,3 +203,18 @@ class TestEstimate:
         est = estimate_pattern_probability(rep, (1, 0))
         assert est.estimate == pytest.approx(2.5e-4, abs=0)
         assert est.stderr == pytest.approx(math.sqrt(2.5e-4 * (1 - 2.5e-4) / 1e6), rel=1e-12)
+
+    @pytest.mark.parametrize("pattern", [(1.9, 0), (0.5, 1), (1,), (1, 0, 0), ("1", 0), (-1, 0), (float("nan"), 0)])
+    def test_lookup_rejects_malformed_pattern(self, pattern):
+        # never truncated to another pattern, never silently read as 0
+        rep = self._report({(1, 0): 3, (0, 1): 2, (0, 0): 5}, 10)
+        with pytest.raises(ValidationError, match="pattern"):
+            rep.frequency(pattern)
+        with pytest.raises(ValidationError, match="pattern"):
+            estimate_pattern_probability(rep, pattern)
+
+    def test_lookup_accepts_integer_values(self):
+        rep = self._report({(2, 0): 4, (0, 0): 6}, 10)
+        for pattern in [(2, 0), (2.0, 0), np.array([2, 0]), (np.int64(2), False)]:
+            assert rep.frequency(pattern) == 0.4
+            assert estimate_pattern_probability(rep, pattern).estimate == 0.4
