@@ -240,7 +240,13 @@ def cmd_prob(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg, states, net = _load_run(args.config)
-    workers = args.workers or int(os.environ.get("GBSIM_WORKERS", "1"))
+    workers = args.workers
+    if not workers:
+        env = os.environ.get("GBSIM_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValidationError(f"GBSIM_WORKERS must be an integer, got {env!r}") from None
     report = sample_patterns(states, net, args.shots, args.seed, workers=workers)
     items = sorted(report.histogram.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     rows = [
@@ -348,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--headroom", type=float, default=0.1)
-    p.add_argument("--exact", action="store_true", help="force the Ryser value even for large n")
+    p.add_argument("--exact", action="store_true", help="force the exact permanent even for large n")
     add_fmt(p)
     p.set_defaults(fn=cmd_permanent_psd)
 

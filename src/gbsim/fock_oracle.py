@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import CutoffError, ValidationError
 from .interferometer import Interferometer, decompose
+from .matrix_functions import photon_counts
 from .states import GaussianModeState
 
 MAX_MODES = 3
@@ -272,13 +273,11 @@ def apply_network(state: FockState, net: Interferometer, leak_tol: float = DEFAU
 
 def pattern_probability(state: FockState, pattern) -> float:
     """Diagonal density-matrix element at the Fock index of the pattern."""
-    pattern = [int(x) for x in pattern]
-    if len(pattern) != state.modes:
-        raise ValidationError(f"pattern length {len(pattern)} does not match {state.modes} modes")
-    if any(x < 0 or x > state.cutoff for x in pattern):
+    counts = photon_counts(pattern, state.modes)
+    if max(counts) > state.cutoff:
         raise ValidationError("pattern occupation outside the truncated basis")
     idx = 0
-    for x in pattern:
+    for x in counts:
         idx = idx * (state.cutoff + 1) + x
     return float(state.rho[idx, idx].real)
 

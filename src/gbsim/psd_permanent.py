@@ -118,7 +118,7 @@ def estimate_permanent(
     """Sample the embedded thermal instance and rescale the all-ones-pattern
     frequency to an estimate of per(h).
 
-    For n <= 12 the exact Ryser value is computed alongside for comparison.
+    For n <= 12 the exact permanent is computed alongside for comparison.
     """
     emb = embed(h, headroom=headroom)
     n = emb.h.shape[0]
@@ -147,7 +147,7 @@ def estimate_permanent(
 
 
 def exact_permanent_psd(h) -> float:
-    """Ryser permanent of a PSD Hermitian matrix, checked to be real and
+    """Exact permanent of a PSD Hermitian matrix, checked to be real and
     non-negative up to roundoff."""
     h = _check_psd_hermitian(h)
     n = h.shape[0]

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .interferometer import Interferometer
+from .matrix_functions import photon_counts
 from .states import GaussianModeState, is_classical, mean_photon_number
 
 BLOCK_SHOTS = 4096  # fixed: part of the deterministic stream-derivation policy
@@ -49,7 +50,7 @@ class SampleReport:
     elapsed: float = 0.0
 
     def frequency(self, pattern) -> float:
-        return self.histogram.get(_histogram_key(self, pattern), 0) / self.shots
+        return self.histogram.get(photon_counts(pattern, self.modes), 0) / self.shots
 
 
 class PatternEstimate(NamedTuple):
@@ -58,19 +59,11 @@ class PatternEstimate(NamedTuple):
     observed: bool
 
 
-def _histogram_key(report: SampleReport, pattern) -> tuple[int, ...]:
-    """`pattern` as a histogram key: `report.modes` entries, each equal to a
-    non-negative integer (2, 2.0, np.int64(2)).  1.9 or "1" are rejected,
-    never truncated."""
+def _integer(value, what: str) -> int:
     try:
-        pattern = tuple(pattern)
-        key = tuple(int(x) for x in pattern)
-        valid = len(key) == report.modes and all(k >= 0 and k == x for k, x in zip(key, pattern))
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ValidationError(f"pattern {pattern!r} is not {report.modes} non-negative integer photon counts")
-    return key
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _block_counts(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int) -> np.ndarray:
@@ -94,12 +87,12 @@ def sample_patterns(
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
     if shots < 1:
         raise ValidationError(f"shot count must be >= 1, got {shots}")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+    workers = _integer(workers, "worker count")
+    if workers < 1:
+        raise ValidationError(f"worker count must be >= 1, got {workers}")
     for i, s in enumerate(states):
         if not is_classical(s):
             raise ValidationError(
@@ -121,7 +114,6 @@ def sample_patterns(
         return _block_counts(u_mat, sx, sp, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS))
 
     histogram: Counter[tuple[int, ...]] = Counter()
-    workers = max(workers, 1)
     window = 4 * workers  # blocks in flight: memory stays flat in the shot count
     with ThreadPoolExecutor(max_workers=workers) as pool:
         run = map if workers == 1 else pool.map
@@ -150,7 +142,7 @@ def estimate_pattern_probability(report: SampleReport, pattern) -> PatternEstima
     """
     if report.shots < 1:
         raise ValidationError("empty report")
-    count = report.histogram.get(_histogram_key(report, pattern), 0)
+    count = report.histogram.get(photon_counts(pattern, report.modes), 0)
     p_hat = count / report.shots
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / report.shots))
     return PatternEstimate(p_hat, stderr, count > 0)

@@ -1,4 +1,5 @@
-"""Reference permanent for the kernel tests: the direct n! permutation sum."""
+"""Reference kernels for the kernel tests: the direct n! permutation sum for
+the permanent and the direct (n-1)!! matching sum for the hafnian."""
 
 from itertools import permutations
 
@@ -7,6 +8,7 @@ import numpy as np
 from gbsim import CostLimitError
 
 NAIVE_LIMIT = 9
+HAFNIAN_NAIVE_LIMIT = 10
 
 
 def permanent_naive(a) -> complex:
@@ -27,3 +29,20 @@ def permanent_naive(a) -> complex:
             p *= a[i, sigma[i]]
         total += p
     return total
+
+
+def hafnian_naive(b) -> complex:
+    """Sum over all perfect matchings, one recursion per matching; guarded at n <= 10."""
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] % 2:
+        raise ValueError(f"expected an even square matrix, got shape {b.shape}")
+    if b.shape[0] > HAFNIAN_NAIVE_LIMIT:
+        raise CostLimitError(f"naive hafnian guarded at n <= {HAFNIAN_NAIVE_LIMIT}, got {b.shape[0]}")
+
+    def matchings(idx: tuple[int, ...]) -> complex:
+        if not idx:
+            return 1.0 + 0j
+        first, rest = idx[0], idx[1:]
+        return sum(b[first, j] * matchings(rest[:k] + rest[k + 1 :]) for k, j in enumerate(rest))
+
+    return complex(matchings(tuple(range(b.shape[0]))))

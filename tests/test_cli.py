@@ -204,6 +204,17 @@ class TestSample:
         assert rc == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env, flag", [("abc", "0"), ("2.5", "0"), ("0", "0"), ("-2", "0"), ("1", "-3")])
+    def test_rejects_bad_worker_count(self, thermal_config, monkeypatch, capsys, env, flag):
+        monkeypatch.setenv("GBSIM_WORKERS", env)
+        rc = main(["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "0", "--workers", flag])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("gbsim: error:")
+
+    def test_workers_flag_overrides_environment(self, thermal_config, monkeypatch, capsys):
+        monkeypatch.setenv("GBSIM_WORKERS", "abc")
+        assert main(["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "0", "--workers", "2"]) == 0
+
     def test_rejects_inputs_too_bright_for_counts(self, thermal_config, capsys):
         path = _edited_config(thermal_config, states=[{"type": "thermal", "v": 1e19}, {"type": "vacuum"}])
         rc = main(["sample", "--config", str(path), "--shots", "10", "--seed", "0"])

@@ -29,6 +29,15 @@ def rel_close(a, b, tol=1e-10):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1e-30)
 
 
+def test_general_equals_squeezed_at_eight_detections():
+    # a 16x16 pairing hafnian against an 8x8 one; an inclusion-exclusion
+    # (power-trace) hafnian misses this by about 6e-11
+    rng = np.random.default_rng(810)
+    qf = build_qform([squeezed(r) for r in rng.uniform(0.3, 0.9, 10)], haar_random(10, 810))
+    pattern = (1,) * 8 + (0, 0)
+    assert rel_close(prob_general(qf, pattern), prob_squeezed(qf, pattern), tol=1e-12)
+
+
 class TestCoherent:
     def test_vacuum_stays_vacuum(self):
         net = haar_random(3, 1)

@@ -122,6 +122,27 @@ class TestApplyNetwork:
             apply_network(st, haar_random(2, 3))
 
 
+class TestPatternProbability:
+    @pytest.fixture(scope="class")
+    def state(self):
+        return apply_network(prepare_input([thermal(2.0), thermal(1.5)]), haar_random(2, 3))
+
+    @pytest.mark.parametrize("pattern", [(1.9, 0), ("1", 0), (0.5, 1), (-1, 0), (1,), (1, 0, 0), (None, 0)])
+    def test_rejects_malformed_pattern(self, state, pattern):
+        # never truncated to another pattern
+        with pytest.raises(ValidationError, match="pattern"):
+            pattern_probability(state, pattern)
+
+    def test_accepts_integer_values(self, state):
+        expect = pattern_probability(state, (2, 1))
+        for pattern in [(2.0, 1.0), (np.int64(2), True), np.array([2, 1])]:
+            assert pattern_probability(state, pattern) == expect
+
+    def test_rejects_counts_above_cutoff(self, state):
+        with pytest.raises(ValidationError, match="truncated basis"):
+            pattern_probability(state, (state.cutoff + 1, 0))
+
+
 class TestEngineAgreement:
     def test_thermal_m2(self):
         states = [thermal(2.0), thermal(1.5)]

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gbsim.matrix_functions as matrix_functions
 from gbsim import (
     CostLimitError,
     ValidationError,
@@ -10,7 +13,7 @@ from gbsim import (
     permanent,
     submatrix_by_pattern,
 )
-from permutil import permanent_naive
+from permutil import hafnian_naive, permanent_naive
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
 
@@ -67,6 +70,11 @@ class TestPermanent:
         with pytest.raises(CostLimitError):
             permanent(np.zeros((25, 25)))
 
+    def test_all_ones_22_is_factorial(self):
+        # an alternating subset sum (Ryser) misses this by 4.6e-6
+        exact = math.factorial(22)
+        assert abs(permanent(np.ones((22, 22))) - exact) <= 1e-11 * exact
+
     def test_naive_guard(self):
         with pytest.raises(CostLimitError):
             permanent_naive(np.zeros((10, 10)))
@@ -113,6 +121,35 @@ class TestHafnian:
     def test_cost_limit(self):
         with pytest.raises(CostLimitError):
             hafnian(np.zeros((22, 22)))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_matches_naive_on_random_complex_symmetric(self, n):
+        rng = np.random.default_rng(40 + n)
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = b + b.T
+        exact = hafnian_naive(b)
+        assert abs(hafnian(b) - exact) <= 1e-12 * abs(exact)
+
+    def test_all_ones_20_is_double_factorial(self):
+        assert hafnian(np.ones((20, 20))) == math.prod(range(1, 20, 2))
+
+    def test_naive_guard(self):
+        with pytest.raises(CostLimitError):
+            hafnian_naive(np.zeros((12, 12)))
+
+
+@pytest.mark.parametrize("kernel, n", [(permanent, 14), (hafnian, 12)])
+def test_read_only_input_and_cached_tables(kernel, n):
+    # the first call builds the cached index tables, later calls reuse them
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a.flags.writeable = False
+    before = a.copy()
+    matrix_functions._sign_table.cache_clear()
+    matrix_functions._matching_schedule.cache_clear()
+    first = kernel(a)
+    assert kernel(a) == first
+    assert np.array_equal(a, before)
 
 
 class TestSubmatrixByPattern:

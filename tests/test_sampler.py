@@ -148,6 +148,11 @@ class TestSamplePatterns:
         with pytest.raises(ValidationError, match="seed"):
             sample_patterns([thermal(2.0)], validate_unitary(np.eye(1)), 10, seed=seed)
 
+    @pytest.mark.parametrize("workers", [0, -5, 1.5, "2", None])
+    def test_rejects_bad_worker_count(self, workers):
+        with pytest.raises(ValidationError, match="worker count"):
+            sample_patterns([thermal(2.0)], haar_random(1, 1), 10, 1, workers=workers)
+
     def test_large_seeds_are_distinct(self):
         # every seed in [0, 2**64) keys its own streams: none wraps onto another
         states = [thermal(2.0)]
