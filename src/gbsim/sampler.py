@@ -7,11 +7,14 @@ mode's photon count from a Poisson law with mean |beta_k|^2.  The resulting
 histogram covers the full photon-count distribution; the {0,1} patterns of
 the exact engines are a sub-event of it.
 
+One block loop, `_run_blocks`, hands each block to a reducer.  `sample_patterns`
+counts rows as packed int64 keys in numpy, and rows too wide for a key exactly.
+
 Determinism: shots are processed in fixed-size blocks of 4096, and each
 block draws from its own counter-based Philox stream keyed by (seed, block
 index).  How many numbers a block consumes depends on the data (numpy's
 Poisson sampler rejects and redraws), but no two blocks share a stream, so
-each block's counts depend only on the seed and its index.  Histograms merge
+each block's counts depend only on the seed and its index.  Counts merge
 additively, so the result is identical for any worker count and any shard
 ordering.
 """
@@ -23,7 +26,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,7 @@ BLOCK_SHOTS = 4096  # fixed: part of the deterministic stream-derivation policy
 # intensity of a classical input has an exponential tail about its mean, so
 # a total mean this far below that limit never reaches it.
 MAX_MEAN_PHOTONS = 1e15
+FOLD_KEYS = 1 << 16  # packed keys held before they are folded into the running counts
 
 
 @dataclass
@@ -75,14 +79,8 @@ def _block_counts(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int) 
     return gen.poisson(np.abs(alpha @ u_mat) ** 2)
 
 
-def sample_patterns(
-    states: list[GaussianModeState],
-    net: Interferometer,
-    shots: int,
-    seed: int,
-    workers: int = 1,
-) -> SampleReport:
-    """Sample `shots` photon-count patterns; deterministic for a given seed."""
+def _run_blocks(states, net, shots, seed, workers, reduce: Callable[[np.ndarray], None]) -> None:
+    """Validate a run, then hand each block's counts to `reduce` in block order."""
     if len(states) != net.m:
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
     if shots < 1:
@@ -106,30 +104,61 @@ def sample_patterns(
     sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
     sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
     u_mat = np.asarray(net.u)
-
-    t0 = time.perf_counter()
     nblocks = (shots + BLOCK_SHOTS - 1) // BLOCK_SHOTS
 
     def block(b: int) -> np.ndarray:
         return _block_counts(u_mat, sx, sp, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS))
 
-    histogram: Counter[tuple[int, ...]] = Counter()
     window = 4 * workers  # blocks in flight: memory stays flat in the shot count
     with ThreadPoolExecutor(max_workers=workers) as pool:
         run = map if workers == 1 else pool.map
         for start in range(0, nblocks, window):
             for counts in run(block, range(start, min(start + window, nblocks))):
-                # zip over the column lists reuses one row tuple: no container per
-                # shot for the garbage collector to scan, whose passes made it vary
-                histogram.update(zip(*counts.T.tolist()))
+                reduce(counts)
 
-    return SampleReport(
-        shots=shots,
-        seed=seed,
-        modes=net.m,
-        histogram=dict(histogram),
-        elapsed=time.perf_counter() - t0,
-    )
+
+def sample_patterns(
+    states: list[GaussianModeState],
+    net: Interferometer,
+    shots: int,
+    seed: int,
+    workers: int = 1,
+) -> SampleReport:
+    """Sample `shots` photon-count patterns; deterministic for a given seed."""
+    t0 = time.perf_counter()
+    bits = 63 // net.m  # key field per mode: m fields fit a non-negative int64
+    shifts = bits * np.arange(net.m, dtype=np.int64)
+    wide: Counter[tuple[int, ...]] = Counter()  # rows with a count too large for its field
+    keys = tallies = np.zeros(0, dtype=np.int64)  # running sorted (key, count) pair
+    pending: list[np.ndarray] = []
+
+    def fold() -> None:
+        nonlocal keys, tallies
+        fresh, seen = np.unique(np.concatenate(pending), return_counts=True)
+        pending.clear()
+        order = np.argsort(merged := np.concatenate([keys, fresh]), kind="stable")  # merges two sorted runs
+        merged, totals = merged[order], np.concatenate([tallies, seen])[order]
+        first = np.flatnonzero(np.diff(merged, prepend=-1))  # keys are >= 0
+        keys, tallies = merged[first], np.add.reduceat(totals, first)
+
+    def tally(counts: np.ndarray) -> None:
+        if sum(map(len, pending)) >= FOLD_KEYS:
+            fold()
+        if counts.max() >> bits:
+            over = (counts >> bits).any(axis=1)
+            wide.update(zip(*counts[over].T.tolist()))
+            counts = counts[~over]
+        pending.append(counts @ (1 << shifts))
+    _run_blocks(states, net, shots, seed, workers, tally)
+    fold()
+    fields = (keys[:, None] >> shifts) & ((1 << bits) - 1)
+    histogram = dict(zip(zip(*fields.T.tolist()), tallies.tolist())) | wide  # disjoint keys
+    return SampleReport(shots, operator.index(seed), net.m, histogram, time.perf_counter() - t0)
+
+
+def _binomial_estimate(count: int, shots: int) -> PatternEstimate:
+    p_hat = count / shots
+    return PatternEstimate(p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / shots)), count > 0)
 
 
 def estimate_pattern_probability(report: SampleReport, pattern) -> PatternEstimate:
@@ -142,7 +171,4 @@ def estimate_pattern_probability(report: SampleReport, pattern) -> PatternEstima
     """
     if report.shots < 1:
         raise ValidationError("empty report")
-    count = report.histogram.get(photon_counts(pattern, report.modes), 0)
-    p_hat = count / report.shots
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / report.shots))
-    return PatternEstimate(p_hat, stderr, count > 0)
+    return _binomial_estimate(report.histogram.get(photon_counts(pattern, report.modes), 0), report.shots)

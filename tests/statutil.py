@@ -1,9 +1,26 @@
-"""Shared statistical helpers for the sampler tests."""
+"""Shared helpers for the sampler tests: statistical checks and a reference
+histogram."""
+
+from collections import Counter
 
 import numpy as np
 from scipy.stats import chi2
 
 from gbsim.engines import enumerate_patterns, prob_thermal
+from gbsim.sampler import BLOCK_SHOTS, _block_counts
+
+
+def counter_histogram(states, net, shots: int, seed: int) -> Counter:
+    """Reference histogram: every row of every block's `_block_counts` output,
+    counted as a tuple in a plain Counter."""
+    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
+    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
+    histogram: Counter = Counter()
+    for start in range(0, shots, BLOCK_SHOTS):
+        nrows = min(BLOCK_SHOTS, shots - start)
+        counts = _block_counts(np.asarray(net.u), sx, sp, seed, start // BLOCK_SHOTS, nrows)
+        histogram.update(zip(*counts.T.tolist()))
+    return histogram
 
 
 def thermal_chi2_pvalue(report, qform, min_expected: float = 10.0) -> float:

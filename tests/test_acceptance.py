@@ -141,7 +141,7 @@ def test_criterion_5_sampler_statistics():
 
 
 def test_criterion_6_psd_permanent_estimator():
-    """Sampling estimates of 10 random 4x4 PSD permanents vs Ryser."""
+    """Sampling estimates of 10 random 4x4 PSD permanents vs the Glynn permanent."""
     rng = np.random.default_rng(2026)
     worst_sigma = 0.0
     ratio_checked = 0
@@ -210,7 +210,7 @@ def test_criterion_8_performance_floor():
     _report(
         8,
         t_haf <= 5.0 and t_per <= 2.0,
-        f"hafnian 16x16 in {t_haf:.2f}s (budget 5s); Ryser 20x20 in {t_per:.2f}s (budget 2s)",
+        f"hafnian 16x16 in {t_haf:.2f}s (budget 5s); Glynn permanent 20x20 in {t_per:.2f}s (budget 2s)",
     )
 
 

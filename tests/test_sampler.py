@@ -9,7 +9,9 @@ from gbsim import (
     SampleReport,
     ValidationError,
     build_qform,
+    embed,
     estimate_pattern_probability,
+    estimate_permanent,
     haar_random,
     is_classical,
     mean_photon_number,
@@ -21,7 +23,7 @@ from gbsim import (
     vacuum,
     validate_unitary,
 )
-from statutil import geometric_chi2_pvalue, thermal_chi2_pvalue, total_photon_moments
+from statutil import counter_histogram, geometric_chi2_pvalue, thermal_chi2_pvalue, total_photon_moments
 
 
 class TestSamplePatterns:
@@ -185,6 +187,45 @@ class TestSamplePatterns:
         rep = sample_patterns([thermal(2.0)], validate_unitary(np.eye(1)), 100 * 4096, seed=0, workers=2)
         assert sum(rep.histogram.values()) == 100 * 4096
         assert started_during_stall[0] < 4 * 2
+
+
+# (states, network, shots): each exercises one part of the packed-key reduce
+REDUCE_CASES = {
+    # a v = 4001 mode at 10-bit fields: rows beyond a field take the exact path
+    "bright-m6": ([thermal(4001.0)] + [thermal(v) for v in (1.3, 1.7, 2.1, 2.6, 3.2)], haar_random(6, 21), 20_000),
+    # 3-bit fields: at v = 19 every row overflows, at v = 3 a few do
+    "m16": ([thermal(19.0)] * 16, haar_random(16, 22), 8_000),
+    "m16-dim": ([thermal(3.0)] * 16, haar_random(16, 25), 8_000),
+    # 0-bit fields: only the all-zero row packs, every other row is exact
+    "m64": ([thermal(1.05)] * 64, haar_random(64, 23), 600),
+    # 63-bit field: counts near 1e15 still pack
+    "m1-bright": ([thermal(2e15)], validate_unitary(np.eye(1)), 3_000),
+    # not a multiple of the block size, and above FOLD_KEYS: several folds
+    "folds-m6": ([thermal(v) for v in (1.3, 1.7, 2.1, 2.6, 3.2, 1.5)], haar_random(6, 24), 3 * 2**16 + 123),
+}
+
+
+class TestPackedReduce:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("case", list(REDUCE_CASES))
+    def test_histogram_matches_counter_oracle(self, case, workers):
+        states, net, shots = REDUCE_CASES[case]
+        rep = sample_patterns(states, net, shots, seed=31, workers=workers)
+        assert rep.histogram == counter_histogram(states, net, shots, 31)
+
+    def test_several_folds_happen(self):
+        assert REDUCE_CASES["folds-m6"][2] > 2 * sampler_module.FOLD_KEYS
+        assert REDUCE_CASES["folds-m6"][2] % sampler_module.BLOCK_SHOTS
+
+    # at n = 16 the all-ones pattern is far too rare to be hit: both counts are 0
+    @pytest.mark.parametrize("n, shots", [(4, 100_000), (16, 20_000)])
+    def test_estimator_count_matches_counter_oracle(self, n, shots):
+        rng = np.random.default_rng(n)
+        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+        h = g.conj().T @ g
+        emb = embed(h)
+        oracle = counter_histogram(list(emb.states), validate_unitary(emb.u.conj().T), shots, 41)
+        assert estimate_permanent(h, shots, 41, workers=2).count == oracle[(1,) * n]
 
 
 class TestEstimate:
