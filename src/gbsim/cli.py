@@ -24,7 +24,7 @@ import tempfile
 from dataclasses import replace
 
 from . import __version__
-from .engines import ENGINES, applicable, enumerate_patterns
+from .engines import applicable, enumerate_patterns, probabilities
 from .errors import CostLimitError, GbsimError, ValidationError
 from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
@@ -215,13 +215,13 @@ def cmd_prob(args) -> int:
     if args.validate:
         columns.append("crosscheck_delta")
     run = names if args.validate else [engine]
+    table = {name: probabilities(qform, name, patterns).tolist() for name in run}
     rows = []
-    for pat in patterns:
-        vals = {name: ENGINES[name](qform, pat) for name in run}
-        p = vals[engine]
-        row = {"pattern": _pattern_str(pat), "N": sum(pat), "probability": p, "engine": engine}
+    for i, pat in enumerate(patterns):
+        row = {"pattern": _pattern_str(pat), "N": sum(pat), "probability": table[engine][i], "engine": engine}
         if args.validate:
-            row["crosscheck_delta"] = float(max(vals.values()) - min(vals.values()))
+            vals = [table[name][i] for name in run]
+            row["crosscheck_delta"] = float(max(vals) - min(vals))
         rows.append(row)
     meta = {"version": __version__, "config_hash": _config_hash(cfg)}
     text = _render(meta, columns, rows, args.format)
@@ -284,17 +284,14 @@ def cmd_validate(args) -> int:
     qform = build_qform(states, net)
     names = applicable(qform)
     fock = apply_network(prepare_input(states, cutoff=args.cutoff), net)
+    table = {name: probabilities(qform, name, patterns).tolist() for name in names}
     columns = ["pattern", "N"] + names + (["oracle"] if args.oracle else []) + ["delta"]
     rows = []
     worst = 0.0
-    for pat in patterns:
+    for i, pat in enumerate(patterns):
         oracle_p = pattern_probability(fock, pat)
-        row = {"pattern": _pattern_str(pat), "N": sum(pat)}
-        delta = 0.0
-        for name in names:
-            p = ENGINES[name](qform, pat)
-            row[name] = p
-            delta = max(delta, abs(p - oracle_p))
+        row = {"pattern": _pattern_str(pat), "N": sum(pat), **{name: table[name][i] for name in names}}
+        delta = max(abs(row[name] - oracle_p) for name in names)
         if args.oracle:
             row["oracle"] = oracle_p
         row["delta"] = delta

@@ -11,6 +11,9 @@ surface of the package:
   prob_thermal   prod(mu) * per(D-tilde submatrix), thermal/vacuum inputs only
   prob_squeezed  K * |O_N|^2 with O_N = 2^{N/2} haf(C submatrix), pure
                  squeezed-vacuum inputs only; odd N vanishes identically
+
+The three Q-form engines evaluate tables, `probabilities(qform, name, patterns)`;
+a single-pattern engine is the table of its one pattern, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ import numpy as np
 
 from .errors import ContractError, NumericalIntegrityError, ValidationError
 from .interferometer import Interferometer, propagate_coherent
-from .matrix_functions import detected_modes, hafnian, permanent, submatrix_by_pattern
+from .matrix_functions import detected_modes, hafnian, permanent, submatrices
 from .qform import OutputQForm
 
 _IM_TOL = 1e-10
 _NEG_TOL = 1e-10
 _THERMAL_LAM_TOL = 1e-14
 _PURE_MU_TOL = 1e-12
+# Patterns of weight N per kernel call: at most _CHUNK_TERMS >> 2N, as 4^N bounds
+# a pattern's kernel temporaries, so a table's memory stays flat in its length.
+_CHUNK_TERMS = 1 << 18
 
 
 def applicable(qform: OutputQForm) -> list[str]:
@@ -71,6 +77,13 @@ def prob_coherent(net: Interferometer, alpha, pattern) -> float:
     return p
 
 
+def _pairing_matrices(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:
+    """(P, 2N, 2N) pairing matrices [[2C, Dt], [Dt^T, 2 conj(C)]] at each row of modes."""
+    c2, dt, m = 2.0 * qform.c, qform.d_tilde, qform.m
+    full = np.array([[c2, dt], [dt.T, c2.conj()]]).transpose(0, 2, 1, 3).reshape(2 * m, 2 * m)
+    return submatrices(full, np.concatenate([modes, modes + m], axis=1))
+
+
 def pairing_matrix(qform: OutputQForm, pattern) -> np.ndarray:
     """2N x 2N symmetric matrix of second derivatives of the exponent F.
 
@@ -78,28 +91,55 @@ def pairing_matrix(qform: OutputQForm, pattern) -> np.ndarray:
     detected modes ascending.  Blocks: [[2C, Dt], [Dt^T, 2 conj(C)]], all
     restricted to the detected modes.
     """
-    idx = detected_modes(pattern, qform.m)
-    ix = np.ix_(idx, idx)
-    cs, ds = qform.c[ix], qform.d_tilde[ix]
-    return np.block([[2.0 * cs, ds], [ds.T, 2.0 * cs.conj()]])
+    return _pairing_matrices(qform, np.array([detected_modes(pattern, qform.m)], dtype=np.intp))[0]
 
 
-def _check_real(value: complex, what: str) -> float:
-    if abs(value.imag) > _IM_TOL * max(1.0, abs(value.real)):
-        raise NumericalIntegrityError(f"{what} has imaginary residue {value.imag:.3e}")
-    re = value.real
-    if re < -_NEG_TOL:
-        raise NumericalIntegrityError(f"{what} is negative: {re:.3e}")
-    return re
+def _squeezed(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:
+    n = modes.shape[1]
+    if n % 2 == 1:
+        return np.zeros(len(modes))
+    o_n = 2.0 ** (n / 2) * hafnian(submatrices(qform.c, modes))
+    return qform.k * np.hypot(o_n.real, o_n.imag) ** 2
+
+
+# name -> (batched engine on (P, N) rows of detected modes, what it computes, its precondition)
+_TABLES = {
+    "general": (lambda qf, modes: qf.k * hafnian(_pairing_matrices(qf, modes)), "general-engine probability", None),
+    "thermal": (lambda qf, modes: np.prod(qf.mus) * permanent(submatrices(qf.d_tilde, modes)), "thermal-engine probability", "thermal engine requires lam_s = 0 for every mode (thermal/vacuum inputs)"),
+    "squeezed": (_squeezed, "squeezed-engine probability", "squeezed engine requires mu_s = 1 for every mode (pure squeezed vacuum)"),
+}
+
+
+def _check_real(values: np.ndarray, what: str) -> np.ndarray:
+    """Real parts clamped into [0, 1]; an imaginary or negative residue beyond roundoff raises."""
+    re, im = values.real, values.imag
+    if (bad := np.abs(im) > _IM_TOL * np.maximum(1.0, np.abs(re))).any():
+        raise NumericalIntegrityError(f"{what} has imaginary residue {im[bad][0]:.3e}")
+    if (bad := re < -_NEG_TOL).any():
+        raise NumericalIntegrityError(f"{what} is negative: {re[bad][0]:.3e}")
+    return np.clip(re, 0.0, 1.0)
+
+
+def probabilities(qform: OutputQForm, name: str, patterns) -> np.ndarray:
+    """p(n) of each pattern by the engine `name` (general, thermal or squeezed), in
+    input order: one submatrix gather and batched kernel call per weight N and chunk."""
+    engine, what, contract = _TABLES[name]
+    modes = [detected_modes(p, qform.m) for p in patterns]
+    if name not in applicable(qform):
+        raise ContractError(contract)
+    weights = np.array([len(row) for row in modes], dtype=np.intp)
+    values = np.empty(len(modes), dtype=complex)
+    for n in sorted(set(weights.tolist())):
+        at = np.flatnonzero(weights == n)
+        step = max(1, _CHUNK_TERMS >> 2 * n)
+        for rows in (at[i : i + step] for i in range(0, len(at), step)):
+            values[rows] = engine(qform, np.array([modes[r] for r in rows], dtype=np.intp))
+    return _check_real(values, what)
 
 
 def prob_general(qform: OutputQForm, pattern) -> float:
     """K * haf(pairing matrix): valid for every Gaussian input mix."""
-    b = pairing_matrix(qform, pattern)
-    if b.size == 0:
-        return qform.k
-    val = qform.k * hafnian(b)
-    return min(_check_real(val, "general-engine probability"), 1.0)
+    return float(probabilities(qform, "general", [pattern])[0])
 
 
 def prob_thermal(qform: OutputQForm, pattern) -> float:
@@ -108,11 +148,7 @@ def prob_thermal(qform: OutputQForm, pattern) -> float:
     Precondition: every input mode is thermal or vacuum (lam_s = 0); calling
     it with squeezing present is a contract violation, not a silent fallback.
     """
-    ds = submatrix_by_pattern(qform.d_tilde, pattern)
-    if "thermal" not in applicable(qform):
-        raise ContractError("thermal engine requires lam_s = 0 for every mode (thermal/vacuum inputs)")
-    val = np.prod(qform.mus) * permanent(ds)
-    return min(_check_real(val, "thermal-engine probability"), 1.0)
+    return float(probabilities(qform, "thermal", [pattern])[0])
 
 
 def prob_squeezed(qform: OutputQForm, pattern) -> float:
@@ -120,16 +156,7 @@ def prob_squeezed(qform: OutputQForm, pattern) -> float:
 
     Precondition: every input mode is pure squeezed vacuum (mu_s = 1).
     """
-    idx = detected_modes(pattern, qform.m)
-    if "squeezed" not in applicable(qform):
-        raise ContractError("squeezed engine requires mu_s = 1 for every mode (pure squeezed vacuum)")
-    n = len(idx)
-    if n % 2 == 1:
-        return 0.0
-    if n == 0:
-        return qform.k
-    o_n = 2.0 ** (n / 2) * hafnian(qform.c[np.ix_(idx, idx)])
-    return min(qform.k * float(abs(o_n)) ** 2, 1.0)
+    return float(probabilities(qform, "squeezed", [pattern])[0])
 
 
 # Engine table keyed by the names `applicable` returns.

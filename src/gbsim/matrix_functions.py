@@ -5,6 +5,8 @@ batched numpy evaluations.  The permanent uses Glynn's formula (Eur. J. Comb.
 31, 2010), whose terms cancel far less than Ryser's.  The hafnian matches the
 lowest index first, one gather-multiply-sum per subset size: power-trace
 (inclusion-exclusion) hafnians cancel badly on the engines' pairing matrices.
+Both take one matrix, returning a complex, or a (P, n, n) stack, returning P
+values that each equal that matrix's own value bit for bit.
 """
 
 from functools import lru_cache
@@ -17,9 +19,9 @@ PERMANENT_LIMIT = 24
 HAFNIAN_LIMIT = 20
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3 if stack else 2) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -33,26 +35,30 @@ def _sign_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, prods
 
 
-def permanent(a) -> complex:
+def permanent(a) -> complex | np.ndarray:
     """Permanent via Glynn's formula, O(2^n n) with batched vector ops.
 
     per(A) = 2^(1-n) sum_{d in {+-1}^n, d_0 = 1} prod_i d_i prod_j (d A)_j,
     batched over the low free signs and looped over the high ones (at most
     2^11 iterations).  The empty matrix has permanent 1.
     """
-    a = _as_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return complex(1.0)
+    a = _as_square(a, stack=True)
+    n = a.shape[-1]
     if n > PERMANENT_LIMIT:
         raise CostLimitError(f"permanent of {n}x{n} exceeds the cost limit (n <= {PERMANENT_LIMIT})")
-    lo = min(n - 1, 12)  # 2**lo sign vectors per batch
-    low_signs, low_prods = _sign_table(lo)
-    high_signs, high_prods = _sign_table(n - 1 - lo)
-    low = a[1 : 1 + lo].T @ low_signs.T  # (n, 2^lo): column d holds the low rows' part of d A
-    high = a[0] + high_signs @ a[1 + lo :]
-    parts = [low_prods @ (low + row[:, None]).prod(axis=0) for row in high]
-    return complex(high_prods @ np.array(parts)) / 2.0 ** (n - 1)
+    stack = a if a.ndim == 3 else a[None]
+    per = np.ones(len(stack), dtype=complex)
+    if n:
+        lo = min(n - 1, 12)  # 2**lo sign vectors per batch
+        low_signs, low_prods = _sign_table(lo)
+        high_signs, high_prods = _sign_table(n - 1 - lo)
+        # (P, n, 2^lo): column d holds the low rows' part of d A
+        low = stack[:, 1 : 1 + lo].transpose(0, 2, 1) @ low_signs.T
+        high = stack[:, :1] + high_signs @ stack[:, 1 + lo :]  # (P, 2^(n-1-lo), n)
+        # w @ x[..., None] is one dot product per matrix, as for one matrix alone
+        parts = [low_prods @ (low + high[:, h, :, None]).prod(axis=1)[..., None] for h in range(len(high_signs))]
+        per = (high_prods @ np.concatenate(parts, axis=1)[..., None])[:, 0] / 2.0 ** (n - 1)
+    return per if a.ndim == 3 else complex(per[0])
 
 
 @lru_cache(maxsize=None)
@@ -77,23 +83,25 @@ def _matching_schedule(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(reversed(levels))
 
 
-def hafnian(b) -> complex:
+def hafnian(b) -> complex | np.ndarray:
     """Sum over all perfect matchings of prod of matched entries.
 
     The matrix is symmetrized on entry and its diagonal is never referenced.
     haf(empty) = 1; odd dimension is an error.
     """
-    b = _as_square(b)
-    n = b.shape[0]
+    b = _as_square(b, stack=True)
+    n = b.shape[-1]
     if n % 2:
         raise ValidationError(f"hafnian requires even dimension, got {n}")
     if n > HAFNIAN_LIMIT:
         raise CostLimitError(f"hafnian of {n}x{n} exceeds the cost limit (n <= {HAFNIAN_LIMIT})")
-    entries = ((b + b.T) * 0.5).ravel()
-    haf = np.ones(1, dtype=complex)
+    stack = b if b.ndim == 3 else b[None]
+    entries = ((stack + stack.transpose(0, 2, 1)) * 0.5).reshape(len(stack), n * n)
+    haf = np.ones((len(stack), 1), dtype=complex)
     for pair, sub in _matching_schedule(n):
-        haf = (entries[pair] * haf[sub]).sum(axis=1)
-    return complex(haf[0])
+        # take keeps each row's terms contiguous, so a row sums as it would alone
+        haf = (entries.take(pair, axis=1) * haf.take(sub, axis=1)).sum(axis=2)
+    return haf[:, 0] if b.ndim == 3 else complex(haf[0, 0])
 
 
 def photon_counts(pattern, m: int) -> tuple[int, ...]:
@@ -126,8 +134,12 @@ def detected_modes(pattern, m: int) -> list[int]:
     return [i for i, c in enumerate(counts) if c]
 
 
+def submatrices(m: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """(P, N, N) stack of m's rows and columns at each row of a (P, N) index array."""
+    return m[modes[:, :, None], modes[:, None, :]]
+
+
 def submatrix_by_pattern(m, pattern) -> np.ndarray:
     """Keep the rows and columns of the detected modes, in ascending order."""
     m = _as_square(m)
-    idx = detected_modes(pattern, m.shape[0])
-    return m[np.ix_(idx, idx)]
+    return submatrices(m, np.array([detected_modes(pattern, m.shape[0])], dtype=np.intp))[0]

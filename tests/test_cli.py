@@ -268,3 +268,112 @@ class TestValidate:
 def test_version_embedded_in_reports(thermal_config, capsys):
     main(["prob", "--config", str(thermal_config)])
     assert f"# gbsim {gbsim.__version__}" in capsys.readouterr().out
+
+
+# --- table reports against per-pattern engine calls -------------------------
+
+# The Fock oracle behind `validate` is cheap only for two mild modes.
+REPORT_STATES = {
+    "prob": {
+        "thermal": [{"type": "thermal", "v": v} for v in (1.6, 2.8, 1.3, 2.2)] + [{"type": "vacuum"}],
+        "squeezed": [{"type": "squeezed", "r": r} for r in (0.3, 0.9, 0.5, 0.7)] + [{"type": "vacuum"}],
+        "mixed": [{"type": "squeezed_thermal", "v": 1.5, "r": 0.4}, {"type": "thermal", "v": 2.0}, {"type": "squeezed", "r": 0.6}, {"type": "vacuum"}, {"type": "thermal", "v": 1.2}],
+    },
+    "validate": {
+        "thermal": [{"type": "thermal", "v": 1.6}, {"type": "thermal", "v": 1.3}],
+        "squeezed": [{"type": "squeezed", "r": 0.3}, {"type": "squeezed", "r": 0.2}],
+        "mixed": [{"type": "thermal", "v": 1.4}, {"type": "squeezed", "r": 0.25}],
+    },
+}
+
+
+def _report_patterns(m):
+    """Every pattern over m modes, shuffled, with some repeated."""
+    pats = [[int(b) for b in f"{i:0{m}b}"] for i in range(2**m)]
+    pats = [pats[i] for i in np.random.default_rng(m).permutation(len(pats))]
+    return pats + pats[::3]
+
+
+def _parse_report(text, fmt):
+    """Report rows as dicts of cell strings (JSON values as they load)."""
+    if fmt == "json":
+        return json.loads(text)["rows"]
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    if fmt == "csv":
+        import csv as csvmod
+
+        return list(csvmod.DictReader(lines))
+    head, *body = [ln.split() for ln in lines]
+    return [dict(zip(head, cells)) for cells in body]
+
+
+def _per_pattern_rows(cfg_path, command):
+    """The rows of `prob --validate` or `validate --oracle`, one engine call per pattern."""
+    from gbsim.engines import ENGINES, applicable
+    from gbsim.fock_oracle import apply_network, pattern_probability, prepare_input
+
+    cfg = json.loads(cfg_path.read_text())
+    states = [gbsim.state_from_descriptor(d) for d in cfg["states"]]
+    net = gbsim.validate_unitary(np.array([[complex(*z) for z in row] for row in cfg["unitary"]]))
+    qf = gbsim.build_qform(states, net)
+    names = applicable(qf)
+    fock = apply_network(prepare_input(states), net) if command == "validate" else None
+    rows = []
+    for pat in cfg["patterns"]:
+        vals = {name: ENGINES[name](qf, pat) for name in names}
+        row = {"pattern": ",".join(map(str, pat)), "N": sum(pat)}
+        if command == "prob":
+            row.update(probability=vals[names[-1]], engine=names[-1], crosscheck_delta=max(vals.values()) - min(vals.values()))
+        else:
+            oracle = pattern_probability(fock, pat)
+            row.update(vals, oracle=oracle, delta=max(abs(p - oracle) for p in vals.values()))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("kind", ["thermal", "squeezed", "mixed"])
+@pytest.mark.parametrize("command", ["prob", "validate"])
+def test_table_reports_equal_per_pattern_engines(tmp_path, capsys, command, kind, fmt):
+    states = REPORT_STATES[command][kind]
+    net = gbsim.haar_random(len(states), 17)
+    cfg = {
+        "schema": 1,
+        "modes": len(states),
+        "states": states,
+        "unitary": [[[z.real, z.imag] for z in row] for row in net.u],
+        "patterns": _report_patterns(len(states)),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    flag = "--validate" if command == "prob" else "--oracle"
+    assert main([command, "--config", str(path), flag, "--format", fmt]) == 0
+    got = _parse_report(capsys.readouterr().out, fmt)
+    want = _per_pattern_rows(path, command)
+    assert [list(r) for r in got] == [list(r) for r in want]
+    for g, w in zip(got, want):
+        for col, value in w.items():
+            if isinstance(value, str):
+                assert g[col] == value
+            else:
+                assert float(g[col]) == value, (col, g, w)
+
+
+def test_bad_pattern_at_a_later_position(thermal_config, capsys):
+    path = _edited_config(thermal_config, patterns=[[0, 0], [1, 0], [1, 2], [0, 1]])
+    assert main(["prob", "--config", str(path)]) == 1
+    assert "patterns[2]" in capsys.readouterr().err
+
+
+def test_table_above_the_cost_limit_exits_2(tmp_path, capsys):
+    cfg = {
+        "schema": 1,
+        "modes": 12,
+        "states": [{"type": "vacuum"}] * 12,
+        "unitary": [[[float(i == j), 0.0] for j in range(12)] for i in range(12)],
+        "patterns": [[0] * 12, [1] * 11 + [0]],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["prob", "--config", str(path), "--engine", "general"]) == 2
+    assert "cost limit" in capsys.readouterr().err

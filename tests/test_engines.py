@@ -22,7 +22,8 @@ from gbsim import (
     vacuum,
     validate_unitary,
 )
-from gbsim.engines import ENGINES, applicable
+from gbsim import engines
+from gbsim.engines import ENGINES, applicable, probabilities
 
 
 def rel_close(a, b, tol=1e-10):
@@ -233,3 +234,118 @@ class TestApplicable:
             else:
                 with pytest.raises(ContractError):
                     ENGINES[name](qf, (1, 1))
+
+
+# --- tables: probabilities(qform, name, patterns) ---------------------------
+
+TABLE_INPUTS = {
+    "general": lambda r: [squeezed_thermal(v, s) for v, s in zip(r.uniform(1.1, 2.0, 10), r.uniform(0.2, 0.6, 10))],
+    "thermal": lambda r: [thermal(v) for v in r.uniform(1.3, 3.2, 10)],
+    "squeezed": lambda r: [squeezed(s) for s in r.uniform(0.3, 0.9, 10)],
+}
+
+
+def _table_case(name, m, seed=90):
+    """A Q form the engine applies to, and a shuffled list of patterns of every
+    weight up to min(m, 8) with some repeated."""
+    rng = np.random.default_rng(seed + m)
+    qf = build_qform(TABLE_INPUTS[name](rng)[:m], haar_random(m, seed + m))
+    pats = [tuple(int(x) for x in rng.permutation([1] * n + [0] * (m - n))) for n in range(min(m, 8) + 1) for _ in range(3)]
+    pats += pats[::4]
+    return qf, [pats[i] for i in rng.permutation(len(pats))]
+
+
+class TestProbabilities:
+    @pytest.mark.parametrize("m", [6, 10])
+    @pytest.mark.parametrize("name", sorted(TABLE_INPUTS))
+    def test_equals_one_pattern_engines_bit_for_bit(self, name, m):
+        qf, pats = _table_case(name, m)
+        table = probabilities(qf, name, pats)
+        assert table.dtype == np.float64 and table.shape == (len(pats),)
+        assert table.tolist() == [ENGINES[name](qf, p) for p in pats]
+
+    @pytest.mark.parametrize("name", sorted(TABLE_INPUTS))
+    def test_chunked_table_is_the_same(self, name, monkeypatch):
+        qf, pats = _table_case(name, 10)
+        # one or two patterns per kernel call at weights 3 and 4
+        monkeypatch.setattr(engines, "_CHUNK_TERMS", 1 << 7)
+        chunked = probabilities(qf, name, pats).tolist()
+        monkeypatch.undo()
+        assert chunked == probabilities(qf, name, pats).tolist() == [ENGINES[name](qf, p) for p in pats]
+
+    def test_empty_pattern_list(self):
+        qf, _ = _table_case("thermal", 6)
+        for name in applicable(qf):
+            out = probabilities(qf, name, [])
+            assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("at", [0, 3, -1])
+    def test_bad_pattern_at_any_position(self, at):
+        qf, pats = _table_case("thermal", 6)
+        pats = pats[:8]
+        pats[at] = (1, 2, 0, 0, 0, 0)
+        for name in applicable(qf):
+            with pytest.raises(ValidationError, match="0 or 1"):
+                probabilities(qf, name, pats)
+
+    def test_inapplicable_engine(self):
+        qf, pats = _table_case("thermal", 6)
+        with pytest.raises(ContractError, match="squeezed engine requires"):
+            probabilities(qf, "squeezed", pats)
+        with pytest.raises(KeyError):
+            probabilities(qf, "coherent", pats)
+
+    def test_group_above_the_cost_limit(self):
+        from gbsim import CostLimitError
+
+        qf = build_qform([vacuum()] * 12, validate_unitary(np.eye(12)))
+        pats = [(0,) * 12, (1,) * 11 + (0,), (1,) + (0,) * 11]
+        with pytest.raises(CostLimitError):
+            probabilities(qf, "general", pats)
+
+    def test_generator_input(self):
+        qf, _ = _table_case("squeezed", 6)
+        pats = list(enumerate_patterns(6, 4))
+        assert probabilities(qf, "squeezed", enumerate_patterns(6, 4)).tolist() == [prob_squeezed(qf, p) for p in pats]
+
+    def test_pairing_matrix_is_the_stacked_builder(self):
+        qf, _ = _table_case("general", 6)
+        modes = np.array([[0, 2, 5], [1, 3, 4]])
+        stack = engines._pairing_matrices(qf, modes)
+        for row, b in zip(modes, stack):
+            pat = tuple(int(k in row) for k in range(6))
+            assert np.array_equal(pairing_matrix(qf, pat), b)
+        assert pairing_matrix(qf, (0,) * 6).shape == (0, 0)
+
+
+class TestClamp:
+    """Kernel values within roundoff below 0 read 0; beyond it they raise."""
+
+    @staticmethod
+    def _vacuum_general(monkeypatch, value):
+        # all-vacuum inputs have K = 1, so the engine returns the kernel value itself
+        monkeypatch.setattr(engines, "hafnian", lambda stack: np.full(len(stack), value, dtype=complex))
+        return build_qform([vacuum()] * 3, validate_unitary(np.eye(3)))
+
+    def test_tiny_negative_reads_zero(self, monkeypatch):
+        qf = self._vacuum_general(monkeypatch, -1e-12)
+        assert probabilities(qf, "general", [(1, 1, 0), (1, 0, 0)]).tolist() == [0.0, 0.0]
+        assert prob_general(qf, (1, 1, 0)) == 0.0
+
+    def test_negative_beyond_roundoff_raises(self, monkeypatch):
+        from gbsim import NumericalIntegrityError
+
+        qf = self._vacuum_general(monkeypatch, -1e-9)
+        with pytest.raises(NumericalIntegrityError, match="general-engine probability is negative"):
+            prob_general(qf, (1, 1, 0))
+
+    def test_imaginary_residue_raises(self, monkeypatch):
+        from gbsim import NumericalIntegrityError
+
+        qf = self._vacuum_general(monkeypatch, 0.5 + 1e-6j)
+        with pytest.raises(NumericalIntegrityError, match="imaginary residue"):
+            probabilities(qf, "general", [(1, 1, 0)])
+
+    def test_above_one_reads_one(self, monkeypatch):
+        qf = self._vacuum_general(monkeypatch, 1.0 + 1e-12)
+        assert prob_general(qf, (1, 1, 0)) == 1.0

@@ -173,3 +173,41 @@ class TestSubmatrixByPattern:
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):
             submatrix_by_pattern(np.eye(3), (1, 2, 0))
+
+
+class TestStacks:
+    """A (P, n, n) stack gives each matrix's own kernel value, bit for bit."""
+
+    @pytest.mark.parametrize("kernel, sizes", [(permanent, [0, 1, 2, 5, 9, 13, 14]), (hafnian, [0, 2, 4, 8, 12])])
+    def test_stack_equals_per_matrix_calls(self, kernel, sizes):
+        rng = np.random.default_rng(77)
+        for n in sizes:
+            stack = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+            out = kernel(stack)
+            assert out.shape == (7,) and out.dtype == complex
+            assert out.tolist() == [kernel(a) for a in stack]
+
+    @pytest.mark.parametrize("kernel", [permanent, hafnian])
+    def test_empty_stack(self, kernel):
+        assert kernel(np.zeros((0, 4, 4))).shape == (0,)
+
+    def test_stack_of_empty_matrices_is_ones(self):
+        assert permanent(np.zeros((3, 0, 0))).tolist() == [1, 1, 1]
+        assert hafnian(np.zeros((3, 0, 0))).tolist() == [1, 1, 1]
+
+    def test_stack_limits_and_shapes(self):
+        with pytest.raises(CostLimitError):
+            permanent(np.zeros((2, 25, 25)))
+        with pytest.raises(CostLimitError):
+            hafnian(np.zeros((2, 22, 22)))
+        with pytest.raises(ValidationError):
+            hafnian(np.ones((2, 3, 3)))
+        for bad in (np.ones((2, 3, 4)), np.ones((1, 2, 2, 2)), np.ones(3)):
+            with pytest.raises(ValidationError):
+                permanent(bad)
+            with pytest.raises(ValidationError):
+                hafnian(bad)
+
+    def test_submatrix_takes_one_matrix_only(self):
+        with pytest.raises(ValidationError):
+            submatrix_by_pattern(np.ones((2, 3, 3)), (1, 0, 1))
