@@ -1,21 +1,26 @@
-"""Brute-force truncated-Fock-space simulator: the independent ground truth.
+"""Brute-force Fock-space simulator: the independent ground truth.
 
-Supports at most three modes and thermal / squeezed-vacuum / vacuum inputs.
-Everything is represented as a dense density matrix on the product of
-per-mode number bases up to a cutoff; the network is applied layer by layer
-through the triangular decomposition using exact two-mode beam-splitter
-kernels.  Photon number is conserved by every layer, so truncation can only
-lose mass from sectors whose total photon number exceeds the cutoff; the
-lost trace is measured and rejected if it exceeds the leak tolerance.
+Supports at most four modes and thermal / squeezed-vacuum / vacuum inputs.
+A linear network conserves the total photon number N, so it acts on each
+N-photon sector alone, by a unitary U_N on the C(N+M-1, M-1) compositions of
+N into M modes (the phi(U) of Aaronson & Arkhipov, arXiv:1011.3245).  The
+input is truncated on N <= cutoff, and within a sector the evolution is
+exact: every pattern with at most `cutoff` photons gets its exact
+probability, and nothing leaks.  Thermal and vacuum modes are mixtures over
+Fock numbers and squeezed modes are kets, so sector N holds a (d_N, T_N)
+matrix of kets, one per Fock configuration t of the mixed modes, weighted by
+sqrt(p(t)); a probability is a row sum of |.|^2.  No density matrix is built.
 
-This module exists to cross-check the exact engines and the sampler.  It is
-deliberately slow, single-threaded, and dimension-capped.
+This module exists to cross-check the exact engines and the sampler.  It
+forms no permanents, is single-threaded, and is capped in size.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -24,40 +29,37 @@ from .interferometer import Interferometer, decompose
 from .matrix_functions import photon_counts
 from .states import GaussianModeState
 
-MAX_MODES = 3
-MAX_TOTAL_DIM = 4096
-MULTIMODE_CUTOFF_CAP = 24
+MAX_MODES = 4
+# Cap on the truncated basis, sum_{N <= c} C(N+M-1, M-1) = C(c+M, M) states:
+# cutoff 15 at M = 4 (largest sector 816), 27 at M = 3, 89 at M = 2.  The
+# worst case, four thermal modes at cutoff 15, evolves in 0.85 s on one core.
+# It also bounds the caches below: beam-splitter blocks up to s = 89 hold 4 MB.
+MAX_BASIS_DIM = 4096
 DEFAULT_TAIL_BOUND = 1e-8
 DEFAULT_LEAK_BUDGET = 1e-10
-DEFAULT_LEAK_TOL = 1e-9
 
-_VAC_TOL = 1e-14
 _MIN_UNCERTAINTY_TOL = 1e-12
+_UNITARITY_TOL = 1e-13
 
 
 @dataclass
 class FockState:
-    """Dense density matrix on the truncated M-mode number basis."""
+    """Per-sector kets of the truncated state: sectors[N] is (d_N, T_N)."""
 
-    cutoff: int
+    cutoff: int  # largest total photon number kept
     modes: int
-    rho: np.ndarray  # shape (dim, dim) with dim = (cutoff + 1) ** modes
-    tail_bound: float  # input mass outside the truncation box
-    leakage: float = 0.0  # trace lost so far to truncation during evolution
+    sectors: list[np.ndarray]
+    tail_bound: float  # input mass with more than `cutoff` photons
 
     @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.modes
-
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
+    def leakage(self) -> float:
+        """Trace lost during evolution: none, since each sector evolves exactly."""
+        return 0.0
 
 
 def _classify(state: GaussianModeState) -> tuple[str, float]:
-    if abs(state.v_x - 1.0) <= _VAC_TOL and abs(state.v_p - 1.0) <= _VAC_TOL:
-        return "vacuum", 0.0
     if state.v_x == state.v_p:
-        return "thermal", (state.v_x - 1.0) / 2.0  # mean photon number
+        return "thermal", (state.v_x - 1.0) / 2.0  # mean photon number; 0 for vacuum
     if abs(state.v_x * state.v_p - 1.0) <= _MIN_UNCERTAINTY_TOL:
         return "squeezed", 0.5 * math.log(state.v_x)  # squeezing parameter r
     raise ValidationError(
@@ -66,54 +68,27 @@ def _classify(state: GaussianModeState) -> tuple[str, float]:
     )
 
 
-def _number_distribution(state: GaussianModeState, length: int) -> np.ndarray:
-    """Exact per-entry photon-number probabilities p_0 .. p_{length-1}."""
-    kind, x = _classify(state)
-    p = np.zeros(length)
-    if kind == "vacuum":
-        p[0] = 1.0
-    elif kind == "thermal":
-        nbar = x
-        ratio = nbar / (nbar + 1.0)
-        p[0] = 1.0 / (nbar + 1.0)
-        for n in range(1, length):
-            p[n] = p[n - 1] * ratio
-    else:
-        t2 = math.tanh(x) ** 2
-        p[0] = 1.0 / math.cosh(x)
-        for k in range(1, (length - 1) // 2 + 1):
-            # p_{2k} = p_{2k-2} * tanh^2 r * (2k-1)/(2k)
-            p[2 * k] = p[2 * k - 2] * t2 * (2 * k - 1) / (2 * k)
-    return p
+def _amplitudes(state: GaussianModeState, length: int) -> np.ndarray:
+    """Per-mode amplitudes a_0 .. a_{length-1}; the photon-number law is a**2.
 
-
-def _squeezed_amplitudes(r: float, length: int) -> np.ndarray:
-    """c_{2n} = (tanh r)^n sqrt((2n)!)/(2^n n!) / sqrt(cosh r); odd terms 0.
-
-    The + sign on tanh r corresponds to antisqueezing along x (v_x = e^{2r});
-    it is the sign that reproduces the two-mode-squeezed-vacuum fixture.
+    Thermal (and vacuum, nbar = 0): the root of the geometric law.  Squeezed:
+    a_{2n} = (tanh r)^n sqrt((2n)!)/(2^n n!) / sqrt(cosh r), odd terms 0; the
+    + sign on tanh r is antisqueezing along x (v_x = e^{2r}), the sign that
+    reproduces the two-mode-squeezed-vacuum fixture.
     """
-    c = np.zeros(length)
-    c[0] = 1.0 / math.sqrt(math.cosh(r))
-    t = math.tanh(r)
-    for k in range(1, (length - 1) // 2 + 1):
-        c[2 * k] = c[2 * k - 2] * t * math.sqrt((2 * k - 1) / (2 * k))
-    return c
-
-
-def _mode_density(state: GaussianModeState, dim: int) -> np.ndarray:
     kind, x = _classify(state)
-    if kind == "squeezed":
-        c = _squeezed_amplitudes(x, dim)
-        return np.outer(c, c).astype(complex)
-    return np.diag(_number_distribution(state, dim)).astype(complex)
+    if kind != "squeezed":
+        return math.sqrt(x / (x + 1.0)) ** np.arange(length) / math.sqrt(x + 1.0)
+    a = np.zeros(length)
+    a[0] = 1.0 / math.sqrt(math.cosh(x))
+    for k in range(1, (length - 1) // 2 + 1):
+        a[2 * k] = a[2 * k - 2] * math.tanh(x) * math.sqrt((2 * k - 1) / (2 * k))
+    return a
 
 
-def _dim_cap_cutoff(m: int) -> int:
-    c = 1
-    while (c + 2) ** m <= MAX_TOTAL_DIM:
-        c += 1
-    return c
+def _check_modes(m: int) -> None:
+    if m < 1 or m > MAX_MODES:
+        raise ValidationError(f"the Fock oracle handles 1..{MAX_MODES} modes, got {m}")
 
 
 def auto_cutoff(
@@ -121,43 +96,113 @@ def auto_cutoff(
     tail_bound: float = DEFAULT_TAIL_BOUND,
     leak_budget: float = DEFAULT_LEAK_BUDGET,
 ) -> int:
-    """Smallest cutoff meeting the per-mode tail bound, bumped (for M >= 2)
-    until the joint total-photon tail also fits under the leak budget so a
-    later apply_network cannot exceed its trace-loss tolerance.
+    """Smallest cutoff whose per-mode tails are all <= tail_bound and, for
+    M >= 2, whose joint total-photon tail, the mass the truncation drops, is
+    <= leak_budget.
 
-    Caps: 24 per mode for multimode states, and total dimension <= 4096
-    always; unsatisfiable requirements raise CutoffError.
+    Cap: C(cutoff + M, M) <= MAX_BASIS_DIM; unsatisfiable requirements raise
+    CutoffError.
     """
     m = len(states)
-    if m < 1 or m > MAX_MODES:
-        raise ValidationError(f"the Fock oracle handles 1..{MAX_MODES} modes, got {m}")
-    cap = _dim_cap_cutoff(m)
+    _check_modes(m)
+    cap = 0
+    while math.comb(cap + 1 + m, m) <= MAX_BASIS_DIM:
+        cap += 1
+    laws = [_amplitudes(s, cap + 1) ** 2 for s in states]
+    fits = np.max([1.0 - np.cumsum(p) for p in laws], axis=0) <= tail_bound
     if m >= 2:
-        cap = min(cap, MULTIMODE_CUTOFF_CAP)
-    dists = [_number_distribution(s, cap + 1) for s in states]
-    cum = [np.cumsum(d) for d in dists]
-    cutoff = None
-    for c in range(cap + 1):
-        if all(1.0 - cm[c] <= tail_bound for cm in cum):
-            cutoff = c
-            break
-    if cutoff is None:
+        fits &= 1.0 - np.cumsum(reduce(np.convolve, laws))[: cap + 1] <= leak_budget
+    if not fits.any():
         raise CutoffError(
-            f"no cutoff <= {cap} reaches per-mode tail {tail_bound:g} for these states"
+            f"no cutoff <= {cap} reaches per-mode tail {tail_bound:g} (and for M >= 2 total-photon tail "
+            f"{leak_budget:g}); use milder states or an explicit cutoff"
         )
-    if m >= 2:
-        joint = dists[0]
-        for d in dists[1:]:
-            joint = np.convolve(joint, d)
-        jcum = np.cumsum(joint)
-        while cutoff <= cap and 1.0 - jcum[cutoff] > leak_budget:
-            cutoff += 1
-        if cutoff > cap:
-            raise CutoffError(
-                f"no cutoff <= {cap} bounds the total-photon tail by {leak_budget:g}; "
-                "use milder states or an explicit cutoff"
-            )
-    return cutoff
+    return int(np.argmax(fits))
+
+
+def _rank(counts: np.ndarray) -> np.ndarray:
+    """Index of each composition (along the last axis) in its sector's basis.
+
+    Stars and bars: the m - 1 bars of counts (n_0, .., n_{m-1}) sit at
+    b_k = n_0 + .. + n_k + k, and the colex rank of that bar set,
+    sum_k C(b_k, k + 1), numbers the compositions of N from 0 to d_N - 1.
+    """
+    bars = np.cumsum(counts[..., :-1], axis=-1) + np.arange(counts.shape[-1] - 1)
+    rank = np.zeros(bars.shape[:-1], dtype=np.intp)
+    for k in range(bars.shape[-1]):
+        term = np.ones_like(rank)
+        for i in range(k + 1):  # C(b, i + 1) = C(b, i) * (b - i) / (i + 1), exact
+            term = term * (bars[..., k] - i) // (i + 1)
+        rank += term
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _basis(n: int, m: int) -> np.ndarray:
+    """The compositions of n into m modes, (d_n, m): row r has rank r."""
+    grid = np.indices((n + 1,) * (m - 1)).reshape(m - 1, (n + 1) ** (m - 1))
+    grid = grid[:, grid.sum(axis=0) <= n]
+    comps = np.vstack([grid, n - grid.sum(axis=0)]).T
+    basis = np.empty_like(comps)
+    basis[_rank(comps)] = comps
+    basis.setflags(write=False)
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _pair_blocks(n: int, m: int, i: int, j: int) -> list[tuple[int, np.ndarray]]:
+    """Sector n's rows grouped by every occupation but those of modes i and j.
+
+    One (s, idx) per block size s = n_i + n_j; idx is (s + 1, groups), and
+    row k of it holds the states with n_i = k, n_j = s - k.
+    """
+    basis = _basis(n, m)
+    blocks = []
+    for s in range(n + 1):
+        starts = basis[(basis[:, i] == 0) & (basis[:, j] == s)]
+        if len(starts):
+            states = np.repeat(starts[None], s + 1, axis=0)
+            states[..., i] = np.arange(s + 1)[:, None]
+            states[..., j] = s - states[..., i]
+            blocks.append((s, _rank(states)))
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def _bs_eigen(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of i G_s, where G_s = A - A^T, A[k+1, k] = sqrt((k+1)(s-k)), is the
+    generator a_i^dag a_j - a_i a_j^dag on the states |k, s-k>."""
+    a = np.sqrt(np.arange(1.0, s + 1) * np.arange(s, 0, -1.0))
+    return np.linalg.eigh(1j * (np.diag(a, -1) - np.diag(a, 1)))
+
+
+def _bs_block(s: int, theta: float) -> np.ndarray:
+    """exp(theta G_s): the real beam-splitter block on n_i + n_j = s."""
+    lam, v = _bs_eigen(s)
+    return ((v * np.exp(-1j * theta * lam)) @ v.conj().T).real
+
+
+def _sector_unitaries(net: Interferometer, cutoff: int) -> Iterator[np.ndarray]:
+    """Yield U_N for N = 0 .. cutoff, composed from the decomposition's layers."""
+    dec = decompose(net)
+    m = net.m
+    blocks = [[_bs_block(s, lay.theta) for s in range(cutoff + 1)] if lay.theta != 0.0 else [] for lay in dec.layers]
+    angles = np.angle(dec.phases)
+    for n in range(cutoff + 1):
+        basis = _basis(n, m)
+        u = np.eye(len(basis), dtype=complex)
+        for layer, ks in zip(dec.layers, blocks):
+            i, j = layer.modes
+            if layer.phi != 0.0:
+                u *= np.exp(1j * layer.phi * basis[:, i])[:, None]
+            for s, idx in _pair_blocks(n, m, i, j) if ks else ():
+                rows = u[idx]
+                u[idx] = (ks[s] @ rows.reshape(s + 1, -1)).reshape(rows.shape)
+        yield u * np.exp(1j * (basis @ angles))[:, None]
+
+
+def _row_mass(kets: np.ndarray) -> np.ndarray:
+    return (kets.real**2 + kets.imag**2).sum(axis=1)
 
 
 def prepare_input(
@@ -165,124 +210,70 @@ def prepare_input(
     cutoff: int | None = None,
     tail_bound: float = DEFAULT_TAIL_BOUND,
 ) -> FockState:
-    """Tensor product of per-mode truncated densities.
+    """Input kets in every sector with at most `cutoff` photons in total.
 
     cutoff = None selects auto_cutoff(states).  An explicit cutoff is checked
-    against the tail bound and the total-dimension cap.
+    against the per-mode tail bound and the basis cap.
     """
     m = len(states)
-    if m < 1 or m > MAX_MODES:
-        raise ValidationError(f"the Fock oracle handles 1..{MAX_MODES} modes, got {m}")
+    _check_modes(m)
     if cutoff is None:
         cutoff = auto_cutoff(states, tail_bound=tail_bound)
     if cutoff < 0:
         raise ValidationError("cutoff must be non-negative")
-    dim = cutoff + 1
-    if dim**m > MAX_TOTAL_DIM:
-        raise CutoffError(f"total dimension {dim ** m} exceeds the cap {MAX_TOTAL_DIM}")
-    for i, s in enumerate(states):
-        tail = 1.0 - float(_number_distribution(s, dim).sum())
+    if math.comb(cutoff + m, m) > MAX_BASIS_DIM:
+        raise CutoffError(f"cutoff {cutoff} needs {math.comb(cutoff + m, m)} basis states, above the cap {MAX_BASIS_DIM}")
+    amps = [_amplitudes(s, cutoff + 1) for s in states]
+    for i, a in enumerate(amps):
+        tail = 1.0 - float(np.sum(a**2))
         if tail > tail_bound:
-            raise CutoffError(
-                f"cutoff {cutoff} too small for requested tail bound on mode {i} (tail {tail:.3e})"
-            )
-    rho = _mode_density(states[0], dim)
-    for s in states[1:]:
-        rho = np.kron(rho, _mode_density(s, dim))
-    tail_total = 1.0 - float(np.trace(rho).real)
-    return FockState(cutoff=cutoff, modes=m, rho=rho, tail_bound=max(tail_total, 0.0))
+            raise CutoffError(f"cutoff {cutoff} too small for requested tail bound on mode {i} (tail {tail:.3e})")
+    mixed = [k for k, s in enumerate(states) if _classify(s)[0] != "squeezed"]
+    sectors = []
+    for n in range(cutoff + 1):
+        basis = _basis(n, m)
+        keys = basis[:, mixed] @ (cutoff + 1) ** np.arange(len(mixed))  # the mixed modes' configuration
+        distinct = np.sort(keys)
+        distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
+        kets = np.zeros((len(basis), len(distinct)))
+        amp = np.prod([a[col] for a, col in zip(amps, basis.T)], axis=0)
+        kets[np.arange(len(basis)), np.searchsorted(distinct, keys)] = amp
+        sectors.append(kets)
+    captured = sum(float(np.sum(kets**2)) for kets in sectors)
+    return FockState(cutoff=cutoff, modes=m, sectors=sectors, tail_bound=max(1.0 - captured, 0.0))
 
 
-def _bs_kernel(dim: int, theta: float) -> np.ndarray:
-    """Exact number-basis matrix of exp[theta (a_i^dag a_j - a_i a_j^dag)].
+def apply_network(state: FockState, net: Interferometer) -> FockState:
+    """Evolve every sector's kets by its unitary U_N.
 
-    Real (dim^2, dim^2) matrix; exactly unitary on every sector with total
-    photon number <= cutoff, lossy above (the measured truncation leakage).
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    lg = [math.lgamma(n + 1) for n in range(2 * dim)]
-    kern = np.zeros((dim * dim, dim * dim))
-    for n1 in range(dim):
-        p1 = np.array([math.comb(n1, r) * (c**r) * ((-s) ** (n1 - r)) for r in range(n1 + 1)])
-        for n2 in range(dim):
-            p2 = np.array([math.comb(n2, t) * (s**t) * (c ** (n2 - t)) for t in range(n2 + 1)])
-            amp = np.convolve(p1, p2)
-            total = n1 + n2
-            col = n1 * dim + n2
-            lo, hi = max(0, total - (dim - 1)), min(total, dim - 1)
-            for p in range(lo, hi + 1):
-                q = total - p
-                w = math.exp(0.5 * (lg[p] + lg[q] - lg[n1] - lg[n2]))
-                kern[p * dim + q, col] = amp[p] * w
-    return kern
-
-
-def _apply_phase(rho_t: np.ndarray, mode: int, m: int, phase_vec: np.ndarray) -> None:
-    shape = [1] * (2 * m)
-    shape[mode] = phase_vec.size
-    rho_t *= phase_vec.reshape(shape)
-    shape = [1] * (2 * m)
-    shape[m + mode] = phase_vec.size
-    rho_t *= phase_vec.conj().reshape(shape)
-
-
-def _apply_kernel(rho_t: np.ndarray, kern4, i: int, j: int, m: int) -> np.ndarray:
-    t = np.tensordot(kern4, rho_t, axes=([2, 3], [i, j]))
-    t = np.moveaxis(t, [0, 1], [i, j])
-    t = np.tensordot(kern4.conj(), t, axes=([2, 3], [m + i, m + j]))
-    return np.moveaxis(t, [0, 1], [m + i, m + j])
-
-
-def apply_network(state: FockState, net: Interferometer, leak_tol: float = DEFAULT_LEAK_TOL) -> FockState:
-    """Evolve the density through the decomposed network.
-
-    Raises CutoffError if the truncated evolution loses more trace than
-    leak_tol; the loss is recorded either way.
+    Raises CutoffError if some U_N is off unitarity (max |U U^dag - 1|) by
+    more than 1e-13.
     """
     if net.m != state.modes:
         raise ValidationError(f"network has {net.m} modes, state has {state.modes}")
-    dec = decompose(net)
-    dim = state.cutoff + 1
-    m = state.modes
-    trace_in = state.trace()
-    rho_t = state.rho.reshape((dim,) * (2 * m)).copy()
-    n_vec = np.arange(dim)
-    for layer in dec.layers:
-        i, j = layer.modes
-        if layer.phi != 0.0:
-            _apply_phase(rho_t, i, m, np.exp(1j * layer.phi * n_vec))
-        if layer.theta != 0.0:
-            kern4 = _bs_kernel(dim, layer.theta).reshape(dim, dim, dim, dim)
-            rho_t = _apply_kernel(rho_t, kern4, i, j, m)
-    for mode in range(m):
-        ph = dec.phases[mode]
-        if ph != 1.0:
-            _apply_phase(rho_t, mode, m, ph**n_vec)
-    rho = rho_t.reshape(dim**m, dim**m)
-    leak = trace_in - float(np.trace(rho).real)
-    if leak > leak_tol:
-        raise CutoffError(f"truncation leaked {leak:.3e} of trace (tolerance {leak_tol:g}); increase the cutoff")
-    return FockState(
-        cutoff=state.cutoff,
-        modes=m,
-        rho=rho,
-        tail_bound=state.tail_bound,
-        leakage=state.leakage + max(leak, 0.0),
-    )
+    sectors = []
+    for n, (u, kets) in enumerate(zip(_sector_unitaries(net, state.cutoff), state.sectors)):
+        defect = float(np.abs(u @ u.conj().T - np.eye(len(u))).max())
+        if defect > _UNITARITY_TOL:
+            raise CutoffError(f"sector {n} unitary is off by {defect:.3e} (tolerance {_UNITARITY_TOL:g})")
+        sectors.append(u @ kets)
+    return FockState(cutoff=state.cutoff, modes=state.modes, sectors=sectors, tail_bound=state.tail_bound)
 
 
 def pattern_probability(state: FockState, pattern) -> float:
-    """Diagonal density-matrix element at the Fock index of the pattern."""
+    """Exact probability of a pattern with at most `cutoff` photons in total."""
     counts = photon_counts(pattern, state.modes)
-    if max(counts) > state.cutoff:
-        raise ValidationError("pattern occupation outside the truncated basis")
-    idx = 0
-    for x in counts:
-        idx = idx * (state.cutoff + 1) + x
-    return float(state.rho[idx, idx].real)
+    n = sum(counts)
+    if n > state.cutoff:
+        raise ValidationError(f"pattern {counts} has {n} photons, outside the truncated basis (at most {state.cutoff})")
+    r = int(_rank(np.array(counts)))
+    return float(_row_mass(state.sectors[n][r : r + 1])[0])
 
 
 def photon_number_distribution(state: FockState) -> np.ndarray:
-    """Joint photon-number distribution as an array of shape (d,) * modes."""
-    dim = state.cutoff + 1
-    return np.diagonal(state.rho).real.reshape((dim,) * state.modes).copy()
+    """Joint photon-number distribution as an array of shape (cutoff + 1,) * modes;
+    entries with more than `cutoff` photons in total are 0."""
+    joint = np.zeros((state.cutoff + 1,) * state.modes)
+    for n, kets in enumerate(state.sectors):
+        joint[tuple(_basis(n, state.modes).T)] = _row_mass(kets)
+    return joint

@@ -257,6 +257,29 @@ class TestValidate:
         assert rows["1,1"]["oracle"] == pytest.approx(math.tanh(r) ** 2 / math.cosh(r) ** 2, abs=1e-9)
         assert all(row["delta"] <= 1e-6 for row in report["rows"])
 
+    def test_auto_cutoff_covers_every_pattern(self, tmsv_config, capsys):
+        # the faint states' tails alone give cutoff 1, below the pattern (1, 1)
+        path = _edited_config(tmsv_config, states=[{"type": "thermal", "v": 1.00001}] * 2)
+        assert main(["validate", "--config", str(path), "--oracle", "--format", "json"]) == 0
+        rows = {row["pattern"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["1,1"]["oracle"] == pytest.approx(rows["1,1"]["thermal"], rel=1e-9)
+        assert main(["validate", "--config", str(path), "--cutoff", "1"]) == 1
+        assert "truncated basis" in capsys.readouterr().err
+
+    def test_four_modes(self, tmp_path, capsys):
+        net = gbsim.haar_random(4, 11)
+        cfg = {
+            "schema": 1,
+            "modes": 4,
+            "states": [{"type": "squeezed", "r": r} for r in (0.15, 0.1, 0.2, 0.12)],
+            "unitary": [[[z.real, z.imag] for z in row] for row in net.u],
+        }
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 16 and max(row["delta"] for row in rows) <= 1e-6
+
     @pytest.mark.parametrize("fields", [{"patterns": [[2, 0]]}, {"patterns": [[0.5, 1]]}, {"n_max": 3}])
     def test_malformed_patterns_rejected(self, tmsv_config, fields, capsys):
         # only a config with neither key falls back to all patterns

@@ -19,6 +19,7 @@ from gbsim import (
     vacuum,
     validate_unitary,
 )
+from gbsim import fock_oracle
 from gbsim.fock_oracle import (
     FockState,
     apply_network,
@@ -29,11 +30,47 @@ from gbsim.fock_oracle import (
 )
 
 
+def bs_kernel(dim: int, theta: float) -> np.ndarray:
+    """Number-basis matrix of exp[theta (a_i^dag a_j - a_i a_j^dag)] by convolution.
+
+    Real (dim^2, dim^2) matrix indexed [p * dim + q, n1 * dim + n2]: the two
+    modes' binomial expansions, convolved.  Exact on every sector with
+    n1 + n2 <= dim - 1.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    lg = [math.lgamma(n + 1) for n in range(2 * dim)]
+    kern = np.zeros((dim * dim, dim * dim))
+    for n1 in range(dim):
+        p1 = np.array([math.comb(n1, r) * (c**r) * ((-s) ** (n1 - r)) for r in range(n1 + 1)])
+        for n2 in range(dim):
+            p2 = np.array([math.comb(n2, t) * (s**t) * (c ** (n2 - t)) for t in range(n2 + 1)])
+            amp = np.convolve(p1, p2)
+            total = n1 + n2
+            col = n1 * dim + n2
+            lo, hi = max(0, total - (dim - 1)), min(total, dim - 1)
+            for p in range(lo, hi + 1):
+                q = total - p
+                w = math.exp(0.5 * (lg[p] + lg[q] - lg[n1] - lg[n2]))
+                kern[p * dim + q, col] = amp[p] * w
+    return kern
+
+
+def thermal_law(nbar: float, length: int) -> np.ndarray:
+    return np.array([nbar**n / (nbar + 1.0) ** (n + 1) for n in range(length)])
+
+
+def squeezed_law(r: float, length: int) -> np.ndarray:
+    return np.array(
+        [math.comb(n, n // 2) * (math.tanh(r) / 2) ** n / math.cosh(r) if n % 2 == 0 else 0.0 for n in range(length)]
+    )
+
+
 class TestPrepareInput:
     def test_vacuum_single_entry(self):
-        st = prepare_input([vacuum()], cutoff=4)
-        assert st.rho[0, 0] == 1.0
-        assert np.abs(st.rho).sum() == 1.0
+        st = prepare_input([vacuum()] * 2, cutoff=4)
+        assert st.sectors[0].tolist() == [[1.0]]
+        assert all(not kets.any() for kets in st.sectors[1:])
+        assert st.tail_bound == 0.0
 
     def test_thermal_geometric_law(self):
         st = prepare_input([thermal(3.0)])
@@ -48,23 +85,31 @@ class TestPrepareInput:
         assert pattern_probability(st, (1,)) == 0.0
         assert pattern_probability(st, (3,)) == 0.0
 
-    def test_density_is_physical(self):
-        st = prepare_input([thermal(2.0), squeezed(0.3)], cutoff=16)
-        assert np.abs(st.rho - st.rho.conj().T).max() < 1e-12
-        assert 1.0 - st.trace() <= st.tail_bound + 1e-12
-        assert np.linalg.eigvalsh(st.rho).min() > -1e-10
+    def test_captured_mass_plus_tail_is_one(self):
+        # the mass beyond the cutoff is the convolution of the per-mode laws
+        cutoff = 16
+        st = prepare_input([thermal(2.0), squeezed(0.3)], cutoff=cutoff)
+        tail = 1.0 - np.convolve(thermal_law(0.5, cutoff + 1), squeezed_law(0.3, cutoff + 1))[: cutoff + 1].sum()
+        captured = photon_number_distribution(st).sum()
+        assert tail > 1e-9
+        assert captured + tail == pytest.approx(1.0, abs=1e-12)
+        assert st.tail_bound == pytest.approx(tail, abs=1e-12)
+        out = apply_network(st, haar_random(2, 4))
+        assert photon_number_distribution(out).sum() == pytest.approx(captured, abs=1e-12)
 
     def test_too_many_modes(self):
         with pytest.raises(ValidationError):
-            prepare_input([vacuum()] * 4)
+            prepare_input([vacuum()] * 5)
 
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffError):
             prepare_input([thermal(3.0)], cutoff=5)
 
     def test_dimension_cap(self):
-        with pytest.raises(CutoffError):
-            prepare_input([vacuum()] * 3, cutoff=20)
+        # C(15 + 4, 4) = 3876 basis states fit under the cap, C(16 + 4, 4) = 4845 do not
+        assert prepare_input([vacuum()] * 4, cutoff=15).cutoff == 15
+        with pytest.raises(CutoffError, match="cap"):
+            prepare_input([vacuum()] * 4, cutoff=16)
 
     def test_squeezed_thermal_unsupported(self):
         with pytest.raises(ValidationError):
@@ -76,8 +121,12 @@ class TestAutoCutoff:
         assert auto_cutoff([thermal(3.0)]) == 26
 
     def test_multimode_respects_cap(self):
+        # per-mode tails need cutoff 26, above the cap of 15 at M = 4
         with pytest.raises(CutoffError):
-            auto_cutoff([thermal(3.0), thermal(3.0)])
+            auto_cutoff([thermal(3.0)] * 4)
+        # per-mode tails fit at 12, the joint tail not by 15
+        with pytest.raises(CutoffError, match="total-photon tail"):
+            auto_cutoff([thermal(1.6)] * 4)
 
     def test_vacuum_minimal(self):
         assert auto_cutoff([vacuum()]) == 0
@@ -87,19 +136,27 @@ class TestApplyNetwork:
     def test_identity_network(self):
         st = prepare_input([thermal(2.0), squeezed(0.4)], cutoff=20)
         out = apply_network(st, validate_unitary(np.eye(2)))
-        assert np.abs(out.rho - st.rho).max() < 1e-14
+        assert np.abs(photon_number_distribution(out) - photon_number_distribution(st)).max() < 1e-14
 
     def test_single_photon_on_splitter(self):
         # |1,0> through a 50:50 splitter: equal weight on (1,0) and (0,1)
-        dim = 5
-        rho = np.zeros((dim * dim, dim * dim), dtype=complex)
-        idx = 1 * dim + 0
-        rho[idx, idx] = 1.0
-        st = FockState(cutoff=dim - 1, modes=2, rho=rho, tail_bound=0.0)
+        one = np.array([[float(row == (1, 0))] for row in map(tuple, fock_oracle._basis(1, 2))])
+        st = FockState(cutoff=1, modes=2, sectors=[np.zeros((1, 1)), one], tail_bound=0.0)
         bs = validate_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
         out = apply_network(st, bs)
         assert pattern_probability(out, (1, 0)) == pytest.approx(0.5, abs=1e-13)
         assert pattern_probability(out, (0, 1)) == pytest.approx(0.5, abs=1e-13)
+
+    def test_tmsv_exact_up_to_cutoff(self):
+        # P(n, n) = tanh^2n r / cosh^2 r for every pattern inside the cutoff;
+        # (16, 16) has 32 photons, outside it, and is refused, not approximated
+        r = 0.5
+        st = apply_network(prepare_input([squeezed(r)] * 2, cutoff=30), tmsv_network())
+        for n in range(16):
+            expect = math.tanh(r) ** (2 * n) / math.cosh(r) ** 2
+            assert pattern_probability(st, (n, n)) == pytest.approx(expect, rel=1e-12)
+        with pytest.raises(ValidationError, match="truncated basis"):
+            pattern_probability(st, (16, 16))
 
     def test_tmsv_joint_distribution(self):
         r = 0.5
@@ -115,11 +172,52 @@ class TestApplyNetwork:
         st = apply_network(prepare_input([squeezed(0.5)] * 2, cutoff=30), tmsv_network())
         assert photon_number_distribution(st).sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_leak_detected(self):
-        # deliberately starved cutoff: trace loss must raise
-        st = prepare_input([thermal(3.0), thermal(3.0)], cutoff=8, tail_bound=1.0)
-        with pytest.raises(CutoffError):
+    def test_starved_cutoff_is_exact(self):
+        # cutoff 8 drops P(N > 8) = 11/1024 of two thermal(3.0) modes, yet every
+        # pattern with at most 8 photons keeps its exact probability: the output
+        # counts of equal thermal inputs are independent whatever the network
+        st = apply_network(prepare_input([thermal(3.0), thermal(3.0)], cutoff=8, tail_bound=1.0), haar_random(2, 3))
+        assert st.tail_bound == pytest.approx(11 / 1024, abs=1e-12)
+        law = thermal_law(1.0, 9)
+        for n1 in range(9):
+            for n2 in range(9 - n1):
+                assert pattern_probability(st, (n1, n2)) == pytest.approx(law[n1] * law[n2], rel=1e-12)
+        assert st.leakage == 0.0
+
+    @pytest.mark.parametrize("m, cutoff", [(2, 40), (3, 20), (4, 12)])
+    def test_sector_unitaries(self, m, cutoff):
+        us = list(fock_oracle._sector_unitaries(haar_random(m, 5), cutoff))
+        assert [len(u) for u in us] == [math.comb(n + m - 1, m - 1) for n in range(cutoff + 1)]
+        for u in us:
+            assert np.abs(u @ u.conj().T - np.eye(len(u))).max() <= 1e-13
+
+    def test_sector_one_is_the_network(self):
+        # one photon entering mode i leaves mode k with amplitude U[i, k]
+        net = haar_random(3, 6)
+        u1 = list(fock_oracle._sector_unitaries(net, 1))[1]
+        ranks = [fock_oracle._basis(1, 3).tolist().index(row) for row in np.eye(3, dtype=int).tolist()]
+        assert np.abs(u1[np.ix_(ranks, ranks)].T - net.u).max() < 1e-14
+
+    def test_non_unitary_sector_raises(self, monkeypatch):
+        st = prepare_input([thermal(2.0), thermal(1.5)])
+        monkeypatch.setattr(fock_oracle, "_UNITARITY_TOL", -1.0)
+        with pytest.raises(CutoffError, match="unitary"):
             apply_network(st, haar_random(2, 3))
+
+
+class TestBeamSplitterBlocks:
+    @pytest.mark.parametrize("theta", [0.3, -1.1, math.pi / 4, 2.5])
+    def test_eigen_blocks_match_convolution(self, theta):
+        dim = 31
+        kern = bs_kernel(dim, theta)
+        for s in range(dim):
+            rows = [p * dim + (s - p) for p in range(s + 1)]
+            assert np.abs(fock_oracle._bs_block(s, theta) - kern[np.ix_(rows, rows)]).max() <= 1e-12
+
+    def test_blocks_orthogonal(self):
+        for s in range(41):
+            k = fock_oracle._bs_block(s, 0.7)
+            assert np.abs(k @ k.T - np.eye(s + 1)).max() <= 1e-14
 
 
 class TestPatternProbability:
@@ -163,3 +261,21 @@ class TestEngineAgreement:
             o = pattern_probability(st, pat)
             assert abs(prob_squeezed(qf, pat) - o) < 1e-6
             assert abs(prob_general(qf, pat) - o) < 1e-6
+
+    @pytest.mark.parametrize(
+        "states, engines",
+        [
+            ([thermal(1.3), thermal(1.2), thermal(1.4), thermal(1.25)], (prob_thermal, prob_general)),
+            ([squeezed(0.15), squeezed(0.1), squeezed(0.2), squeezed(0.12)], (prob_squeezed, prob_general)),
+            ([thermal(1.3), squeezed(0.15), vacuum(), squeezed(0.1)], (prob_general,)),
+        ],
+        ids=["thermal", "squeezed", "mixed"],
+    )
+    def test_m4(self, states, engines):
+        net = haar_random(4, 11)
+        st = apply_network(prepare_input(states), net)
+        qf = build_qform(states, net)
+        for pat in enumerate_patterns(4, 4):
+            o = pattern_probability(st, pat)
+            for engine in engines:
+                assert abs(engine(qf, pat) - o) < 1e-6
