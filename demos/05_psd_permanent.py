@@ -7,9 +7,13 @@ the eigenvector network.  Then
 
     per(H) = q^N * p(1,...,1) / prod(mu_j)
 
-and p(1,...,1) is estimated by classical sampling.  The estimator is honest
-about its limits: a plain frequency carries a binomial error bar, so runs
-where the pattern shows up fewer than 100 times are flagged low-confidence.
+and p(1,...,1) is estimated by classical sampling.  Each shot draws the
+output amplitudes beta of the experiment; its all-ones probability is then
+exactly w = prod_k |beta_k|^2 exp(-|beta_k|^2), so the estimate is the mean
+of w (no photon counts are drawn) and the error bar its standard error.
+The all-ones hits are still drawn, one Bernoulli(w) per shot, and printed
+as "all-ones hits".  The estimator is honest about its limits: a run whose effective
+sample size (sum w)^2 / sum w^2 is small is flagged low-confidence.
 """
 
 import math
@@ -34,7 +38,7 @@ for shots in (50_000, 500_000, 5_000_000):
     flag = "  [low confidence]" if res.low_confidence else ""
     print(
         f"shots {shots:>9}: per(H) = {res.estimate:10.3f} +- {res.stderr:7.3f}"
-        f"  (exact {res.exact:.3f}, count {res.count}){flag}"
+        f"  (exact {res.exact:.3f}, all-ones hits {res.count}){flag}"
     )
 
 print()

@@ -7,8 +7,12 @@ mode's photon count from a Poisson law with mean |beta_k|^2.  The resulting
 histogram covers the full photon-count distribution; the {0,1} patterns of
 the exact engines are a sub-event of it.
 
-One block loop, `_run_blocks`, hands each block to a reducer.  `sample_patterns`
-counts rows as packed int64 keys in numpy, and rows too wide for a key exactly.
+One block loop, `_run_blocks`, hands each block to a reducer.  A block first
+draws its output intensities |beta|^2 (`_block_intensity`); `_block_counts`
+then draws the Poisson counts from the same stream, and `sample_patterns`
+counts their rows as packed int64 keys in numpy, and rows too wide for a key
+exactly.  The PSD-permanent estimator shares the intensities but replaces
+the Poisson step by its own last draw.
 
 Determinism: shots are processed in fixed-size blocks of 4096, and each
 block draws from its own counter-based Philox stream keyed by (seed, block
@@ -70,17 +74,31 @@ def _integer(value, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _block_counts(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int) -> np.ndarray:
-    """Photon counts for one block of shots, drawn from the block's own stream."""
+def _block_intensity(
+    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int
+) -> tuple[np.random.Generator, np.ndarray]:
+    """The block's own generator and each shot's output intensities |beta|^2,
+    drawn first from that generator's stream."""
     m = u_mat.shape[0]
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
     normals = gen.standard_normal((nrows, 2 * m))
-    alpha = normals[:, :m] * sx + 1j * normals[:, m:] * sp
-    return gen.poisson(np.abs(alpha @ u_mat) ** 2)
+    alpha = np.empty((nrows, m), dtype=complex)
+    np.multiply(normals[:, :m], sx, out=alpha.real)
+    np.multiply(normals[:, m:], sp, out=alpha.imag)
+    # freed before the product, whose output then reuses this memory instead of faulting in fresh pages
+    del normals
+    return gen, np.abs(alpha @ u_mat) ** 2
 
 
-def _run_blocks(states, net, shots, seed, workers, reduce: Callable[[np.ndarray], None]) -> None:
-    """Validate a run, then hand each block's counts to `reduce` in block order."""
+def _block_counts(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int) -> np.ndarray:
+    """Photon counts for one block of shots, drawn from the block's own stream."""
+    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows)
+    return gen.poisson(lam)
+
+
+def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Callable) -> None:
+    """Validate a run, then hand each block's `draw` result to `reduce` in block
+    order.  `draw` takes the arguments of `_block_counts`."""
     if len(states) != net.m:
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
     if shots < 1:
@@ -106,15 +124,15 @@ def _run_blocks(states, net, shots, seed, workers, reduce: Callable[[np.ndarray]
     u_mat = np.asarray(net.u)
     nblocks = (shots + BLOCK_SHOTS - 1) // BLOCK_SHOTS
 
-    def block(b: int) -> np.ndarray:
-        return _block_counts(u_mat, sx, sp, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS))
+    def block(b: int):
+        return draw(u_mat, sx, sp, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS))
 
     window = 4 * workers  # blocks in flight: memory stays flat in the shot count
     with ThreadPoolExecutor(max_workers=workers) as pool:
         run = map if workers == 1 else pool.map
         for start in range(0, nblocks, window):
-            for counts in run(block, range(start, min(start + window, nblocks))):
-                reduce(counts)
+            for result in run(block, range(start, min(start + window, nblocks))):
+                reduce(result)
 
 
 def sample_patterns(
@@ -149,16 +167,11 @@ def sample_patterns(
             wide.update(zip(*counts[over].T.tolist()))
             counts = counts[~over]
         pending.append(counts @ (1 << shifts))
-    _run_blocks(states, net, shots, seed, workers, tally)
+    _run_blocks(states, net, shots, seed, workers, _block_counts, tally)
     fold()
     fields = (keys[:, None] >> shifts) & ((1 << bits) - 1)
     histogram = dict(zip(zip(*fields.T.tolist()), tallies.tolist())) | wide  # disjoint keys
     return SampleReport(shots, operator.index(seed), net.m, histogram, time.perf_counter() - t0)
-
-
-def _binomial_estimate(count: int, shots: int) -> PatternEstimate:
-    p_hat = count / shots
-    return PatternEstimate(p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / shots)), count > 0)
 
 
 def estimate_pattern_probability(report: SampleReport, pattern) -> PatternEstimate:
@@ -171,4 +184,6 @@ def estimate_pattern_probability(report: SampleReport, pattern) -> PatternEstima
     """
     if report.shots < 1:
         raise ValidationError("empty report")
-    return _binomial_estimate(report.histogram.get(photon_counts(pattern, report.modes), 0), report.shots)
+    count = report.histogram.get(photon_counts(pattern, report.modes), 0)
+    p_hat = count / report.shots
+    return PatternEstimate(p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / report.shots)), count > 0)

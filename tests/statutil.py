@@ -1,6 +1,7 @@
-"""Shared helpers for the sampler tests: statistical checks and a reference
-histogram."""
+"""Shared helpers for the sampler tests: statistical checks, a reference
+histogram and reference all-ones statistics."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,17 +11,49 @@ from gbsim.engines import enumerate_patterns, prob_thermal
 from gbsim.sampler import BLOCK_SHOTS, _block_counts
 
 
+def _p_scales(states):
+    """P-function standard deviations of each mode's two quadratures."""
+    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
+    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
+    return sx, sp
+
+
 def counter_histogram(states, net, shots: int, seed: int) -> Counter:
     """Reference histogram: every row of every block's `_block_counts` output,
     counted as a tuple in a plain Counter."""
-    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
-    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
+    sx, sp = _p_scales(states)
     histogram: Counter = Counter()
     for start in range(0, shots, BLOCK_SHOTS):
         nrows = min(BLOCK_SHOTS, shots - start)
         counts = _block_counts(np.asarray(net.u), sx, sp, seed, start // BLOCK_SHOTS, nrows)
         histogram.update(zip(*counts.T.tolist()))
     return histogram
+
+
+def ones_oracle(states, net, shots: int, seed: int) -> tuple[int, float, float]:
+    """Reference all-ones statistics of a run, rebuilt row by row in plain
+    Python: the Bernoulli hits, the sum of w and the sum of w^2, where
+    w = prod_k lam_k exp(-lam_k) is a shot's all-ones probability given its
+    output intensities lam = |beta|^2.
+
+    Each block's Philox stream (keyed by seed and block index) gives the
+    shot's 2M normals and then one uniform per shot, the order the library
+    draws them in."""
+    m = net.m
+    sx, sp = (v.tolist() for v in _p_scales(states))
+    u = np.asarray(net.u).tolist()
+    hits, weights = 0, []
+    for start in range(0, shots, BLOCK_SHOTS):
+        nrows = min(BLOCK_SHOTS, shots - start)
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, start // BLOCK_SHOTS], dtype=np.uint64)))
+        normals = gen.standard_normal((nrows, 2 * m)).tolist()
+        for row, uniform in zip(normals, gen.random(nrows).tolist()):
+            alpha = [complex(row[j] * sx[j], row[m + j] * sp[j]) for j in range(m)]
+            lam = [abs(sum(alpha[j] * u[j][k] for j in range(m))) ** 2 for k in range(m)]
+            w = math.prod(x * math.exp(-x) for x in lam)
+            hits += uniform < w
+            weights.append(w)
+    return hits, math.fsum(weights), math.fsum(w * w for w in weights)
 
 
 def thermal_chi2_pvalue(report, qform, min_expected: float = 10.0) -> float:

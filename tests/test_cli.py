@@ -233,6 +233,18 @@ class TestPermanentPsd:
         assert abs(row["estimate"] - 2.0) < 5 * max(row["stderr"], 1e-3)
         assert row["ratio"] == pytest.approx(row["estimate"] / 2.0, rel=1e-12)
 
+    def test_byte_identical_runs(self, tmp_path):
+        g = np.random.default_rng(6).standard_normal((4, 4))
+        f = tmp_path / "h.txt"
+        f.write_text(dump_complex_matrix(g.T @ g))
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.csv"
+            argv = ["permanent-psd", "--matrix", str(f), "--shots", "30000", "--seed", "5", "--format", "csv"]
+            assert main(argv + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_exact_above_crosscheck_limit(self, tmp_path, capsys):
         # n = 13 is past the estimator's own cross-check, so only --exact fills these
         f = tmp_path / "eye.txt"

@@ -10,6 +10,7 @@ from gbsim import (
     estimate_permanent,
     exact_permanent_psd,
 )
+from gbsim.psd_permanent import SAMPLING_SIZE_LIMIT
 
 
 def random_psd(n, seed):
@@ -82,6 +83,53 @@ class TestEstimate:
     def test_zero_shot_budget_rejected(self):
         with pytest.raises(ValidationError):
             estimate_permanent(random_psd(3, 9), 0, seed=0)
+
+    def test_size_limit(self):
+        assert SAMPLING_SIZE_LIMIT == 24
+        with pytest.raises(ValidationError, match="n <= 24"):
+            estimate_permanent(np.eye(25), 10, seed=0)
+
+    def test_equal_for_every_worker_count(self):
+        runs = [estimate_permanent(random_psd(6, 14), 50_000, seed=15, workers=w) for w in (1, 2, 4)]
+        assert runs[0] == runs[1] == runs[2]
+
+
+class TestWeightEstimator:
+    """The mean per-shot all-ones probability, at sizes where the all-ones
+    pattern itself is almost never hit, against exact and closed forms."""
+
+    SHOTS = 200_000
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_wishart_unflagged_within_5_sigma(self, n):
+        h = random_psd(n, 30 + n)
+        res = estimate_permanent(h, self.SHOTS, seed=n)
+        assert not res.low_confidence
+        assert abs(res.estimate - exact_permanent_psd(h)) < 5 * res.stderr
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_rank_one_closed_form(self, n):
+        # per(a a^dag) = n! prod |a_i|^2
+        rng = np.random.default_rng(50 + n)
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expect = math.factorial(n) * math.prod(np.abs(a) ** 2)
+        res = estimate_permanent(np.outer(a, a.conj()), self.SHOTS, seed=n)
+        assert not res.low_confidence
+        assert res.stderr < 0.01 * expect
+        assert abs(res.estimate - expect) < 5 * res.stderr
+
+    # small d_j make w a product of nearly independent exponential factors whose
+    # relative variance grows like 2^n; the sample then understates its own error
+    # bar, so the flag must catch the run.  The last case read 8.5 sigma low
+    # with an effective sample size of 150.
+    @pytest.mark.parametrize(
+        "n, seed, low",
+        [(4, 1, 0.1), (12, 2, 0.1), (16, 3, 0.001), (20, 4, 0.001), (24, 5, 0.1), (24, 1000 * 24 + 10, 0.01)],
+    )
+    def test_diagonal_flagged_or_within_5_sigma(self, n, seed, low):
+        d = np.random.default_rng(seed).uniform(low, 2.0, n)
+        res = estimate_permanent(np.diag(d), self.SHOTS, seed=seed % 1000)
+        assert res.low_confidence or abs(res.estimate - math.prod(d)) < 5 * res.stderr
 
 
 class TestExact:

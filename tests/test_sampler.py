@@ -12,6 +12,7 @@ from gbsim import (
     embed,
     estimate_pattern_probability,
     estimate_permanent,
+    exact_permanent_psd,
     haar_random,
     is_classical,
     mean_photon_number,
@@ -23,7 +24,13 @@ from gbsim import (
     vacuum,
     validate_unitary,
 )
-from statutil import counter_histogram, geometric_chi2_pvalue, thermal_chi2_pvalue, total_photon_moments
+from statutil import (
+    counter_histogram,
+    geometric_chi2_pvalue,
+    ones_oracle,
+    thermal_chi2_pvalue,
+    total_photon_moments,
+)
 
 
 class TestSamplePatterns:
@@ -217,15 +224,33 @@ class TestPackedReduce:
         assert REDUCE_CASES["folds-m6"][2] > 2 * sampler_module.FOLD_KEYS
         assert REDUCE_CASES["folds-m6"][2] % sampler_module.BLOCK_SHOTS
 
-    # at n = 16 the all-ones pattern is far too rare to be hit: both counts are 0
+
+class TestOnesWeights:
+    # at n = 16 the all-ones pattern is far too rare to be hit: both counts are 0,
+    # while the weights still estimate its probability
     @pytest.mark.parametrize("n, shots", [(4, 100_000), (16, 20_000)])
-    def test_estimator_count_matches_counter_oracle(self, n, shots):
+    def test_estimator_matches_row_oracle(self, n, shots):
         rng = np.random.default_rng(n)
         g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
         h = g.conj().T @ g
         emb = embed(h)
-        oracle = counter_histogram(list(emb.states), validate_unitary(emb.u.conj().T), shots, 41)
-        assert estimate_permanent(h, shots, 41, workers=2).count == oracle[(1,) * n]
+        states, net = list(emb.states), validate_unitary(emb.u.conj().T)
+        hits, w_sum, w2_sum = ones_oracle(states, net, shots, 41)
+        factor = emb.q**n / math.prod(emb.mus)
+        mean = w_sum / shots
+        estimate = factor * mean
+        stderr = factor * math.sqrt(max(w2_sum / shots - mean * mean, 0.0) / shots)
+        for workers in (1, 2, 4):
+            res = estimate_permanent(h, shots, 41, workers=workers)
+            assert res.count == hits
+            assert res.estimate == pytest.approx(estimate, rel=1e-12, abs=0)
+            assert res.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+        # the Poisson draw's all-ones count and the Bernoulli count share one law
+        p_ones = math.prod(emb.mus) * exact_permanent_psd(h) / emb.q**n
+        sigma = math.sqrt(shots * p_ones * (1.0 - p_ones))
+        poisson = counter_histogram(states, net, shots, 41)[(1,) * n]
+        for count in (poisson, hits):
+            assert abs(count - shots * p_ones) <= 5 * sigma
 
 
 class TestEstimate:
