@@ -12,8 +12,9 @@ output amplitudes beta of the experiment; its all-ones probability is then
 exactly w = prod_k |beta_k|^2 exp(-|beta_k|^2), so the estimate is the mean
 of w (no photon counts are drawn) and the error bar its standard error.
 The all-ones hits are still drawn, one Bernoulli(w) per shot, and printed
-as "all-ones hits".  The estimator is honest about its limits: a run whose effective
-sample size (sum w)^2 / sum w^2 is small is flagged low-confidence.
+as "all-ones hits".  The estimator is honest about its limits: a run whose
+effective sample size (sum w)^2 / sum w^2 is small is flagged
+low-confidence.
 """
 
 import math
