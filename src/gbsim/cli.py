@@ -26,7 +26,7 @@ from dataclasses import replace
 from . import __version__
 from .engines import applicable, enumerate_patterns, probabilities
 from .errors import CostLimitError, GbsimError, ValidationError
-from .fock_oracle import apply_network, auto_cutoff, pattern_probability, prepare_input
+from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
 from .matrix_functions import detected_modes, hafnian, permanent
 from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json
@@ -283,9 +283,7 @@ def cmd_validate(args) -> int:
         patterns = list(enumerate_patterns(net.m, net.m))
     qform = build_qform(states, net)
     names = applicable(qform)
-    # the automatic cutoff is raised to keep every pattern inside the truncation
-    cutoff = args.cutoff if args.cutoff is not None else max([auto_cutoff(states), *map(sum, patterns)])
-    fock = apply_network(prepare_input(states, cutoff=cutoff), net)
+    fock = apply_network(prepare_input(states, max(map(sum, patterns), default=0)), net)
     table = {name: probabilities(qform, name, patterns).tolist() for name in names}
     columns = ["pattern", "N"] + names + (["oracle"] if args.oracle else []) + ["delta"]
     rows = []
@@ -359,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="compare every applicable engine against the Fock oracle")
     p.add_argument("--config", required=True)
-    p.add_argument("--cutoff", type=int, default=None, help="largest total photon number the oracle keeps")
     p.add_argument("--oracle", action="store_true", help="add the oracle probability column")
     add_fmt(p)
     p.set_defaults(fn=cmd_validate)

@@ -27,11 +27,10 @@ from .errors import ContractError, NumericalIntegrityError, ValidationError
 from .interferometer import Interferometer, propagate_coherent
 from .matrix_functions import detected_modes, hafnian, permanent, submatrices
 from .qform import OutputQForm
+from .states import _PURE_MU_TOL, _THERMAL_LAM_TOL
 
 _IM_TOL = 1e-10
 _NEG_TOL = 1e-10
-_THERMAL_LAM_TOL = 1e-14
-_PURE_MU_TOL = 1e-12
 # Patterns of weight N per kernel call: at most _CHUNK_TERMS >> 2N, as 4^N bounds
 # a pattern's kernel temporaries, so a table's memory stays flat in its length.
 _CHUNK_TERMS = 1 << 18

@@ -14,7 +14,7 @@ class ContractError(ValidationError):
 
 
 class CutoffError(ValidationError):
-    """Fock-space cutoff too small for the requested accuracy."""
+    """Fock-space truncation out of reach: basis above the cap, or a sector off unitarity."""
 
 
 class CostLimitError(GbsimError):

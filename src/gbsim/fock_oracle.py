@@ -4,12 +4,14 @@ Supports at most four modes and thermal / squeezed-vacuum / vacuum inputs.
 A linear network conserves the total photon number N, so it acts on each
 N-photon sector alone, by a unitary U_N on the C(N+M-1, M-1) compositions of
 N into M modes (the phi(U) of Aaronson & Arkhipov, arXiv:1011.3245).  The
+cutoff is the largest total photon number the caller will ask about: the
 input is truncated on N <= cutoff, and within a sector the evolution is
-exact: every pattern with at most `cutoff` photons gets its exact
-probability, and nothing leaks.  Thermal and vacuum modes are mixtures over
-Fock numbers and squeezed modes are kets, so sector N holds a (d_N, T_N)
-matrix of kets, one per Fock configuration t of the mixed modes, weighted by
-sqrt(p(t)); a probability is a row sum of |.|^2.  No density matrix is built.
+exact, so every pattern with at most `cutoff` photons gets its exact
+probability whatever mass lies beyond the cutoff, and nothing leaks.
+Thermal and vacuum modes are mixtures over Fock numbers and squeezed modes
+are kets, so sector N holds a (d_N, T_N) matrix of kets, one per Fock
+configuration t of the mixed modes, weighted by sqrt(p(t)); a probability is
+a row sum of |.|^2.  No density matrix is built.
 
 This module exists to cross-check the exact engines and the sampler.  It
 forms no permanents, is single-threaded, and is capped in size.
@@ -20,25 +22,23 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CutoffError, ValidationError
 from .interferometer import Interferometer, decompose
 from .matrix_functions import photon_counts
-from .states import GaussianModeState
+from .states import _PURE_MU_TOL, _THERMAL_LAM_TOL, GaussianModeState, derive_q_params, mean_photon_number
 
 MAX_MODES = 4
-# Cap on the truncated basis, sum_{N <= c} C(N+M-1, M-1) = C(c+M, M) states:
-# cutoff 15 at M = 4 (largest sector 816), 27 at M = 3, 89 at M = 2.  The
-# worst case, four thermal modes at cutoff 15, evolves in 0.85 s on one core.
-# It also bounds the caches below: beam-splitter blocks up to s = 89 hold 4 MB.
+# Cap on the truncated basis, sum_{N <= c} C(N+M-1, M-1) = C(c+M, M) states,
+# so the largest pattern a caller may ask about has 15 photons at M = 4
+# (largest sector 816), 27 at M = 3 and 89 at M = 2.  The worst case, four
+# thermal modes at cutoff 15, evolves in 0.85 s on one core.  It also bounds
+# the caches below: beam-splitter blocks up to s = 89 hold 4 MB.
 MAX_BASIS_DIM = 4096
-DEFAULT_TAIL_BOUND = 1e-8
-DEFAULT_LEAK_BUDGET = 1e-10
 
-_MIN_UNCERTAINTY_TOL = 1e-12
 _UNITARITY_TOL = 1e-13
 
 
@@ -58,9 +58,10 @@ class FockState:
 
 
 def _classify(state: GaussianModeState) -> tuple[str, float]:
-    if state.v_x == state.v_p:
-        return "thermal", (state.v_x - 1.0) / 2.0  # mean photon number; 0 for vacuum
-    if abs(state.v_x * state.v_p - 1.0) <= _MIN_UNCERTAINTY_TOL:
+    q = derive_q_params(state)
+    if abs(q.lam) <= _THERMAL_LAM_TOL:
+        return "thermal", mean_photon_number(state)  # 0 for vacuum
+    if abs(q.mu - 1.0) <= _PURE_MU_TOL:
         return "squeezed", 0.5 * math.log(state.v_x)  # squeezing parameter r
     raise ValidationError(
         "the Fock oracle supports vacuum, thermal and squeezed-vacuum inputs only "
@@ -84,40 +85,6 @@ def _amplitudes(state: GaussianModeState, length: int) -> np.ndarray:
     for k in range(1, (length - 1) // 2 + 1):
         a[2 * k] = a[2 * k - 2] * math.tanh(x) * math.sqrt((2 * k - 1) / (2 * k))
     return a
-
-
-def _check_modes(m: int) -> None:
-    if m < 1 or m > MAX_MODES:
-        raise ValidationError(f"the Fock oracle handles 1..{MAX_MODES} modes, got {m}")
-
-
-def auto_cutoff(
-    states: list[GaussianModeState],
-    tail_bound: float = DEFAULT_TAIL_BOUND,
-    leak_budget: float = DEFAULT_LEAK_BUDGET,
-) -> int:
-    """Smallest cutoff whose per-mode tails are all <= tail_bound and, for
-    M >= 2, whose joint total-photon tail, the mass the truncation drops, is
-    <= leak_budget.
-
-    Cap: C(cutoff + M, M) <= MAX_BASIS_DIM; unsatisfiable requirements raise
-    CutoffError.
-    """
-    m = len(states)
-    _check_modes(m)
-    cap = 0
-    while math.comb(cap + 1 + m, m) <= MAX_BASIS_DIM:
-        cap += 1
-    laws = [_amplitudes(s, cap + 1) ** 2 for s in states]
-    fits = np.max([1.0 - np.cumsum(p) for p in laws], axis=0) <= tail_bound
-    if m >= 2:
-        fits &= 1.0 - np.cumsum(reduce(np.convolve, laws))[: cap + 1] <= leak_budget
-    if not fits.any():
-        raise CutoffError(
-            f"no cutoff <= {cap} reaches per-mode tail {tail_bound:g} (and for M >= 2 total-photon tail "
-            f"{leak_budget:g}); use milder states or an explicit cutoff"
-        )
-    return int(np.argmax(fits))
 
 
 def _rank(counts: np.ndarray) -> np.ndarray:
@@ -205,29 +172,21 @@ def _row_mass(kets: np.ndarray) -> np.ndarray:
     return (kets.real**2 + kets.imag**2).sum(axis=1)
 
 
-def prepare_input(
-    states: list[GaussianModeState],
-    cutoff: int | None = None,
-    tail_bound: float = DEFAULT_TAIL_BOUND,
-) -> FockState:
+def prepare_input(states: list[GaussianModeState], cutoff: int) -> FockState:
     """Input kets in every sector with at most `cutoff` photons in total.
 
-    cutoff = None selects auto_cutoff(states).  An explicit cutoff is checked
-    against the per-mode tail bound and the basis cap.
+    `cutoff` is the largest total photon number the caller will ask about;
+    the input mass above it is reported as `tail_bound`.  Raises CutoffError
+    if the basis exceeds MAX_BASIS_DIM.
     """
     m = len(states)
-    _check_modes(m)
-    if cutoff is None:
-        cutoff = auto_cutoff(states, tail_bound=tail_bound)
+    if m < 1 or m > MAX_MODES:
+        raise ValidationError(f"the Fock oracle handles 1..{MAX_MODES} modes, got {m}")
     if cutoff < 0:
         raise ValidationError("cutoff must be non-negative")
     if math.comb(cutoff + m, m) > MAX_BASIS_DIM:
         raise CutoffError(f"cutoff {cutoff} needs {math.comb(cutoff + m, m)} basis states, above the cap {MAX_BASIS_DIM}")
     amps = [_amplitudes(s, cutoff + 1) for s in states]
-    for i, a in enumerate(amps):
-        tail = 1.0 - float(np.sum(a**2))
-        if tail > tail_bound:
-            raise CutoffError(f"cutoff {cutoff} too small for requested tail bound on mode {i} (tail {tail:.3e})")
     mixed = [k for k, s in enumerate(states) if _classify(s)[0] != "squeezed"]
     sectors = []
     for n in range(cutoff + 1):

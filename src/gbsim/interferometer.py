@@ -40,17 +40,18 @@ class Interferometer:
         return self.u.shape[0]
 
 
-def validate_unitary(u, tol: float = DEFAULT_UNITARITY_TOL) -> Interferometer:
+def validate_unitary(u) -> Interferometer:
     """Wrap a square matrix as an Interferometer, rejecting non-unitaries.
 
-    The defect is measured as max |U^dag U - 1| over entries.
+    The defect is measured as max |U^dag U - 1| over entries and may be at
+    most DEFAULT_UNITARITY_TOL.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
         raise ValidationError(f"network matrix must be square and non-empty, got shape {u.shape}")
     defect = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-    if defect > tol:
-        raise ValidationError(f"matrix is not unitary: defect {defect:.3e} exceeds tolerance {tol:.1e}")
+    if defect > DEFAULT_UNITARITY_TOL:
+        raise ValidationError(f"matrix is not unitary: defect {defect:.3e} exceeds tolerance {DEFAULT_UNITARITY_TOL:.1e}")
     return Interferometer(_readonly(u.copy()), defect)
 
 
@@ -122,11 +123,11 @@ class NetworkDecomposition:
         return u * self.phases[None, :]
 
 
-def decompose(net: Interferometer, tol: float = DEFAULT_UNITARITY_TOL) -> NetworkDecomposition:
+def decompose(net: Interferometer) -> NetworkDecomposition:
     """Triangular sweep of Givens layers nulling the below-diagonal entries.
 
     At most M(M-1)/2 layers; the residual diagonal becomes the phase vector.
-    Recomposition reproduces U to within `tol` per entry.
+    Recomposition reproduces U to within DEFAULT_UNITARITY_TOL per entry.
     """
     m = net.m
     work = np.array(net.u, dtype=complex)
@@ -150,23 +151,21 @@ def decompose(net: Interferometer, tol: float = DEFAULT_UNITARITY_TOL) -> Networ
             layers.append(TwoModeLayer((col, row), theta, phi))
     phases = np.diagonal(work).copy()
     off = work - np.diag(phases)
-    if np.abs(off).max() > 1e3 * tol or np.abs(np.abs(phases) - 1).max() > 1e3 * tol:
+    bound = 1e3 * DEFAULT_UNITARITY_TOL
+    if np.abs(off).max() > bound or np.abs(np.abs(phases) - 1).max() > bound:
         raise ValidationError("decomposition failed to reduce the matrix to diagonal phases")
     dec = NetworkDecomposition(tuple(layers), _readonly(phases), m)
     err = float(np.abs(dec.matrix() - net.u).max())
-    if err > tol:
-        raise ValidationError(f"decomposition recomposition error {err:.3e} exceeds {tol:.1e}")
+    if err > DEFAULT_UNITARITY_TOL:
+        raise ValidationError(f"decomposition recomposition error {err:.3e} exceeds {DEFAULT_UNITARITY_TOL:.1e}")
     return dec
 
 
-def tmsv_network(r_phase_mode: int = 0) -> Interferometer:
+def tmsv_network() -> Interferometer:
     """Two-mode network that entangles two equally squeezed inputs into a
-    two-mode squeezed vacuum: a pi/2 phase shifter on one input port followed
+    two-mode squeezed vacuum: a pi/2 phase shifter on input port 0 followed
     by a 50:50 beam splitter.
     """
-    if r_phase_mode not in (0, 1):
-        raise ValidationError("phase mode must be 0 or 1")
     c = 1 / math.sqrt(2)
     bs = np.array([[c, -c], [c, c]])
-    ph = np.array([1j, 1.0]) if r_phase_mode == 0 else np.array([1.0, 1j])
-    return validate_unitary(np.diag(ph) @ bs)
+    return validate_unitary(np.diag([1j, 1.0]) @ bs)

@@ -152,10 +152,11 @@ def estimate_permanent(
     effective sample size (sum w)^2 / sum w^2 below LOW_CONFIDENCE_COUNT.
     For n <= 12 the exact permanent is computed alongside for comparison.
     """
+    shape = np.shape(h)  # checked before embed's eigendecomposition
+    if len(shape) == 2 and shape[0] == shape[1] > SAMPLING_SIZE_LIMIT:
+        raise ValidationError(f"sampling path limited to n <= {SAMPLING_SIZE_LIMIT}, got {shape[0]}")
     emb = embed(h, headroom=headroom)
     n = emb.h.shape[0]
-    if n > SAMPLING_SIZE_LIMIT:
-        raise ValidationError(f"sampling path limited to n <= {SAMPLING_SIZE_LIMIT}, got {n}")
     if shots < 1:
         raise ValidationError(f"shot budget must be >= 1, got {shots}")
     exact = exact_permanent_psd(emb.h) if n <= EXACT_CROSSCHECK_LIMIT else None

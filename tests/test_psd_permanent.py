@@ -10,6 +10,7 @@ from gbsim import (
     estimate_permanent,
     exact_permanent_psd,
 )
+from gbsim import psd_permanent
 
 
 def random_psd(n, seed):
@@ -87,6 +88,12 @@ class TestEstimate:
         estimate_permanent(np.eye(24), 10, seed=0)
         with pytest.raises(ValidationError, match="n <= 24"):
             estimate_permanent(np.eye(25), 10, seed=0)
+
+    def test_size_limit_checked_before_embed(self, monkeypatch):
+        # an oversized input never reaches the eigendecomposition
+        monkeypatch.setattr(psd_permanent, "embed", lambda *a, **k: pytest.fail("embed called"))
+        with pytest.raises(ValidationError, match="n <= 24, got 1500"):
+            estimate_permanent(np.eye(1500), 10, seed=0)
 
     def test_equal_for_every_worker_count(self):
         runs = [estimate_permanent(random_psd(6, 14), 50_000, seed=15, workers=w) for w in (1, 2, 4)]
