@@ -3,8 +3,9 @@ Gaussian input states.
 
 The package provides four exact probability engines (coherent closed form,
 general pairing sum, thermal permanent, squeezed-vacuum pairing sum), an
-exact classical sampler for classical Gaussian inputs, a sampling-based
-estimator for permanents of positive-semidefinite Hermitian matrices, and a
+exact classical sampler for classical Gaussian inputs with a per-shot
+weight estimator of any pattern's probability, a sampling-based estimator
+for permanents of positive-semidefinite Hermitian matrices, and a
 truncated-Fock-space oracle used to validate all of the above.
 """
 
@@ -53,8 +54,9 @@ from .psd_permanent import (
 )
 from .qform import OutputQForm, build_qform
 from .sampler import (
+    PatternEstimate,
     SampleReport,
-    estimate_pattern_probability,
+    estimate_probabilities,
     sample_patterns,
 )
 from .states import (
@@ -82,8 +84,7 @@ __all__ = [
     "PERMANENT_LIMIT", "HAFNIAN_LIMIT",
     "enumerate_patterns", "pairing_matrix",
     "prob_coherent", "prob_general", "prob_thermal", "prob_squeezed",
-    "SampleReport", "sample_patterns",
-    "estimate_pattern_probability",
+    "SampleReport", "sample_patterns", "PatternEstimate", "estimate_probabilities",
     "ThermalEmbedding", "PermanentEstimate", "embed", "estimate_permanent",
     "exact_permanent_psd",
     "GbsimError", "ValidationError", "ContractError", "CutoffError",

@@ -8,19 +8,19 @@ parameter mu_j, and
 
     p(1, 1, ..., 1) = prod_j mu_j * per(H/q) = prod_j mu_j * per(H) / q^N.
 
-Since that experiment has classical inputs it can be sampled exactly: each
-shot draws coherent amplitudes from the thermal P functions and propagates
-them to output amplitudes beta.  Given beta the counts are independent
-Poisson variables, so the shot's all-ones probability is exactly
+Since that experiment has classical inputs it can be sampled exactly, and
+`estimate_permanent` takes p(1, ..., 1) from the sampler's one estimator,
+`estimate_probabilities`: each shot draws coherent amplitudes from the
+thermal P functions and propagates them to output amplitudes beta, and given
+beta the shot's all-ones probability is exactly
 
     w = prod_k |beta_k|^2 exp(-|beta_k|^2),
 
-and the mean of w over shots estimates p(1, ..., 1) without the Poisson
-step (the experiment's hit frequency, averaged over its counts given beta).
-The error bar is the standard error of that mean.  Each shot's all-ones
-event is still drawn, as one Bernoulli(w) per shot, so `count` has exactly
-the law of the experiment's all-ones count.  The estimate is only as good
-as its effective sample size (sum w)^2 / sum w^2, and below
+so the mean of w over shots estimates p(1, ..., 1) without the Poisson
+step, with the standard error of that mean as its error bar.  Each shot's
+all-ones event is still drawn, as one Bernoulli(w) per shot, so `count` has
+exactly the law of the experiment's all-ones count.  The estimate is only
+as good as its effective sample size (sum w)^2 / sum w^2, and below
 LOW_CONFIDENCE_COUNT the run is flagged low-confidence rather than silently
 trusted.  The bar is high because w can be heavy-tailed: for a diagonal H
 with small entries w is a product of n nearly independent factors, its
@@ -34,7 +34,6 @@ several thousand at 2*10^5 shots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import ValidationError
 from .interferometer import validate_unitary
 from .matrix_functions import permanent
-from .sampler import _block_intensity, _run_blocks
+from .sampler import estimate_probabilities
 from .states import GaussianModeState, thermal
 
 DEFAULT_HEADROOM = 0.1
@@ -110,17 +109,6 @@ def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
     return ThermalEmbedding(h, v, w, q, mus, states, False)
 
 
-def _block_ones(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int) -> tuple[int, float, float]:
-    """One block's all-ones hits, sum of w and sum of w^2, where w is each
-    shot's exact all-ones probability; the hits use one uniform per shot,
-    drawn after the block's intensities."""
-    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows)
-    w = np.exp(-lam)
-    w *= lam
-    w = w.prod(axis=1)
-    return int(np.count_nonzero(gen.random(nrows) < w)), float(w.sum()), float(w @ w)
-
-
 @dataclass(frozen=True)
 class PermanentEstimate:
     estimate: float
@@ -144,45 +132,31 @@ def estimate_permanent(
     headroom: float = DEFAULT_HEADROOM,
     workers: int = 1,
 ) -> PermanentEstimate:
-    """Sample the embedded thermal instance and rescale the mean all-ones
-    probability per shot to an estimate of per(h).
+    """Estimate the embedded thermal instance's all-ones probability with
+    `estimate_probabilities` and rescale it by q^n / prod(mu) to per(h).
 
-    `stderr` is the standard error of that mean, `count` the all-ones hits
-    drawn as one Bernoulli per shot, and `low_confidence` marks an
-    effective sample size (sum w)^2 / sum w^2 below LOW_CONFIDENCE_COUNT.
-    For n <= 12 the exact permanent is computed alongside for comparison.
+    `stderr` is the rescaled standard error, `count` the all-ones hits drawn
+    as one Bernoulli per shot, and `low_confidence` marks an effective sample
+    size below LOW_CONFIDENCE_COUNT; a zero matrix reads exactly 0 and is
+    never flagged.  For n <= 12 the exact permanent is computed alongside.
     """
     shape = np.shape(h)  # checked before embed's eigendecomposition
     if len(shape) == 2 and shape[0] == shape[1] > SAMPLING_SIZE_LIMIT:
         raise ValidationError(f"sampling path limited to n <= {SAMPLING_SIZE_LIMIT}, got {shape[0]}")
     emb = embed(h, headroom=headroom)
     n = emb.h.shape[0]
-    if shots < 1:
-        raise ValidationError(f"shot budget must be >= 1, got {shots}")
-    exact = exact_permanent_psd(emb.h) if n <= EXACT_CROSSCHECK_LIMIT else None
-    if emb.is_zero:
-        return PermanentEstimate(0.0, 0.0, 0, shots, exact, False)
-    # D-tilde = W^dag (1-mu) W = h/q  requires the network matrix W = u^dag
+    # D-tilde = W^dag (1-mu) W = h/q  requires the network matrix W = u^dag;
+    # a zero matrix embeds as vacuum, whose all-ones weights are exactly 0
     net = validate_unitary(emb.u.conj().T)
-    count, w_sum, w2_sum = 0, 0.0, 0.0
-
-    def tally(block: tuple[int, float, float]) -> None:
-        nonlocal count, w_sum, w2_sum
-        count += block[0]
-        w_sum += block[1]
-        w2_sum += block[2]
-
-    _run_blocks(list(emb.states), net, shots, seed, workers, _block_ones, tally)
-    mean = w_sum / shots
-    var = max(w2_sum / shots - mean * mean, 0.0)
+    est = estimate_probabilities(list(emb.states), net, [(1,) * n], shots, seed, workers)
     factor = emb.q**n / float(np.prod(emb.mus))
     return PermanentEstimate(
-        estimate=mean * factor,
-        stderr=math.sqrt(var / shots) * factor,
-        count=count,
+        estimate=float(est.estimate[0] * factor),
+        stderr=float(est.stderr[0] * factor),
+        count=int(est.count[0]),
         shots=shots,
-        exact=exact,
-        low_confidence=not w2_sum or w_sum * w_sum / w2_sum < LOW_CONFIDENCE_COUNT,
+        exact=exact_permanent_psd(emb.h) if n <= EXACT_CROSSCHECK_LIMIT else None,
+        low_confidence=not emb.is_zero and bool(est.ess[0] < LOW_CONFIDENCE_COUNT),
     )
 
 

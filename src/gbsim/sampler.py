@@ -7,29 +7,40 @@ mode's photon count from a Poisson law with mean |beta_k|^2.  The resulting
 histogram covers the full photon-count distribution; the {0,1} patterns of
 the exact engines are a sub-event of it.
 
+Given a shot's output amplitudes the counts are independent Poisson
+variables, so the shot's probability of any pattern n is exactly
+
+    w_n = prod_k exp(-|beta_k|^2) |beta_k|^(2 n_k) / n_k!,
+
+and `estimate_probabilities` averages w_n over shots in place of step (3):
+one estimator for every classical input and every pattern, of which the
+PSD-permanent estimator is the all-ones case.
+
 One block loop, `_run_blocks`, hands each block to a reducer.  A block first
-draws its output intensities |beta|^2 (`_block_intensity`); `_block_counts`
-then draws the Poisson counts from the same stream, and `sample_patterns`
-counts their rows as packed int64 keys in numpy, and rows too wide for a key
-exactly.  The PSD-permanent estimator shares the intensities but replaces
-the Poisson step by its own last draw.
+draws its output intensities |beta|^2 (`_block_intensity`), then its last
+step from the same stream: `_block_counts` draws the Poisson counts, which
+`sample_patterns` counts as packed int64 keys in numpy (and rows too wide
+for a key exactly), and `_block_weights` sums w_n and w_n^2 per pattern and
+draws the hits.
 
 Determinism: shots are processed in fixed-size blocks of 4096, and each
 block draws from its own counter-based Philox stream keyed by (seed, block
 index).  How many numbers a block consumes depends on the data (numpy's
 Poisson sampler rejects and redraws), but no two blocks share a stream, so
-each block's counts depend only on the seed and its index.  Counts merge
-additively, so the result is identical for any worker count and any shard
-ordering.
+each block's draws depend only on the seed and its index.  Reducers run in
+block order on the calling thread, so every result, floating-point sums
+included, is identical for any worker count.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,9 +73,14 @@ class SampleReport:
 
 
 class PatternEstimate(NamedTuple):
-    estimate: float
-    stderr: float
-    observed: bool
+    """Per-pattern arrays, in the order the patterns were given: the mean of
+    each shot's exact pattern probability w, its standard error, the effective
+    sample size (sum w)^2 / sum w^2 (0 when every w is 0), and the hits."""
+
+    estimate: np.ndarray
+    stderr: np.ndarray
+    ess: np.ndarray
+    count: np.ndarray
 
 
 def _integer(value, what: str) -> int:
@@ -101,7 +117,7 @@ def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Calla
     order.  `draw` takes the arguments of `_block_counts`."""
     if len(states) != net.m:
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
-    if shots < 1:
+    if _integer(shots, "shot count") < 1:
         raise ValidationError(f"shot count must be >= 1, got {shots}")
     seed = _integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
@@ -174,16 +190,52 @@ def sample_patterns(
     return SampleReport(shots, operator.index(seed), net.m, histogram, time.perf_counter() - t0)
 
 
-def estimate_pattern_probability(report: SampleReport, pattern) -> PatternEstimate:
-    """Monte-Carlo estimate of one pattern's probability with binomial error.
+def _block_weights(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, levels, index: np.ndarray) -> np.ndarray:
+    """One block's hits, sums of w and sums of w^2 per pattern (a (3, P)
+    array), where w is a shot's exact probability of the pattern given its
+    output intensities.  `levels` lists the counts 0, 1 and every larger count
+    the patterns use, and each row of `index` is a pattern as positions in it.
 
-    This is a plain frequency estimator: its multiplicative accuracy is only
-    meaningful for probabilities well above 1/shots.  (Approximating
-    exponentially small probabilities multiplicatively needs approximate
-    counting with an NP oracle, which is out of scope.)
+    The hits draw one uniform u per shot after the intensities: a shot hits
+    pattern i when u falls in [below, below + w_i), with below the sum of the
+    earlier patterns' w, so the hits of distinct patterns are disjoint."""
+    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows)
+    table = np.empty((len(levels), *lam.shape))  # Poisson pmf: table[j] = e^-lam lam^c / c! at c = levels[j]
+    table[0] = np.exp(-lam)
+    table[1] = table[0] * lam
+    with np.errstate(divide="ignore"):  # at lam = 0, log lam = -inf gives the exact 0 of lam^c
+        for j, c in enumerate(levels[2:], 2):  # in logs, since e^-lam underflows where the pmf does not
+            table[j] = np.exp(c * np.log(lam) - lam - math.lgamma(c + 1))
+    u, below = gen.random(nrows), 0.0
+    stats = np.empty((3, len(index)))
+    for i, pattern in enumerate(index):
+        w = table[pattern, :, np.arange(len(pattern))].prod(axis=0)
+        top = below + w
+        stats[:, i] = np.count_nonzero((below <= u) & (u < top)), w.sum(), w @ w
+        below = top
+    return stats
+
+
+def estimate_probabilities(
+    states: list[GaussianModeState], net: Interferometer, patterns, shots: int, seed: int, workers: int = 1
+) -> PatternEstimate:
+    """Estimate each pattern's probability as the mean over shots of its exact
+    probability given the shot's output amplitudes; deterministic for a given
+    seed and identical for every worker count.  The patterns must be distinct.
+
+    Unlike a hit frequency this reaches patterns far rarer than 1/shots, but
+    only as well as its effective sample size: a mean carried by a few shots
+    understates both itself and its error bar.
     """
-    if report.shots < 1:
-        raise ValidationError("empty report")
-    count = report.histogram.get(photon_counts(pattern, report.modes), 0)
-    p_hat = count / report.shots
-    return PatternEstimate(p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / report.shots)), count > 0)
+    patterns = [photon_counts(p, net.m) for p in patterns]
+    if len(set(patterns)) != len(patterns):
+        raise ValidationError("patterns must be distinct")
+    total = np.zeros((3, len(patterns)))  # summed in block order, so equal for every worker count
+    levels = sorted({0, 1}.union(*patterns))
+    draw = partial(_block_weights, levels=levels, index=np.searchsorted(levels, patterns))
+    _run_blocks(states, net, shots, seed, workers, draw, partial(np.add, total, out=total))
+    hits, w_sum, w2_sum = total
+    mean = w_sum / shots
+    var = np.maximum(w2_sum / shots - mean * mean, 0.0)
+    ess = np.divide(w_sum * w_sum, w2_sum, out=np.zeros(len(patterns)), where=w2_sum > 0)
+    return PatternEstimate(mean, np.sqrt(var / shots), ess, hits.astype(np.int64))

@@ -1,6 +1,7 @@
 """Shared helpers for the sampler tests: statistical checks, a reference
-histogram and reference all-ones statistics."""
+histogram and reference per-pattern weight statistics."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -8,6 +9,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from gbsim.engines import enumerate_patterns, prob_thermal
+from gbsim.fock_oracle import apply_network, photon_number_distribution, prepare_input
 from gbsim.sampler import BLOCK_SHOTS, _block_counts
 
 
@@ -30,19 +32,21 @@ def counter_histogram(states, net, shots: int, seed: int) -> Counter:
     return histogram
 
 
-def ones_oracle(states, net, shots: int, seed: int) -> tuple[int, float, float]:
-    """Reference all-ones statistics of a run, rebuilt row by row in plain
-    Python: the Bernoulli hits, the sum of w and the sum of w^2, where
-    w = prod_k lam_k exp(-lam_k) is a shot's all-ones probability given its
-    output intensities lam = |beta|^2.
+def weights_oracle(states, net, patterns, shots: int, seed: int) -> tuple[list[int], list[float], list[float]]:
+    """Reference per-pattern statistics of a run, rebuilt row by row in plain
+    Python: the hits, the sum of w_p and the sum of w_p^2, where
+    w_p = prod_k exp(-lam_k) lam_k^(n_k) / n_k! is a shot's probability of
+    pattern p given its output intensities lam = |beta|^2.
 
     Each block's Philox stream (keyed by seed and block index) gives the
     shot's 2M normals and then one uniform per shot, the order the library
-    draws them in."""
+    draws them in.  The shot hits the pattern whose interval of the running
+    sum of w over the list, [w_1 + ... + w_(p-1), w_1 + ... + w_p), holds its
+    uniform."""
     m = net.m
     sx, sp = (v.tolist() for v in _p_scales(states))
     u = np.asarray(net.u).tolist()
-    hits, weights = 0, []
+    hits, weights = [0] * len(patterns), [[] for _ in patterns]
     for start in range(0, shots, BLOCK_SHOTS):
         nrows = min(BLOCK_SHOTS, shots - start)
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, start // BLOCK_SHOTS], dtype=np.uint64)))
@@ -50,26 +54,25 @@ def ones_oracle(states, net, shots: int, seed: int) -> tuple[int, float, float]:
         for row, uniform in zip(normals, gen.random(nrows).tolist()):
             alpha = [complex(row[j] * sx[j], row[m + j] * sp[j]) for j in range(m)]
             lam = [abs(sum(alpha[j] * u[j][k] for j in range(m))) ** 2 for k in range(m)]
-            w = math.prod(x * math.exp(-x) for x in lam)
-            hits += uniform < w
-            weights.append(w)
-    return hits, math.fsum(weights), math.fsum(w * w for w in weights)
+            below = 0.0
+            for i, pattern in enumerate(patterns):
+                w = math.prod(math.exp(-x) * x**n / math.factorial(n) for x, n in zip(lam, pattern))
+                hits[i] += below <= uniform < below + w
+                weights[i].append(w)
+                below += w
+    return hits, [math.fsum(ws) for ws in weights], [math.fsum(w * w for w in ws) for ws in weights]
 
 
-def thermal_chi2_pvalue(report, qform, min_expected: float = 10.0) -> float:
-    """Multinomial goodness-of-fit p-value of a sample against prob_thermal.
+def chi2_pvalue(report, probs: dict, min_expected: float = 10.0) -> float:
+    """Multinomial goodness-of-fit p-value of a sample against the exact
+    probabilities `probs` of some of its patterns.
 
-    Bins: every {0,1} detection pattern whose expected count clears
-    min_expected, plus a catch-all bin for everything else (multi-photon
-    patterns included).  The catch-all is folded into the largest bin if it
-    is itself too thin.
+    Bins: every pattern in `probs` whose expected count clears min_expected,
+    plus a catch-all bin for everything else.  The catch-all is folded into
+    the largest bin if it is itself too thin.
     """
     shots = report.shots
-    sel = []
-    for pat in enumerate_patterns(qform.m, qform.m):
-        p = prob_thermal(qform, pat)
-        if p * shots >= min_expected:
-            sel.append((pat, p))
+    sel = [(pat, p) for pat, p in probs.items() if p * shots >= min_expected]
     p_other = 1.0 - sum(p for _, p in sel)
     obs = [report.histogram.get(pat, 0) for pat, _ in sel]
     exp = [p * shots for _, p in sel]
@@ -83,6 +86,22 @@ def thermal_chi2_pvalue(report, qform, min_expected: float = 10.0) -> float:
         exp[i] += p_other * shots
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     return float(chi2.sf(stat, len(exp) - 1))
+
+
+def thermal_chi2_pvalue(report, qform, min_expected: float = 10.0) -> float:
+    """`chi2_pvalue` against prob_thermal on the {0,1} detection patterns, so
+    every multi-photon pattern falls in the catch-all bin."""
+    probs = {pat: prob_thermal(qform, pat) for pat in enumerate_patterns(qform.m, qform.m)}
+    return chi2_pvalue(report, probs, min_expected)
+
+
+def fock_chi2_pvalue(report, states, net, cutoff: int, min_expected: float = 10.0) -> float:
+    """`chi2_pvalue` against the Fock oracle's joint photon-number
+    distribution: every pattern with at most `cutoff` photons is its own bin,
+    and the mass above the cutoff falls in the catch-all."""
+    joint = photon_number_distribution(apply_network(prepare_input(states, cutoff), net))
+    probs = {pat: float(joint[pat]) for pat in itertools.product(range(cutoff + 1), repeat=net.m) if sum(pat) <= cutoff}
+    return chi2_pvalue(report, probs, min_expected)
 
 
 def total_photon_moments(report):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -10,8 +11,9 @@ from gbsim import (
     ValidationError,
     build_qform,
     embed,
-    estimate_pattern_probability,
+    enumerate_patterns,
     estimate_permanent,
+    estimate_probabilities,
     exact_permanent_psd,
     haar_random,
     is_classical,
@@ -24,13 +26,20 @@ from gbsim import (
     vacuum,
     validate_unitary,
 )
+from gbsim.engines import probabilities
+from gbsim.fock_oracle import apply_network, pattern_probability, prepare_input
 from statutil import (
     counter_histogram,
+    fock_chi2_pvalue,
     geometric_chi2_pvalue,
-    ones_oracle,
     thermal_chi2_pvalue,
     total_photon_moments,
+    weights_oracle,
 )
+
+
+def binomial_stderr(p: float, shots: int) -> float:
+    return math.sqrt(p * (1.0 - p) / shots)
 
 
 class TestSamplePatterns:
@@ -41,8 +50,7 @@ class TestSamplePatterns:
 
     def test_single_mode_thermal_frequency(self):
         rep = sample_patterns([thermal(3.0)], validate_unitary(np.eye(1)), 200_000, seed=1)
-        est = estimate_pattern_probability(rep, (1,))
-        assert abs(est.estimate - 0.25) < 5 * est.stderr
+        assert abs(rep.frequency((1,)) - 0.25) < 5 * binomial_stderr(0.25, rep.shots)
 
     def test_deterministic_across_runs_and_workers(self):
         states = [thermal(2.0), thermal(3.0)]
@@ -112,8 +120,7 @@ class TestSamplePatterns:
         rep = sample_patterns(states, net, 200_000, seed=4)
         for pat in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0)]:
             p = prob_thermal(qf, pat)
-            est = estimate_pattern_probability(rep, pat)
-            assert abs(est.estimate - p) < 5 * max(est.stderr, 1e-6)
+            assert abs(rep.frequency(pat) - p) < 5 * binomial_stderr(p, rep.shots)
 
     def test_energy_conservation(self):
         states = [thermal(2.0), thermal(3.0), vacuum()]
@@ -129,6 +136,15 @@ class TestSamplePatterns:
         qf = build_qform(states, net)
         rep = sample_patterns(states, net, 100_000, seed=6)
         assert thermal_chi2_pvalue(rep, qf) > 1e-3
+
+    @pytest.mark.parametrize("vs", [(1.6, 2.8), (1.8, 2.6, 1.3)])
+    def test_full_histogram_matches_fock_oracle(self, vs):
+        # every pattern up to the cutoff, multi-photon ones included, is its
+        # own bin, so a wrong bunching law fails here
+        states = [thermal(v) for v in vs]
+        net = haar_random(len(vs), 13)
+        rep = sample_patterns(states, net, 100_000, seed=13)
+        assert fock_chi2_pvalue(rep, states, net, cutoff=12) > 1e-3
 
     def test_bright_mode_follows_geometric_law(self):
         # through the identity a thermal mode's counts are geometric with mean (v - 1)/2
@@ -225,17 +241,21 @@ class TestPackedReduce:
         assert REDUCE_CASES["folds-m6"][2] % sampler_module.BLOCK_SHOTS
 
 
+def random_psd(n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    return g.conj().T @ g
+
+
 class TestOnesWeights:
     # at n = 16 the all-ones pattern is far too rare to be hit: both counts are 0,
     # while the weights still estimate its probability
     @pytest.mark.parametrize("n, shots", [(4, 100_000), (16, 20_000)])
     def test_estimator_matches_row_oracle(self, n, shots):
-        rng = np.random.default_rng(n)
-        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-        h = g.conj().T @ g
+        h = random_psd(n)
         emb = embed(h)
         states, net = list(emb.states), validate_unitary(emb.u.conj().T)
-        hits, w_sum, w2_sum = ones_oracle(states, net, shots, 41)
+        (hits,), (w_sum,), (w2_sum,) = weights_oracle(states, net, [(1,) * n], shots, 41)
         factor = emb.q**n / math.prod(emb.mus)
         mean = w_sum / shots
         estimate = factor * mean
@@ -253,27 +273,119 @@ class TestOnesWeights:
             assert abs(count - shots * p_ones) <= 5 * sigma
 
 
+def assert_same(a, b) -> None:
+    assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def assert_within_5_sigma(est, exact) -> None:
+    z = np.abs(est.estimate - np.asarray(exact)) / est.stderr
+    assert z.max() < 5, f"worst {z.max():.2f} error bars"
+
+
+class TestEstimateProbabilities:
+    def test_mixed_patterns_match_row_oracle(self):
+        # 0/1 and multi-photon patterns in one list; the hits follow the running sum of w over it
+        states = [thermal(2.5), squeezed_thermal(2.0, 0.2), thermal(1.6)]
+        net = haar_random(3, 40)
+        patterns = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 1), (1, 1, 1), (0, 3, 0), (4, 1, 2)]
+        shots = 3 * 4096 + 77
+        hits, w_sum, w2_sum = weights_oracle(states, net, patterns, shots, 43)
+        mean = np.array(w_sum) / shots
+        for workers in (1, 2, 4):
+            est = estimate_probabilities(states, net, patterns, shots, 43, workers=workers)
+            assert est.count.tolist() == hits
+            assert est.estimate == pytest.approx(mean, rel=1e-12, abs=0)
+            assert est.stderr == pytest.approx(np.sqrt((np.array(w2_sum) / shots - mean**2) / shots), rel=1e-9, abs=0)
+            assert est.ess == pytest.approx(np.square(w_sum) / np.array(w2_sum), rel=1e-12, abs=0)
+        assert min(hits) > 0
+
+    @pytest.mark.parametrize("m, n_max, shots", [(6, 6, 2**17), (10, 4, 2**16)])
+    def test_general_engine_on_squeezed_thermal_inputs(self, m, n_max, shots):
+        # mixed inputs (lam != 0, mu != 1): only the general engine applies, and
+        # nothing else gives an independent value
+        rng = np.random.default_rng(m)
+        states = [squeezed_thermal(v, r) for v, r in zip(rng.uniform(2.0, 3.0, m), rng.uniform(0.1, 0.3, m))]
+        net = haar_random(m, 50 + m)
+        patterns = list(enumerate_patterns(m, n_max))
+        est = estimate_probabilities(states, net, patterns, shots, seed=m)
+        assert_within_5_sigma(est, probabilities(build_qform(states, net), "general", patterns))
+
+    def test_thermal_engine(self):
+        states = [thermal(v) for v in (1.8, 2.6, 1.3, 3.1)]
+        net = haar_random(4, 61)
+        patterns = list(enumerate_patterns(4, 4))
+        est = estimate_probabilities(states, net, patterns, 2**16, seed=61)
+        assert_within_5_sigma(est, probabilities(build_qform(states, net), "thermal", patterns))
+
+    def test_fock_oracle_on_multi_photon_patterns(self):
+        states = [thermal(2.2), thermal(1.5), vacuum()]
+        net = haar_random(3, 62)
+        patterns = [p for p in itertools.product(range(5), repeat=3) if sum(p) <= 4]
+        oracle = apply_network(prepare_input(states, 4), net)
+        est = estimate_probabilities(states, net, patterns, 2**16, seed=62)
+        assert_within_5_sigma(est, [pattern_probability(oracle, p) for p in patterns])
+
+    @pytest.mark.parametrize("v, counts", [(3.0, range(11)), (2001.0, [0, 1, 10, 1000, 3000])])
+    def test_one_mode_geometric_law(self, v, counts):
+        # p(n) = nbar^n / (nbar + 1)^(n + 1); at nbar = 1000 most shots have
+        # e^-lam below the smallest double, while the pmf near the mean does not
+        nbar = (v - 1.0) / 2.0
+        est = estimate_probabilities([thermal(v)], validate_unitary(np.eye(1)), [(n,) for n in counts], 2**16, seed=63)
+        assert_within_5_sigma(est, [math.exp(n * math.log(nbar) - (n + 1) * math.log1p(nbar)) for n in counts])
+
+    def test_equal_for_every_worker_count(self):
+        states = [thermal(2.0), squeezed_thermal(2.5, 0.3)]
+        net = haar_random(2, 64)
+        patterns = [(0, 0), (1, 0), (2, 3), (0, 1)]
+        runs = [estimate_probabilities(states, net, patterns, 30_000, seed=64, workers=w) for w in (1, 2, 4)]
+        assert_same(runs[0], runs[1])
+        assert_same(runs[0], runs[2])
+
+    def test_vacuum_modes_and_empty_list(self):
+        # through the identity a vacuum mode has lam = 0 exactly: its weights are 1 at count 0, else 0
+        net = validate_unitary(np.eye(2))
+        est = estimate_probabilities([thermal(3.0), vacuum()], net, [(1, 0), (0, 1), (3, 2)], 5000, seed=0)
+        assert est.estimate[0] > 0 and est.estimate[1:].tolist() == [0.0, 0.0]
+        assert est.ess[1:].tolist() == [0.0, 0.0] and est.count[1:].tolist() == [0, 0]
+        empty = estimate_probabilities([thermal(3.0), vacuum()], net, [], 10, seed=0)
+        assert all(len(a) == 0 for a in empty)
+
+    @pytest.mark.parametrize("patterns", [[(1, 0), (1, 0)], [(1, 0), (1.0, 0)], [(2, 1), np.array([2, 1])]])
+    def test_rejects_repeated_patterns(self, patterns):
+        with pytest.raises(ValidationError, match="distinct"):
+            estimate_probabilities([thermal(2.0)] * 2, haar_random(2, 65), patterns, 10, seed=0)
+
+    def test_rejects_non_classical_inputs(self):
+        with pytest.raises(ValidationError, match="mode 0"):
+            estimate_probabilities([squeezed(0.3)], validate_unitary(np.eye(1)), [(1,)], 10, seed=0)
+
+
+class TestShotCount:
+    # (entry point, a valid call) for each public function that takes a shot count
+    CALLS = {
+        "sample_patterns": lambda shots: sample_patterns([thermal(2.0)], validate_unitary(np.eye(1)), shots, 0),
+        "estimate_probabilities": lambda shots: estimate_probabilities(
+            [thermal(2.0)], validate_unitary(np.eye(1)), [(1,)], shots, 0
+        ),
+        "estimate_permanent": lambda shots: estimate_permanent(random_psd(3), shots, 0),
+        "estimate_permanent-zero": lambda shots: estimate_permanent(np.zeros((3, 3)), shots, 0),
+    }
+
+    @pytest.mark.parametrize("shots", [10.0, 10.5, "10", None, 0, -3])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_rejects_bad_shot_count(self, call, shots):
+        with pytest.raises(ValidationError, match="shot count"):
+            self.CALLS[call](shots)
+
+    @pytest.mark.parametrize("shots", [np.int64(10), True])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_accepts_integer_shot_count(self, call, shots):
+        self.CALLS[call](shots)
+
+
 class TestEstimate:
     def _report(self, counts, shots):
         return SampleReport(shots=shots, seed=0, modes=2, histogram=counts)
-
-    def test_unobserved_flag(self):
-        rep = self._report({(0, 0): 100}, 100)
-        est = estimate_pattern_probability(rep, (1, 1))
-        assert est == (0.0, 0.0, False)
-
-    def test_certain_pattern(self):
-        rep = self._report({(0, 0): 100}, 100)
-        est = estimate_pattern_probability(rep, (0, 0))
-        assert est.estimate == 1.0
-        assert est.stderr == 0.0
-        assert est.observed
-
-    def test_binomial_error(self):
-        rep = self._report({(1, 0): 250, (0, 0): 999_750}, 1_000_000)
-        est = estimate_pattern_probability(rep, (1, 0))
-        assert est.estimate == pytest.approx(2.5e-4, abs=0)
-        assert est.stderr == pytest.approx(math.sqrt(2.5e-4 * (1 - 2.5e-4) / 1e6), rel=1e-12)
 
     @pytest.mark.parametrize("pattern", [(1.9, 0), (0.5, 1), (1,), (1, 0, 0), ("1", 0), (-1, 0), (float("nan"), 0)])
     def test_lookup_rejects_malformed_pattern(self, pattern):
@@ -282,10 +394,12 @@ class TestEstimate:
         with pytest.raises(ValidationError, match="pattern"):
             rep.frequency(pattern)
         with pytest.raises(ValidationError, match="pattern"):
-            estimate_pattern_probability(rep, pattern)
+            estimate_probabilities([thermal(2.0)] * 2, haar_random(2, 66), [pattern], 10, seed=0)
 
     def test_lookup_accepts_integer_values(self):
         rep = self._report({(2, 0): 4, (0, 0): 6}, 10)
+        net = haar_random(2, 66)
+        reference = estimate_probabilities([thermal(2.0)] * 2, net, [(2, 0)], 1000, seed=0)
         for pattern in [(2, 0), (2.0, 0), np.array([2, 0]), (np.int64(2), False)]:
             assert rep.frequency(pattern) == 0.4
-            assert estimate_pattern_probability(rep, pattern).estimate == 0.4
+            assert_same(estimate_probabilities([thermal(2.0)] * 2, net, [pattern], 1000, seed=0), reference)
