@@ -29,9 +29,6 @@ from .errors import (
 )
 from .interferometer import (
     Interferometer,
-    NetworkDecomposition,
-    TwoModeLayer,
-    decompose,
     haar_random,
     propagate_coherent,
     tmsv_network,
@@ -77,8 +74,8 @@ __all__ = [
     "GaussianModeState", "QFunctionParams", "vacuum", "thermal", "squeezed",
     "squeezed_thermal", "derive_q_params", "is_classical", "mean_photon_number",
     "state_from_descriptor",
-    "Interferometer", "TwoModeLayer", "NetworkDecomposition", "validate_unitary",
-    "haar_random", "propagate_coherent", "decompose", "tmsv_network",
+    "Interferometer", "validate_unitary", "haar_random", "propagate_coherent",
+    "tmsv_network",
     "OutputQForm", "build_qform",
     "permanent", "hafnian", "submatrix_by_pattern", "detected_modes",
     "PERMANENT_LIMIT", "HAFNIAN_LIMIT",

@@ -70,6 +70,8 @@ def _load_config(path: str) -> dict:
 
 
 def _config_states(cfg: dict) -> list:
+    if not isinstance(cfg["states"], list):
+        raise ValidationError("config field 'states' must be an array")
     states = []
     for i, desc in enumerate(cfg["states"]):
         try:
@@ -83,7 +85,7 @@ def _config_states(cfg: dict) -> list:
 
 def _config_unitary(cfg: dict, base_dir: str):
     entry = cfg["unitary"]
-    if isinstance(entry, dict) and "file" in entry:
+    if isinstance(entry, dict) and isinstance(entry.get("file"), str):
         path = entry["file"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
@@ -107,6 +109,8 @@ def _load_run(path: str) -> tuple[dict, list, Interferometer]:
 
 def _config_patterns(cfg: dict, m: int) -> list[tuple[int, ...]]:
     if "patterns" in cfg:
+        if not isinstance(cfg["patterns"], list):
+            raise ValidationError("config field 'patterns' must be an array")
         pats = []
         for i, p in enumerate(cfg["patterns"]):
             try:
@@ -116,7 +120,10 @@ def _config_patterns(cfg: dict, m: int) -> list[tuple[int, ...]]:
             pats.append(tuple(int(x) for x in p))
         return pats
     if "n_max" in cfg:
-        return list(enumerate_patterns(m, int(cfg["n_max"])))
+        n_max = cfg["n_max"]
+        if not isinstance(n_max, int) and not (isinstance(n_max, float) and n_max.is_integer()):
+            raise ValidationError(f"config field 'n_max' must be an integer, got {n_max!r}")
+        return list(enumerate_patterns(m, int(n_max)))
     raise ValidationError("config needs either 'patterns' or 'n_max'")
 
 

@@ -37,7 +37,7 @@ _CHUNK_TERMS = 1 << 18
 
 
 def applicable(qform: OutputQForm) -> list[str]:
-    """Names of the engines in ENGINES whose preconditions hold for these inputs.
+    """Names of the engines whose preconditions hold for these inputs.
 
     Ordered general, thermal, squeezed; the last entry is the most specialized
     applicable engine, so all-vacuum inputs pick the squeezed engine.
@@ -156,7 +156,3 @@ def prob_squeezed(qform: OutputQForm, pattern) -> float:
     Precondition: every input mode is pure squeezed vacuum (mu_s = 1).
     """
     return float(probabilities(qform, "squeezed", [pattern])[0])
-
-
-# Engine table keyed by the names `applicable` returns.
-ENGINES = {"general": prob_general, "thermal": prob_thermal, "squeezed": prob_squeezed}

@@ -3,7 +3,10 @@
 Supports at most four modes and thermal / squeezed-vacuum / vacuum inputs.
 A linear network conserves the total photon number N, so it acts on each
 N-photon sector alone, by a unitary U_N on the C(N+M-1, M-1) compositions of
-N into M modes (the phi(U) of Aaronson & Arkhipov, arXiv:1011.3245).  The
+N into M modes (the phi(U) of Aaronson & Arkhipov, arXiv:1011.3245).  U_N
+is composed from this module's own Givens sweep of U, each layer a phase
+and a beam-splitter block per sector, and its one-photon sector is checked
+against U itself, so the sweep's convention has a single implementation.  The
 cutoff is the largest total photon number the caller will ask about: the
 input is truncated on N <= cutoff, and within a sector the evolution is
 exact, so every pattern with at most `cutoff` photons gets its exact
@@ -19,15 +22,17 @@ forms no permanents, is single-threaded, and is capped in size.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import CutoffError, ValidationError
-from .interferometer import Interferometer, decompose
+from .interferometer import DEFAULT_UNITARITY_TOL, Interferometer
 from .matrix_functions import photon_counts
 from .states import _PURE_MU_TOL, _THERMAL_LAM_TOL, GaussianModeState, derive_q_params, mean_photon_number
 
@@ -149,23 +154,70 @@ def _bs_block(s: int, theta: float) -> np.ndarray:
     return ((v * np.exp(-1j * theta * lam)) @ v.conj().T).real
 
 
+def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, float, float]], np.ndarray]:
+    """Triangular sweep of Givens layers nulling U's below-diagonal entries
+    (Reck et al., PRL 73, 58 (1994)).
+
+    Layer (i, j, theta, phi) puts phase phi on mode i, then rotates modes
+    (i, j) by theta; on those two modes' amplitudes (beta = alpha @ L) it is
+
+        [[exp(i phi) cos theta, -exp(i phi) sin theta],
+         [sin theta,             cos theta           ]]
+
+    Returns the at most M(M-1)/2 layers and the residue R, with
+    U = L_1 ... L_k R: R is diagonal phases up to U's unitarity defect.
+    """
+    work = np.array(u, dtype=complex)
+    layers = []
+    for col, row in combinations(range(len(work)), 2):
+        a, b = work[col, col], work[row, col]
+        if b == 0:
+            continue
+        phi = cmath.phase(a) - cmath.phase(b)
+        theta = math.atan2(abs(b), abs(a))
+        cs, sn, e = math.cos(theta), math.sin(theta), cmath.exp(-1j * phi)
+        # inverse layer acting on rows (col, row): zeroes work[row, col]
+        rc, rr = work[col].copy(), work[row].copy()
+        work[col] = cs * e * rc + sn * rr
+        work[row] = -sn * e * rc + cs * rr
+        work[row, col] = 0.0
+        layers.append((col, row, theta, phi))
+    phases = np.diagonal(work)
+    bound = 1e3 * DEFAULT_UNITARITY_TOL
+    if np.abs(work - np.diag(phases)).max() > bound or np.abs(np.abs(phases) - 1).max() > bound:
+        raise ValidationError("decomposition failed to reduce the matrix to diagonal phases")
+    return layers, work
+
+
 def _sector_unitaries(net: Interferometer, cutoff: int) -> Iterator[np.ndarray]:
-    """Yield U_N for N = 0 .. cutoff, composed from the decomposition's layers."""
-    dec = decompose(net)
-    m = net.m
-    blocks = [[_bs_block(s, lay.theta) for s in range(cutoff + 1)] if lay.theta != 0.0 else [] for lay in dec.layers]
-    angles = np.angle(dec.phases)
+    """Yield U_N for N = 0 .. cutoff: the Givens layers of U, then the phases
+    of the residue's diagonal.
+
+    Sector 1 acts on one photon as the network does, so it is checked against
+    U: a layer action out of step with `_givens` raises ValidationError.
+    """
+    layers, residue = _givens(net.u)
+    blocks = [[_bs_block(s, theta) for s in range(cutoff + 1)] if theta != 0.0 else [] for _, _, theta, _ in layers]
+    angles = np.angle(np.diagonal(residue))
     for n in range(cutoff + 1):
-        basis = _basis(n, m)
+        basis = _basis(n, net.m)
         u = np.eye(len(basis), dtype=complex)
-        for layer, ks in zip(dec.layers, blocks):
-            i, j = layer.modes
-            if layer.phi != 0.0:
-                u *= np.exp(1j * layer.phi * basis[:, i])[:, None]
-            for s, idx in _pair_blocks(n, m, i, j) if ks else ():
+        for (i, j, _, phi), ks in zip(layers, blocks):
+            if phi != 0.0:
+                u *= np.exp(1j * phi * basis[:, i])[:, None]
+            for s, idx in _pair_blocks(n, net.m, i, j) if ks else ():
                 rows = u[idx]
                 u[idx] = (ks[s] @ rows.reshape(s + 1, -1)).reshape(rows.shape)
-        yield u * np.exp(1j * (basis @ angles))[:, None]
+        u = u * np.exp(1j * (basis @ angles))[:, None]
+        if n == 1:  # row r holds the photon in mode basis[r].argmax()
+            modes = basis.argmax(axis=1)
+            at = np.ix_(modes, modes)
+            # U = layers @ R and sector 1 is layers @ (R's diagonal phases), so undoing
+            # those phases on R recomposes U to roundoff whatever U's own unitarity defect
+            err = float(np.abs(u.T @ (residue * np.exp(-1j * angles)[:, None])[at] - net.u[at]).max())
+            if err > DEFAULT_UNITARITY_TOL:
+                raise ValidationError(f"sector 1 is off the network by {err:.3e} (tolerance {DEFAULT_UNITARITY_TOL:.1e})")
+        yield u
 
 
 def _row_mass(kets: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ValidationError
 from .interferometer import validate_unitary
 from .matrix_functions import permanent
-from .sampler import estimate_probabilities
+from .sampler import LOW_CONFIDENCE_COUNT, estimate_probabilities  # the threshold the docstrings name
 from .states import GaussianModeState, thermal
 
 DEFAULT_HEADROOM = 0.1
@@ -50,7 +50,6 @@ _EIG_FLOOR = -1e-9
 _RECON_TOL = 1e-9
 EXACT_CROSSCHECK_LIMIT = 12
 SAMPLING_SIZE_LIMIT = 24
-LOW_CONFIDENCE_COUNT = 1000  # effective sample size; see the module docstring
 
 
 def _check_psd_hermitian(h) -> np.ndarray:
@@ -156,7 +155,7 @@ def estimate_permanent(
         count=int(est.count[0]),
         shots=shots,
         exact=exact_permanent_psd(emb.h) if n <= EXACT_CROSSCHECK_LIMIT else None,
-        low_confidence=not emb.is_zero and bool(est.ess[0] < LOW_CONFIDENCE_COUNT),
+        low_confidence=not emb.is_zero and bool(est.low_confidence[0]),
     )
 
 

@@ -56,6 +56,9 @@ BLOCK_SHOTS = 4096  # fixed: part of the deterministic stream-derivation policy
 # a total mean this far below that limit never reaches it.
 MAX_MEAN_PHOTONS = 1e15
 FOLD_KEYS = 1 << 16  # packed keys held before they are folded into the running counts
+# Effective sample size below which an estimate is flagged low-confidence; the
+# evidence for this bar is in the psd_permanent module docstring.
+LOW_CONFIDENCE_COUNT = 1000
 
 
 @dataclass
@@ -75,12 +78,15 @@ class SampleReport:
 class PatternEstimate(NamedTuple):
     """Per-pattern arrays, in the order the patterns were given: the mean of
     each shot's exact pattern probability w, its standard error, the effective
-    sample size (sum w)^2 / sum w^2 (0 when every w is 0), and the hits."""
+    sample size (sum w)^2 / sum w^2 (0 when every w is 0), the hits, and
+    whether the effective sample size is below LOW_CONFIDENCE_COUNT, where
+    the mean and its error bar cannot be trusted."""
 
     estimate: np.ndarray
     stderr: np.ndarray
     ess: np.ndarray
     count: np.ndarray
+    low_confidence: np.ndarray
 
 
 def _integer(value, what: str) -> int:
@@ -238,4 +244,4 @@ def estimate_probabilities(
     mean = w_sum / shots
     var = np.maximum(w2_sum / shots - mean * mean, 0.0)
     ess = np.divide(w_sum * w_sum, w2_sum, out=np.zeros(len(patterns)), where=w2_sum > 0)
-    return PatternEstimate(mean, np.sqrt(var / shots), ess, hits.astype(np.int64))
+    return PatternEstimate(mean, np.sqrt(var / shots), ess, hits.astype(np.int64), ess < LOW_CONFIDENCE_COUNT)

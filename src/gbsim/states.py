@@ -126,15 +126,21 @@ def state_from_descriptor(desc: dict) -> GaussianModeState:
     if not isinstance(desc, dict) or "type" not in desc:
         raise ValidationError(f"state descriptor must be an object with a 'type' field: {desc!r}")
     kind = desc["type"]
-    try:
-        if kind == "vacuum":
-            return vacuum()
-        if kind == "thermal":
-            return thermal(float(desc["v"]))
-        if kind == "squeezed":
-            return squeezed(float(desc["r"]))
-        if kind == "squeezed_thermal":
-            return squeezed_thermal(float(desc["v"]), float(desc["r"]))
-    except KeyError as exc:
-        raise ValidationError(f"state descriptor {desc!r} is missing field {exc}") from None
+
+    def field(name: str) -> float:
+        if name not in desc:
+            raise ValidationError(f"state descriptor {desc!r} is missing field {name!r}")
+        try:
+            return float(desc[name])
+        except (TypeError, ValueError):
+            raise ValidationError(f"state field {name!r} must be a number, got {desc[name]!r}") from None
+
+    if kind == "vacuum":
+        return vacuum()
+    if kind == "thermal":
+        return thermal(field("v"))
+    if kind == "squeezed":
+        return squeezed(field("r"))
+    if kind == "squeezed_thermal":
+        return squeezed_thermal(field("v"), field("r"))
     raise ValidationError(f"unknown state type {kind!r}")

@@ -305,6 +305,41 @@ class TestValidate:
         assert capsys.readouterr().out == ""
 
 
+MALFORMED_VALUES = {
+    "n_max-fraction": {"n_max": 2.7},
+    "n_max-string": {"n_max": "abc"},
+    "n_max-null": {"n_max": None},
+    "v-string": {"states": [{"type": "thermal", "v": "abc"}, {"type": "thermal", "v": 1.5}]},
+    "v-null": {"states": [{"type": "thermal", "v": None}, {"type": "thermal", "v": 1.5}]},
+    "r-array": {"states": [{"type": "squeezed", "r": [1]}, {"type": "thermal", "v": 1.5}]},
+    "states-number": {"states": 5},
+    "patterns-number": {"patterns": 5},
+    "unitary-file-number": {"unitary": {"file": 5}},
+    "seed-negative": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+def test_malformed_values_exit_1_without_traceback(thermal_config, case, capsys):
+    # never truncated (2.7 read as 2) and never a bare Python error
+    fields = MALFORMED_VALUES[case]
+    if fields is None:
+        argv = ["haar", "--modes", "2", "--seed", "-1"]
+    else:
+        argv = ["prob", "--config", str(_edited_config(thermal_config, **fields))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gbsim: error:") and "Traceback" not in err
+
+
+def test_integer_values_still_run(thermal_config, capsys):
+    states = [{"type": "thermal", "v": 2}, {"type": "thermal", "v": 1.5}]
+    for fields in ({"n_max": 2, "states": states}, {"n_max": 2.0}):
+        assert main(["prob", "--config", str(_edited_config(thermal_config, **fields))]) == 0
+    assert main(["haar", "--modes", "2", "--seed", "0"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_version_embedded_in_reports(thermal_config, capsys):
     main(["prob", "--config", str(thermal_config)])
     assert f"# gbsim {gbsim.__version__}" in capsys.readouterr().out
@@ -349,7 +384,7 @@ def _parse_report(text, fmt):
 
 def _per_pattern_rows(cfg_path, command):
     """The rows of `prob --validate` or `validate --oracle`, one engine call per pattern."""
-    from gbsim.engines import ENGINES, applicable
+    from gbsim.engines import applicable
     from gbsim.fock_oracle import apply_network, pattern_probability, prepare_input
 
     cfg = json.loads(cfg_path.read_text())
@@ -359,9 +394,10 @@ def _per_pattern_rows(cfg_path, command):
     names = applicable(qf)
     # a wider cutoff than the CLI's largest pattern: reports must not depend on it
     fock = apply_network(prepare_input(states, cutoff=12), net) if command == "validate" else None
+    one_pattern = {"general": gbsim.prob_general, "thermal": gbsim.prob_thermal, "squeezed": gbsim.prob_squeezed}
     rows = []
     for pat in cfg["patterns"]:
-        vals = {name: ENGINES[name](qf, pat) for name in names}
+        vals = {name: one_pattern[name](qf, pat) for name in names}
         row = {"pattern": ",".join(map(str, pat)), "N": sum(pat)}
         if command == "prob":
             row.update(probability=vals[names[-1]], engine=names[-1], crosscheck_delta=max(vals.values()) - min(vals.values()))

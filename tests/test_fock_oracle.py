@@ -203,6 +203,33 @@ class TestApplyNetwork:
         with pytest.raises(CutoffError, match="unitary"):
             apply_network(st, haar_random(2, 3))
 
+    def test_sector_one_off_the_network_raises(self, monkeypatch):
+        # the sweep runs at the real tolerance, so only the sector-1 check sees -1
+        net = haar_random(2, 3)
+        sweep = fock_oracle._givens(net.u)
+        monkeypatch.setattr(fock_oracle, "_givens", lambda u: sweep)
+        monkeypatch.setattr(fock_oracle, "DEFAULT_UNITARITY_TOL", -1.0)
+        with pytest.raises(ValidationError, match="sector 1"):
+            apply_network(prepare_input([thermal(2.0), thermal(1.5)], cutoff=2), net)
+
+    @pytest.mark.parametrize("case", ["scaled", "perturbed"])
+    def test_accepts_every_network_validate_unitary_accepts(self, case):
+        # the Givens layers are exactly unitary where U is not; sector 1 with the
+        # sweep's residue recomposes U to roundoff whatever U's own defect
+        if case == "scaled":
+            u = haar_random(3, 8).u * (1 + 2e-11)
+        else:  # an amplitude-level recomposition misses this U by 1.08e-10
+            re, im = np.random.default_rng([96, 1]).standard_normal((2, 4, 4))
+            e = re + 1j * im
+            u = haar_random(4, 96).u + 7e-11 * e / np.abs(e).max()
+        net = validate_unitary(u)
+        assert 3e-11 < net.unitarity_defect <= 1e-10
+        states = [thermal(1.6), squeezed(0.3), vacuum(), thermal(1.2)][: net.m]
+        fock = apply_network(prepare_input(states, cutoff=3), net)
+        qf = build_qform(states, net)
+        for pat in enumerate_patterns(net.m, 3):
+            assert abs(pattern_probability(fock, pat) - prob_general(qf, pat)) <= 1e-9
+
 
 class TestBeamSplitterBlocks:
     @pytest.mark.parametrize("theta", [0.3, -1.1, math.pi / 4, 2.5])

@@ -5,12 +5,12 @@ import pytest
 
 from gbsim import (
     ValidationError,
-    decompose,
     haar_random,
     propagate_coherent,
     tmsv_network,
     validate_unitary,
 )
+from gbsim.fock_oracle import _basis, _givens, _sector_unitaries
 
 
 class TestValidate:
@@ -90,31 +90,38 @@ class TestPropagate:
             propagate_coherent(validate_unitary(np.eye(2)), [1.0, 0.0, 0.0])
 
 
+def sector_one(net):
+    """The one-photon sector unitary, rows and columns in mode order."""
+    order = np.argsort(_basis(1, net.m).argmax(axis=1))  # the row of the photon in each mode
+    return list(_sector_unitaries(net, 1))[1][np.ix_(order, order)]
+
+
 class TestDecompose:
+    """The Givens sweep the Fock oracle composes its sector unitaries from."""
+
     def test_identity_is_pure_phases(self):
-        dec = decompose(validate_unitary(np.eye(4)))
-        assert dec.layers == ()
-        assert np.allclose(dec.phases, 1.0, atol=0)
+        layers, residue = _givens(np.eye(4))
+        assert layers == []
+        assert np.array_equal(residue, np.eye(4))  # phases of exactly 1
 
     def test_real_rotation_single_layer(self):
         th = 0.6
         u = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        dec = decompose(validate_unitary(u))
-        assert len(dec.layers) == 1
-        assert dec.layers[0].theta == pytest.approx(th, abs=1e-14)
-        assert dec.layers[0].phi == pytest.approx(0.0, abs=1e-14)
+        layers, _ = _givens(u)
+        assert len(layers) == 1
+        _, _, theta, phi = layers[0]
+        assert theta == pytest.approx(th, abs=1e-14)
+        assert phi == pytest.approx(0.0, abs=1e-14)
 
     def test_haar_4_layer_count_and_recompose(self):
         net = haar_random(4, 77)
-        dec = decompose(net)
-        assert len(dec.layers) <= 6
-        assert np.abs(dec.matrix() - net.u).max() <= 1e-10
+        assert len(_givens(net.u)[0]) <= 6
+        assert np.abs(sector_one(net).T - net.u).max() <= 1e-10
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_recompose_random(self, m):
         net = haar_random(m, 100 + m)
-        dec = decompose(net)
-        assert np.abs(dec.matrix() - net.u).max() <= 1e-10
+        assert np.abs(sector_one(net).T - net.u).max() <= 1e-10
 
 
 def test_tmsv_network_shape():

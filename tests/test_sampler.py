@@ -350,6 +350,14 @@ class TestEstimateProbabilities:
         empty = estimate_probabilities([thermal(3.0), vacuum()], net, [], 10, seed=0)
         assert all(len(a) == 0 for a in empty)
 
+    def test_flags_a_mean_few_shots_carry(self):
+        # no shot of 8192 comes near 400 photons, so that mean reads 0 +- 0 where
+        # the exact value is 2^-401 = 1.9e-121; only the flag tells the two apart
+        est = estimate_probabilities([thermal(3.0)], validate_unitary(np.eye(1)), [(400,), (1,)], 8192, seed=0)
+        assert est.estimate[0] == est.stderr[0] == 0.0
+        assert est.low_confidence.tolist() == [True, False]
+        assert est.low_confidence.tolist() == (est.ess < sampler_module.LOW_CONFIDENCE_COUNT).tolist()
+
     @pytest.mark.parametrize("patterns", [[(1, 0), (1, 0)], [(1, 0), (1.0, 0)], [(2, 1), np.array([2, 1])]])
     def test_rejects_repeated_patterns(self, patterns):
         with pytest.raises(ValidationError, match="distinct"):
