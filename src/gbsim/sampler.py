@@ -21,7 +21,8 @@ draws its output intensities |beta|^2 (`_block_intensity`), then its last
 step from the same stream: `_block_counts` draws the Poisson counts, which
 `sample_patterns` counts as packed int64 keys in numpy (and rows too wide
 for a key exactly), and `_block_weights` sums w_n and w_n^2 per pattern and
-draws the hits.
+draws the hits.  Each run gives every thread one `_Scratch` of block-sized
+arrays, which its blocks write into in turn.
 
 Determinism: shots are processed in fixed-size blocks of 4096, and each
 block draws from its own counter-based Philox stream keyed by (seed, block
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -96,25 +98,47 @@ def _integer(value, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
+class _Scratch(threading.local):
+    """Each thread's working arrays of one run, reused block after block.
+
+    Fresh arrays for every block leave it to the heap whether their pages
+    stay mapped: when freeing them handed the pages back to the OS, every
+    block faulted them in again, and `estimate_probabilities` ran about 15%
+    slower or not, depending on where earlier allocations happened to lie.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def rows(self, name: str, nrows: int, shape: tuple = (), dtype=float) -> np.ndarray:
+        """The first `nrows` rows of this thread's BLOCK_SHOTS-row array `name`."""
+        if name not in self.arrays:
+            self.arrays[name] = np.empty((BLOCK_SHOTS, *shape), dtype)
+        return self.arrays[name][:nrows]
+
+
 def _block_intensity(
-    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int
+    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, scratch: _Scratch
 ) -> tuple[np.random.Generator, np.ndarray]:
     """The block's own generator and each shot's output intensities |beta|^2,
-    drawn first from that generator's stream."""
+    drawn first from that generator's stream.  The intensities live in
+    `scratch` until its next block."""
     m = u_mat.shape[0]
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-    normals = gen.standard_normal((nrows, 2 * m))
-    alpha = np.empty((nrows, m), dtype=complex)
+    normals = gen.standard_normal(out=scratch.rows("normals", nrows, (2 * m,)))
+    alpha = scratch.rows("alpha", nrows, (m,), complex)
     np.multiply(normals[:, :m], sx, out=alpha.real)
     np.multiply(normals[:, m:], sp, out=alpha.imag)
-    # freed before the product, whose output then reuses this memory instead of faulting in fresh pages
-    del normals
-    return gen, np.abs(alpha @ u_mat) ** 2
+    beta = np.matmul(alpha, u_mat, out=scratch.rows("beta", nrows, (m,), complex))
+    lam = np.abs(beta, out=scratch.rows("lam", nrows, (m,)))
+    return gen, np.square(lam, out=lam)
 
 
-def _block_counts(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int) -> np.ndarray:
+def _block_counts(
+    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, scratch: _Scratch
+) -> np.ndarray:
     """Photon counts for one block of shots, drawn from the block's own stream."""
-    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows)
+    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows, scratch)
     return gen.poisson(lam)
 
 
@@ -189,14 +213,16 @@ def sample_patterns(
             wide.update(zip(*counts[over].T.tolist()))
             counts = counts[~over]
         pending.append(counts @ (1 << shifts))
-    _run_blocks(states, net, shots, seed, workers, _block_counts, tally)
+    _run_blocks(states, net, shots, seed, workers, partial(_block_counts, scratch=_Scratch()), tally)
     fold()
     fields = (keys[:, None] >> shifts) & ((1 << bits) - 1)
     histogram = dict(zip(zip(*fields.T.tolist()), tallies.tolist())) | wide  # disjoint keys
     return SampleReport(shots, operator.index(seed), net.m, histogram, time.perf_counter() - t0)
 
 
-def _block_weights(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, levels, index: np.ndarray) -> np.ndarray:
+def _block_weights(
+    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, levels, index: np.ndarray, scratch: _Scratch
+) -> np.ndarray:
     """One block's hits, sums of w and sums of w^2 per pattern (a (3, P)
     array), where w is a shot's exact probability of the pattern given its
     output intensities.  `levels` lists the counts 0, 1 and every larger count
@@ -205,18 +231,23 @@ def _block_weights(u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int,
     The hits draw one uniform u per shot after the intensities: a shot hits
     pattern i when u falls in [below, below + w_i), with below the sum of the
     earlier patterns' w, so the hits of distinct patterns are disjoint."""
-    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows)
-    table = np.empty((len(levels), *lam.shape))  # Poisson pmf: table[j] = e^-lam lam^c / c! at c = levels[j]
-    table[0] = np.exp(-lam)
-    table[1] = table[0] * lam
+    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows, scratch)
+    # Poisson pmf: table[j] = e^-lam lam^c / c! at c = levels[j]
+    table = [scratch.rows(f"pmf{j}", nrows, lam.shape[1:]) for j in range(len(levels))]
+    np.exp(np.negative(lam, out=table[0]), out=table[0])
+    np.multiply(table[0], lam, out=table[1])
     with np.errstate(divide="ignore"):  # at lam = 0, log lam = -inf gives the exact 0 of lam^c
         for j, c in enumerate(levels[2:], 2):  # in logs, since e^-lam underflows where the pmf does not
-            table[j] = np.exp(c * np.log(lam) - lam - math.lgamma(c + 1))
-    u, below = gen.random(nrows), 0.0
+            t = np.multiply(c, np.log(lam, out=table[j]), out=table[j])
+            np.exp(np.subtract(np.subtract(t, lam, out=t), math.lgamma(c + 1), out=t), out=t)
+    u, below = gen.random(out=scratch.rows("u", nrows)), 0.0
+    w, edges = scratch.rows("w", nrows), (scratch.rows("edge0", nrows), scratch.rows("edge1", nrows))
     stats = np.empty((3, len(index)))
     for i, pattern in enumerate(index):
-        w = table[pattern, :, np.arange(len(pattern))].prod(axis=0)
-        top = below + w
+        np.copyto(w, table[pattern[0]][:, 0])
+        for k in range(1, len(pattern)):
+            np.multiply(w, table[pattern[k]][:, k], out=w)
+        top = np.add(below, w, out=edges[i % 2])
         stats[:, i] = np.count_nonzero((below <= u) & (u < top)), w.sum(), w @ w
         below = top
     return stats
@@ -238,7 +269,7 @@ def estimate_probabilities(
         raise ValidationError("patterns must be distinct")
     total = np.zeros((3, len(patterns)))  # summed in block order, so equal for every worker count
     levels = sorted({0, 1}.union(*patterns))
-    draw = partial(_block_weights, levels=levels, index=np.searchsorted(levels, patterns))
+    draw = partial(_block_weights, levels=levels, index=np.searchsorted(levels, patterns), scratch=_Scratch())
     _run_blocks(states, net, shots, seed, workers, draw, partial(np.add, total, out=total))
     hits, w_sum, w2_sum = total
     mean = w_sum / shots

@@ -10,7 +10,7 @@ from scipy.stats import chi2
 
 from gbsim.engines import enumerate_patterns, prob_thermal
 from gbsim.fock_oracle import apply_network, photon_number_distribution, prepare_input
-from gbsim.sampler import BLOCK_SHOTS, _block_counts
+from gbsim.sampler import BLOCK_SHOTS, _block_counts, _Scratch
 
 
 def _p_scales(states):
@@ -25,9 +25,10 @@ def counter_histogram(states, net, shots: int, seed: int) -> Counter:
     counted as a tuple in a plain Counter."""
     sx, sp = _p_scales(states)
     histogram: Counter = Counter()
+    scratch = _Scratch()
     for start in range(0, shots, BLOCK_SHOTS):
         nrows = min(BLOCK_SHOTS, shots - start)
-        counts = _block_counts(np.asarray(net.u), sx, sp, seed, start // BLOCK_SHOTS, nrows)
+        counts = _block_counts(np.asarray(net.u), sx, sp, seed, start // BLOCK_SHOTS, nrows, scratch)
         histogram.update(zip(*counts.T.tolist()))
     return histogram
 

@@ -199,12 +199,12 @@ class TestSamplePatterns:
         started, started_during_stall = [], []
         inner = sampler_module._block_counts
 
-        def stall_first(u_mat, sx, sp, seed, block, nrows):
+        def stall_first(u_mat, sx, sp, seed, block, nrows, scratch):
             started.append(block)
             if block == 0:
                 time.sleep(0.3)
                 started_during_stall.append(max(started))
-            return inner(u_mat, sx, sp, seed, block, nrows)
+            return inner(u_mat, sx, sp, seed, block, nrows, scratch)
 
         monkeypatch.setattr(sampler_module, "_block_counts", stall_first)
         rep = sample_patterns([thermal(2.0)], validate_unitary(np.eye(1)), 100 * 4096, seed=0, workers=2)
