@@ -66,6 +66,9 @@ def _load_config(path: str) -> dict:
     for field in ("modes", "states", "unitary"):
         if field not in cfg:
             raise ValidationError(f"config field '{field}' is missing")
+    modes = cfg["modes"]
+    if isinstance(modes, bool) or not (isinstance(modes, int) or isinstance(modes, float) and modes.is_integer()):
+        raise ValidationError(f"config field 'modes' must be an integer, got {modes!r}")
     return cfg
 
 

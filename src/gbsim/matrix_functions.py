@@ -2,7 +2,8 @@
 
 Both grow exponentially with dimension, are guarded by cost limits and are
 batched numpy evaluations.  The permanent uses Glynn's formula (Eur. J. Comb.
-31, 2010), whose terms cancel far less than Ryser's.  The hafnian matches the
+31, 2010), whose terms cancel far less than Ryser's; each column product is
+built row by row into one accumulator.  The hafnian matches the
 lowest index first, one gather-multiply-sum per subset size: power-trace
 (inclusion-exclusion) hafnians cancel badly on the engines' pairing matrices.
 Both take one matrix, returning a complex, or a (P, n, n) stack, returning P
@@ -17,6 +18,9 @@ from .errors import CostLimitError, ValidationError
 
 PERMANENT_LIMIT = 24
 HAFNIAN_LIMIT = 20
+# Sign-vector budget per step of Glynn's loop: the high-sign vectors whose
+# column products are built together
+_HIGH_SIGNS_PER_STEP = 4
 
 
 def _as_square(a, stack: bool = False) -> np.ndarray:
@@ -39,8 +43,11 @@ def permanent(a) -> complex | np.ndarray:
     """Permanent via Glynn's formula, O(2^n n) with batched vector ops.
 
     per(A) = 2^(1-n) sum_{d in {+-1}^n, d_0 = 1} prod_i d_i prod_j (d A)_j,
-    batched over the low free signs and looped over the high ones (at most
-    2^11 iterations).  The empty matrix has permanent 1.
+    batched over the 2^12 (or fewer) low free signs and looped over the high
+    ones, `_HIGH_SIGNS_PER_STEP` at a time (at most 2^11 in all).  Each step
+    builds its column products prod_j (d A)_j row by row into one
+    accumulator, multiplying in the same order as a reduce over the rows, so
+    no (n, 2^12) temporary is made.  The empty matrix has permanent 1.
     """
     a = _as_square(a, stack=True)
     n = a.shape[-1]
@@ -55,9 +62,16 @@ def permanent(a) -> complex | np.ndarray:
         # (P, n, 2^lo): column d holds the low rows' part of d A
         low = stack[:, 1 : 1 + lo].transpose(0, 2, 1) @ low_signs.T
         high = stack[:, :1] + high_signs @ stack[:, 1 + lo :]  # (P, 2^(n-1-lo), n)
-        # w @ x[..., None] is one dot product per matrix, as for one matrix alone
-        parts = [low_prods @ (low + high[:, h, :, None]).prod(axis=1)[..., None] for h in range(len(high_signs))]
-        per = (high_prods @ np.concatenate(parts, axis=1)[..., None])[:, 0] / 2.0 ** (n - 1)
+        k = min(_HIGH_SIGNS_PER_STEP, len(high_signs))  # both powers of two, so k divides
+        prod, term = (np.empty((len(stack), k, 1 << lo), dtype=complex) for _ in range(2))
+        parts = np.empty((len(stack), len(high_signs)), dtype=complex)
+        for h in range(0, len(high_signs), k):
+            np.add(low[:, None, 0], high[:, h : h + k, 0, None], out=prod)
+            for j in range(1, n):
+                prod *= np.add(low[:, None, j], high[:, h : h + k, j, None], out=term)
+            # w @ x[..., None] is one dot product per matrix and sign vector, as for one matrix alone
+            parts[:, h : h + k] = (low_prods @ prod[..., None])[..., 0]
+        per = (high_prods @ parts[..., None])[:, 0] / 2.0 ** (n - 1)
     return per if a.ndim == 3 else complex(per[0])
 
 

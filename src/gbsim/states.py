@@ -66,6 +66,14 @@ class QFunctionParams:
     mu: float
 
 
+def _exp(x: float) -> float:
+    """e^x, or inf where it overflows, for the variance check to reject."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def vacuum() -> GaussianModeState:
     return GaussianModeState(1.0, 1.0)
 
@@ -84,7 +92,7 @@ def squeezed(r: float) -> GaussianModeState:
     be expressed through a phase in the network matrix.
     """
     r = abs(float(r))
-    return GaussianModeState(math.exp(2 * r), math.exp(-2 * r))
+    return GaussianModeState(_exp(2 * r), _exp(-2 * r))
 
 
 def squeezed_thermal(v: float, r: float) -> GaussianModeState:
@@ -92,7 +100,7 @@ def squeezed_thermal(v: float, r: float) -> GaussianModeState:
     if v < 1.0:
         raise ValidationError(f"squeezed-thermal base variance must be >= 1, got {v}")
     r = abs(float(r))
-    return GaussianModeState(v * math.exp(2 * r), v * math.exp(-2 * r))
+    return GaussianModeState(v * _exp(2 * r), v * _exp(-2 * r))
 
 
 def derive_q_params(state: GaussianModeState) -> QFunctionParams:

@@ -316,6 +316,12 @@ MALFORMED_VALUES = {
     "patterns-number": {"patterns": 5},
     "unitary-file-number": {"unitary": {"file": 5}},
     "seed-negative": None,
+    "r-overflow": {"states": [{"type": "squeezed", "r": 1000}, {"type": "thermal", "v": 1.5}]},
+    "r-overflow-thermal": {"states": [{"type": "squeezed_thermal", "v": 2, "r": 400}, {"type": "thermal", "v": 1.5}]},
+    "modes-string": {"modes": "2"},
+    "modes-fraction": {"modes": 2.5},
+    # one state and a 1x1 network, so a bool read as 1 would run
+    "modes-bool": {"modes": True, "states": [{"type": "thermal", "v": 2.0}], "unitary": [[[1, 0]]], "n_max": 1},
 }
 
 
@@ -330,11 +336,13 @@ def test_malformed_values_exit_1_without_traceback(thermal_config, case, capsys)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("gbsim: error:") and "Traceback" not in err
+    if case.startswith("modes-"):
+        assert "config field 'modes' must be an integer" in err
 
 
 def test_integer_values_still_run(thermal_config, capsys):
     states = [{"type": "thermal", "v": 2}, {"type": "thermal", "v": 1.5}]
-    for fields in ({"n_max": 2, "states": states}, {"n_max": 2.0}):
+    for fields in ({"n_max": 2, "states": states}, {"n_max": 2.0}, {"modes": 2.0}):
         assert main(["prob", "--config", str(_edited_config(thermal_config, **fields))]) == 0
     assert main(["haar", "--modes", "2", "--seed", "0"]) == 0
     assert "Traceback" not in capsys.readouterr().err

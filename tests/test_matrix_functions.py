@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,26 @@ class TestPermanent:
         # an alternating subset sum (Ryser) misses this by 4.6e-6
         exact = math.factorial(22)
         assert abs(permanent(np.ones((22, 22))) - exact) <= 1e-11 * exact
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16, 20])
+    def test_rank_one_closed_form(self, n):
+        # per(v v^dagger) = n! prod |v_i|^2; n = 13..16, 20 run 1, 2, 4, 8, 128 high-sign vectors
+        v = np.exp(2j * np.pi * np.random.default_rng(n).random(n))
+        exact = math.factorial(n)
+        assert abs(permanent(np.outer(v, v.conj())) - exact) <= 1e-11 * exact
+
+    def test_no_per_step_temporary(self):
+        # the (n, 2^12) low table is 1.25 MiB at n = 20; a per-step
+        # temporary of that size would take the peak to about 2.7 MiB
+        a = np.random.default_rng(5).standard_normal((20, 20)) + 0j
+        permanent(a)  # fills the sign-table caches
+        tracemalloc.start()
+        try:
+            permanent(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2**20
 
     def test_naive_guard(self):
         with pytest.raises(CostLimitError):
@@ -178,7 +199,7 @@ class TestSubmatrixByPattern:
 class TestStacks:
     """A (P, n, n) stack gives each matrix's own kernel value, bit for bit."""
 
-    @pytest.mark.parametrize("kernel, sizes", [(permanent, [0, 1, 2, 5, 9, 13, 14]), (hafnian, [0, 2, 4, 8, 12])])
+    @pytest.mark.parametrize("kernel, sizes", [(permanent, [0, 1, 2, 5, 9, 13, 14, 15, 16]), (hafnian, [0, 2, 4, 8, 12])])
     def test_stack_equals_per_matrix_calls(self, kernel, sizes):
         rng = np.random.default_rng(77)
         for n in sizes:

@@ -85,6 +85,17 @@ class TestValidation:
     def test_squeezed_sign_canonicalized(self):
         assert squeezed(-0.7) == squeezed(0.7)
 
+    @pytest.mark.parametrize("make, args", [(squeezed, (1000,)), (squeezed, (-1000,)), (squeezed_thermal, (2, 400))])
+    def test_overflowing_squeezing_rejected(self, make, args):
+        # e^(2r) overflows a float: a ValidationError, not a bare OverflowError
+        with pytest.raises(ValidationError, match="positive and finite"):
+            make(*args)
+
+    @pytest.mark.parametrize("r", [0.9, 8.0])
+    def test_strong_squeezing_still_built(self, r):
+        s = squeezed(r)
+        assert s.v_x == math.exp(2 * r) and s.v_p == math.exp(-2 * r)
+
 
 class TestClassicality:
     def test_thermal_classical(self):
