@@ -1,20 +1,18 @@
 """gbsim: photon-counting statistics of linear-optical networks with
 Gaussian input states.
 
-The package provides four exact probability engines (coherent closed form,
-general pairing sum, thermal permanent, squeezed-vacuum pairing sum), an
-exact classical sampler for classical Gaussian inputs with a per-shot
-weight estimator of any pattern's probability, a sampling-based estimator
-for permanents of positive-semidefinite Hermitian matrices, and a
-truncated-Fock-space oracle used to validate all of the above.
+The package provides three exact probability engines (general pairing sum,
+thermal permanent, squeezed-vacuum pairing sum), an exact classical sampler
+for classical Gaussian inputs with a per-shot weight estimator of any
+pattern's probability, a sampling-based estimator for permanents of
+positive-semidefinite Hermitian matrices, and a truncated-Fock-space oracle
+used to validate all of the above.
 """
 
 __version__ = "0.1.0"
 
 from .engines import (
     enumerate_patterns,
-    pairing_matrix,
-    prob_coherent,
     prob_general,
     prob_squeezed,
     prob_thermal,
@@ -30,7 +28,6 @@ from .errors import (
 from .interferometer import (
     Interferometer,
     haar_random,
-    propagate_coherent,
     tmsv_network,
     validate_unitary,
 )
@@ -40,7 +37,6 @@ from .matrix_functions import (
     detected_modes,
     hafnian,
     permanent,
-    submatrix_by_pattern,
 )
 from .psd_permanent import (
     PermanentEstimate,
@@ -74,13 +70,11 @@ __all__ = [
     "GaussianModeState", "QFunctionParams", "vacuum", "thermal", "squeezed",
     "squeezed_thermal", "derive_q_params", "is_classical", "mean_photon_number",
     "state_from_descriptor",
-    "Interferometer", "validate_unitary", "haar_random", "propagate_coherent",
-    "tmsv_network",
+    "Interferometer", "validate_unitary", "haar_random", "tmsv_network",
     "OutputQForm", "build_qform",
-    "permanent", "hafnian", "submatrix_by_pattern", "detected_modes",
+    "permanent", "hafnian", "detected_modes",
     "PERMANENT_LIMIT", "HAFNIAN_LIMIT",
-    "enumerate_patterns", "pairing_matrix",
-    "prob_coherent", "prob_general", "prob_thermal", "prob_squeezed",
+    "enumerate_patterns", "prob_general", "prob_thermal", "prob_squeezed",
     "SampleReport", "sample_patterns", "PatternEstimate", "estimate_probabilities",
     "ThermalEmbedding", "PermanentEstimate", "embed", "estimate_permanent",
     "exact_permanent_psd",

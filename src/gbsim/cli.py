@@ -30,7 +30,7 @@ from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
 from .matrix_functions import detected_modes, hafnian, permanent
 from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json
-from .psd_permanent import estimate_permanent, exact_permanent_psd
+from .psd_permanent import DEFAULT_HEADROOM, estimate_permanent, exact_permanent_psd
 from .qform import build_qform
 from .sampler import sample_patterns
 from .states import state_from_descriptor
@@ -66,9 +66,7 @@ def _load_config(path: str) -> dict:
     for field in ("modes", "states", "unitary"):
         if field not in cfg:
             raise ValidationError(f"config field '{field}' is missing")
-    modes = cfg["modes"]
-    if isinstance(modes, bool) or not (isinstance(modes, int) or isinstance(modes, float) and modes.is_integer()):
-        raise ValidationError(f"config field 'modes' must be an integer, got {modes!r}")
+    _config_integer(cfg, "modes")
     return cfg
 
 
@@ -110,6 +108,14 @@ def _load_run(path: str) -> tuple[dict, list, Interferometer]:
     return cfg, states, _config_unitary(cfg, os.path.dirname(os.path.abspath(path)))
 
 
+def _config_integer(cfg: dict, field: str) -> int:
+    """Config field `field` as an int: 2 and 2.0 are accepted, true and 2.5 are not."""
+    value = cfg[field]
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValidationError(f"config field '{field}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def _config_patterns(cfg: dict, m: int) -> list[tuple[int, ...]]:
     if "patterns" in cfg:
         if not isinstance(cfg["patterns"], list):
@@ -123,10 +129,7 @@ def _config_patterns(cfg: dict, m: int) -> list[tuple[int, ...]]:
             pats.append(tuple(int(x) for x in p))
         return pats
     if "n_max" in cfg:
-        n_max = cfg["n_max"]
-        if not isinstance(n_max, int) and not (isinstance(n_max, float) and n_max.is_integer()):
-            raise ValidationError(f"config field 'n_max' must be an integer, got {n_max!r}")
-        return list(enumerate_patterns(m, int(n_max)))
+        return list(enumerate_patterns(m, _config_integer(cfg, "n_max")))
     raise ValidationError("config needs either 'patterns' or 'n_max'")
 
 
@@ -360,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--headroom", type=float, default=0.1)
+    p.add_argument("--headroom", type=float, default=DEFAULT_HEADROOM)
     p.add_argument("--exact", action="store_true", help="force the exact permanent even for large n")
     add_fmt(p)
     p.set_defaults(fn=cmd_permanent_psd)

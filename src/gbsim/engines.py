@@ -1,19 +1,17 @@
-"""The four exact single-photon-detection probability engines.
+"""The three exact single-photon-detection probability engines.
 
 All engines return p(n) for a detection pattern n with entries in {0, 1}.
 Mutual agreement between them on overlapping domains is the core test
 surface of the package:
 
-  prob_coherent  closed form for coherent inputs,
-                 p = e^{-I} prod_k |beta_k|^{2 n_k}
   prob_general   pairing sum over (2N-1)!! matchings = K * haf(B) where B is
                  the 2N x 2N second-derivative (pairing) matrix
   prob_thermal   prod(mu) * per(D-tilde submatrix), thermal/vacuum inputs only
   prob_squeezed  K * |O_N|^2 with O_N = 2^{N/2} haf(C submatrix), pure
                  squeezed-vacuum inputs only; odd N vanishes identically
 
-The three Q-form engines evaluate tables, `probabilities(qform, name, patterns)`;
-a single-pattern engine is the table of its one pattern, bit for bit.
+The engines evaluate tables, `probabilities(qform, name, patterns)`; a
+single-pattern engine is the table of its one pattern, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +22,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ContractError, NumericalIntegrityError, ValidationError
-from .interferometer import Interferometer, propagate_coherent
 from .matrix_functions import detected_modes, hafnian, permanent, submatrices
 from .qform import OutputQForm
-from .states import _PURE_MU_TOL, _THERMAL_LAM_TOL
+from .states import input_kinds
 
 _IM_TOL = 1e-10
 _NEG_TOL = 1e-10
@@ -42,12 +39,7 @@ def applicable(qform: OutputQForm) -> list[str]:
     Ordered general, thermal, squeezed; the last entry is the most specialized
     applicable engine, so all-vacuum inputs pick the squeezed engine.
     """
-    names = ["general"]
-    if float(np.abs(qform.lams).max()) <= _THERMAL_LAM_TOL:
-        names.append("thermal")
-    if float(np.abs(qform.mus - 1.0).max()) <= _PURE_MU_TOL:
-        names.append("squeezed")
-    return names
+    return ["general", *input_kinds(qform.lams, qform.mus)]
 
 
 def enumerate_patterns(m: int, n_max: int) -> Iterator[tuple[int, ...]]:
@@ -65,32 +57,11 @@ def enumerate_patterns(m: int, n_max: int) -> Iterator[tuple[int, ...]]:
             yield tuple(pat)
 
 
-def prob_coherent(net: Interferometer, alpha, pattern) -> float:
-    """Detection probability for a multimode coherent input."""
-    idx = detected_modes(pattern, net.m)
-    beta = propagate_coherent(net, alpha)
-    intens = np.abs(beta) ** 2
-    p = float(np.exp(-intens.sum()))
-    for k in idx:
-        p *= intens[k]
-    return p
-
-
 def _pairing_matrices(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:
     """(P, 2N, 2N) pairing matrices [[2C, Dt], [Dt^T, 2 conj(C)]] at each row of modes."""
     c2, dt, m = 2.0 * qform.c, qform.d_tilde, qform.m
     full = np.array([[c2, dt], [dt.T, c2.conj()]]).transpose(0, 2, 1, 3).reshape(2 * m, 2 * m)
     return submatrices(full, np.concatenate([modes, modes + m], axis=1))
-
-
-def pairing_matrix(qform: OutputQForm, pattern) -> np.ndarray:
-    """2N x 2N symmetric matrix of second derivatives of the exponent F.
-
-    Index order (a_{s1}, ..., a_{sN}, conj(a_{s1}), ..., conj(a_{sN})) with
-    detected modes ascending.  Blocks: [[2C, Dt], [Dt^T, 2 conj(C)]], all
-    restricted to the detected modes.
-    """
-    return _pairing_matrices(qform, np.array([detected_modes(pattern, qform.m)], dtype=np.intp))[0]
 
 
 def _squeezed(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CutoffError, ValidationError
 from .interferometer import DEFAULT_UNITARITY_TOL, Interferometer
 from .matrix_functions import photon_counts
-from .states import _PURE_MU_TOL, _THERMAL_LAM_TOL, GaussianModeState, derive_q_params, mean_photon_number
+from .states import GaussianModeState, derive_q_params, input_kinds, mean_photon_number
 
 MAX_MODES = 4
 # Cap on the truncated basis, sum_{N <= c} C(N+M-1, M-1) = C(c+M, M) states,
@@ -64,9 +64,9 @@ class FockState:
 
 def _classify(state: GaussianModeState) -> tuple[str, float]:
     q = derive_q_params(state)
-    if abs(q.lam) <= _THERMAL_LAM_TOL:
+    if "thermal" in (kinds := input_kinds(q.lam, q.mu)):
         return "thermal", mean_photon_number(state)  # 0 for vacuum
-    if abs(q.mu - 1.0) <= _PURE_MU_TOL:
+    if "squeezed" in kinds:
         return "squeezed", 0.5 * math.log(state.v_x)  # squeezing parameter r
     raise ValidationError(
         "the Fock oracle supports vacuum, thermal and squeezed-vacuum inputs only "

@@ -72,14 +72,6 @@ def haar_random(m: int, seed: int) -> Interferometer:
     return validate_unitary(q)
 
 
-def propagate_coherent(net: Interferometer, alpha) -> np.ndarray:
-    """Output coherent amplitudes beta = alpha @ U.  Preserves sum |.|^2."""
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (net.m,):
-        raise ValidationError(f"amplitude vector has shape {alpha.shape}, expected ({net.m},)")
-    return alpha @ net.u
-
-
 def tmsv_network() -> Interferometer:
     """Two-mode network that entangles two equally squeezed inputs into a
     two-mode squeezed vacuum: a pi/2 phase shifter on input port 0 followed

@@ -23,9 +23,9 @@ HAFNIAN_LIMIT = 20
 _HIGH_SIGNS_PER_STEP = 4
 
 
-def _as_square(a, stack: bool = False) -> np.ndarray:
+def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3 if stack else 2) or a.shape[-1] != a.shape[-2]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -49,7 +49,7 @@ def permanent(a) -> complex | np.ndarray:
     accumulator, multiplying in the same order as a reduce over the rows, so
     no (n, 2^12) temporary is made.  The empty matrix has permanent 1.
     """
-    a = _as_square(a, stack=True)
+    a = _as_square(a)
     n = a.shape[-1]
     if n > PERMANENT_LIMIT:
         raise CostLimitError(f"permanent of {n}x{n} exceeds the cost limit (n <= {PERMANENT_LIMIT})")
@@ -103,7 +103,7 @@ def hafnian(b) -> complex | np.ndarray:
     The matrix is symmetrized on entry and its diagonal is never referenced.
     haf(empty) = 1; odd dimension is an error.
     """
-    b = _as_square(b, stack=True)
+    b = _as_square(b)
     n = b.shape[-1]
     if n % 2:
         raise ValidationError(f"hafnian requires even dimension, got {n}")
@@ -139,8 +139,8 @@ def photon_counts(pattern, m: int) -> tuple[int, ...]:
 def detected_modes(pattern, m: int) -> list[int]:
     """Validate a detection pattern over m modes; return its detected modes, ascending.
 
-    The engines, `submatrix_by_pattern` and the CLI check patterns here: photon
-    counts that are all 0 or 1, so 1.0, True and np.int64(1) are clicks.
+    The engines and the CLI check patterns here: photon counts that are all 0
+    or 1, so 1.0, True and np.int64(1) are clicks.
     """
     counts = photon_counts(pattern, m)
     if max(counts, default=0) > 1:
@@ -151,9 +151,3 @@ def detected_modes(pattern, m: int) -> list[int]:
 def submatrices(m: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """(P, N, N) stack of m's rows and columns at each row of a (P, N) index array."""
     return m[modes[:, :, None], modes[:, None, :]]
-
-
-def submatrix_by_pattern(m, pattern) -> np.ndarray:
-    """Keep the rows and columns of the detected modes, in ascending order."""
-    m = _as_square(m)
-    return submatrices(m, np.array([detected_modes(pattern, m.shape[0])], dtype=np.intp))[0]

@@ -48,11 +48,6 @@ class OutputQForm:
     def m(self) -> int:
         return self.c.shape[0]
 
-    @property
-    def d(self) -> np.ndarray:
-        """The D matrix, reconstructed on demand as 1 - D-tilde."""
-        return np.eye(self.m) - self.d_tilde
-
 
 def build_qform(states: list[GaussianModeState], net: Interferometer) -> OutputQForm:
     """Assemble the output Q form for the given inputs and network."""

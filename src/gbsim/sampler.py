@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -71,7 +70,6 @@ class SampleReport:
     seed: int
     modes: int
     histogram: dict[tuple[int, ...], int] = field(default_factory=dict)
-    elapsed: float = 0.0
 
     def frequency(self, pattern) -> float:
         return self.histogram.get(photon_counts(pattern, self.modes), 0) / self.shots
@@ -144,7 +142,7 @@ def _block_counts(
 
 def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Callable) -> None:
     """Validate a run, then hand each block's `draw` result to `reduce` in block
-    order.  `draw` takes the arguments of `_block_counts`."""
+    order.  `draw` takes `_block_counts`'s arguments, the run's `_Scratch` last."""
     if len(states) != net.m:
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
     if _integer(shots, "shot count") < 1:
@@ -169,9 +167,10 @@ def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Calla
     sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
     u_mat = np.asarray(net.u)
     nblocks = (shots + BLOCK_SHOTS - 1) // BLOCK_SHOTS
+    scratch = _Scratch()
 
     def block(b: int):
-        return draw(u_mat, sx, sp, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS))
+        return draw(u_mat, sx, sp, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS), scratch)
 
     window = 4 * workers  # blocks in flight: memory stays flat in the shot count
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -189,7 +188,6 @@ def sample_patterns(
     workers: int = 1,
 ) -> SampleReport:
     """Sample `shots` photon-count patterns; deterministic for a given seed."""
-    t0 = time.perf_counter()
     bits = 63 // net.m  # key field per mode: m fields fit a non-negative int64
     shifts = bits * np.arange(net.m, dtype=np.int64)
     wide: Counter[tuple[int, ...]] = Counter()  # rows with a count too large for its field
@@ -213,15 +211,15 @@ def sample_patterns(
             wide.update(zip(*counts[over].T.tolist()))
             counts = counts[~over]
         pending.append(counts @ (1 << shifts))
-    _run_blocks(states, net, shots, seed, workers, partial(_block_counts, scratch=_Scratch()), tally)
+    _run_blocks(states, net, shots, seed, workers, _block_counts, tally)
     fold()
     fields = (keys[:, None] >> shifts) & ((1 << bits) - 1)
     histogram = dict(zip(zip(*fields.T.tolist()), tallies.tolist())) | wide  # disjoint keys
-    return SampleReport(shots, operator.index(seed), net.m, histogram, time.perf_counter() - t0)
+    return SampleReport(shots, operator.index(seed), net.m, histogram)
 
 
 def _block_weights(
-    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, levels, index: np.ndarray, scratch: _Scratch
+    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, scratch: _Scratch, levels, index: np.ndarray
 ) -> np.ndarray:
     """One block's hits, sums of w and sums of w^2 per pattern (a (3, P)
     array), where w is a shot's exact probability of the pattern given its
@@ -269,7 +267,7 @@ def estimate_probabilities(
         raise ValidationError("patterns must be distinct")
     total = np.zeros((3, len(patterns)))  # summed in block order, so equal for every worker count
     levels = sorted({0, 1}.union(*patterns))
-    draw = partial(_block_weights, levels=levels, index=np.searchsorted(levels, patterns), scratch=_Scratch())
+    draw = partial(_block_weights, levels=levels, index=np.searchsorted(levels, patterns))
     _run_blocks(states, net, shots, seed, workers, draw, partial(np.add, total, out=total))
     hits, w_sum, w2_sum = total
     mean = w_sum / shots

@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 # Tolerance for the purity bound v_x * v_p >= 1 and for the classicality
 # threshold v_p >= 1; absorbs exp() roundoff in the constructors.
 _REL_TOL = 1e-12
-# A mode counts as thermal (or vacuum) when |lam| <= _THERMAL_LAM_TOL and as
-# pure squeezed vacuum when |mu - 1| <= _PURE_MU_TOL: the engines'
-# preconditions and the Fock oracle's input kinds.
+# Roundoff allowed in `input_kinds`: on |lam| for thermal, on |mu - 1| for pure.
 _THERMAL_LAM_TOL = 1e-14
 _PURE_MU_TOL = 1e-12
 
@@ -108,6 +108,14 @@ def derive_q_params(state: GaussianModeState) -> QFunctionParams:
     lam = 1.0 / (2 * state.v_p + 2) - 1.0 / (2 * state.v_x + 2)
     mu = 1.0 / (state.v_x + 1) + 1.0 / (state.v_p + 1)
     return QFunctionParams(lam, mu)
+
+
+def input_kinds(lam, mu) -> list[str]:
+    """The kinds, of "thermal" (lam = 0: thermal or vacuum) and "squeezed"
+    (mu = 1: pure squeezed vacuum), that every mode with these Q parameters
+    (scalars or arrays) is, up to roundoff; vacuum is both."""
+    close = {"thermal": np.abs(lam) <= _THERMAL_LAM_TOL, "squeezed": np.abs(np.subtract(mu, 1.0)) <= _PURE_MU_TOL}
+    return [kind for kind, ok in close.items() if ok.all()]
 
 
 def is_classical(state: GaussianModeState) -> bool:

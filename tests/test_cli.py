@@ -25,10 +25,14 @@ def thermal_config(tmp_path):
     return path
 
 
+DROP = object()  # an `_edited_config` field value that removes the field
+
+
 def _edited_config(path, **fields):
-    """A copy of the config at `path` with some fields replaced."""
+    """A copy of the config at `path` with some fields replaced or dropped."""
     cfg = json.loads(path.read_text())
     cfg.update(fields)
+    cfg = {k: v for k, v in cfg.items() if v is not DROP}
     out = path.with_name("edited-" + path.name)
     out.write_text(json.dumps(cfg))
     return out
@@ -297,6 +301,14 @@ class TestValidate:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert len(rows) == 16 and max(row["delta"] for row in rows) <= 1e-6
 
+    def test_engine_oracle_disagreement_exits_1(self, tmsv_config, monkeypatch, capsys):
+        oracle = gbsim.cli.pattern_probability
+        monkeypatch.setattr(gbsim.cli, "pattern_probability", lambda fock, pat: oracle(fock, pat) + 1e-5)
+        assert main(["validate", "--config", str(tmsv_config)]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("# gbsim")  # the report is still written
+        assert err.startswith("gbsim validate: engine-oracle delta ") and err.endswith(" exceeds 1e-06\n")
+
     @pytest.mark.parametrize("fields", [{"patterns": [[2, 0]]}, {"patterns": [[0.5, 1]]}, {"n_max": 3}])
     def test_malformed_patterns_rejected(self, tmsv_config, fields, capsys):
         # only a config with neither key falls back to all patterns
@@ -309,6 +321,12 @@ MALFORMED_VALUES = {
     "n_max-fraction": {"n_max": 2.7},
     "n_max-string": {"n_max": "abc"},
     "n_max-null": {"n_max": None},
+    # a bool read as 1 would list the patterns up to one photon
+    "n_max-bool": {"n_max": True},
+    "no-patterns-or-n_max": {"n_max": DROP},
+    "schema-2": {"schema": 2},
+    "states-count": {"states": [{"type": "thermal", "v": 2.0}]},
+    "unitary-size": {"unitary": [[[1, 0]]]},
     "v-string": {"states": [{"type": "thermal", "v": "abc"}, {"type": "thermal", "v": 1.5}]},
     "v-null": {"states": [{"type": "thermal", "v": None}, {"type": "thermal", "v": 1.5}]},
     "r-array": {"states": [{"type": "squeezed", "r": [1]}, {"type": "thermal", "v": 1.5}]},
@@ -336,8 +354,18 @@ def test_malformed_values_exit_1_without_traceback(thermal_config, case, capsys)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("gbsim: error:") and "Traceback" not in err
-    if case.startswith("modes-"):
-        assert "config field 'modes' must be an integer" in err
+    if (field := case.split("-")[0]) in ("modes", "n_max"):
+        assert f"config field '{field}' must be an integer" in err
+
+
+@pytest.mark.parametrize("text", [None, '{"schema": 1,', "[1, 2]"], ids=["missing", "invalid-json", "root-array"])
+def test_unreadable_configs_exit_1_without_traceback(tmp_path, text, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:  # None: the path does not exist
+        path.write_text(text)
+    assert main(["prob", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gbsim: error:") and "Traceback" not in err
 
 
 def test_integer_values_still_run(thermal_config, capsys):

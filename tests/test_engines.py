@@ -10,8 +10,6 @@ from gbsim import (
     build_qform,
     enumerate_patterns,
     haar_random,
-    pairing_matrix,
-    prob_coherent,
     prob_general,
     prob_squeezed,
     prob_thermal,
@@ -40,23 +38,6 @@ def test_general_equals_squeezed_at_eight_detections():
     qf = build_qform([squeezed(r) for r in rng.uniform(0.3, 0.9, 10)], haar_random(10, 810))
     pattern = (1,) * 8 + (0, 0)
     assert rel_close(prob_general(qf, pattern), prob_squeezed(qf, pattern), tol=1e-12)
-
-
-class TestCoherent:
-    def test_vacuum_stays_vacuum(self):
-        net = haar_random(3, 1)
-        assert prob_coherent(net, np.zeros(3), (0, 0, 0)) == 1.0
-
-    def test_single_mode_unit_intensity(self):
-        net = validate_unitary(np.eye(1))
-        assert prob_coherent(net, [1.0], (1,)) == pytest.approx(math.exp(-1), rel=1e-14)
-
-    def test_two_mode_splitter(self):
-        # |gamma|^2 = 2 split 50:50: each output has unit intensity
-        net = validate_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-        gamma = math.sqrt(2)
-        p = prob_coherent(net, [gamma, 0.0], (1, 1))
-        assert p == pytest.approx(math.exp(-2), rel=1e-14)
 
 
 class TestGeneral:
@@ -163,8 +144,7 @@ class TestStructure:
     def test_pairing_matrix_blocks(self):
         states = [squeezed_thermal(1.4, 0.3), thermal(2.0), squeezed(0.5)]
         qf = build_qform(states, haar_random(3, 60))
-        pat = (1, 0, 1)
-        b = pairing_matrix(qf, pat)
+        b = engines._pairing_matrices(qf, np.array([[0, 2]]))[0]  # pattern (1, 0, 1)
         assert b.shape == (4, 4)
         assert np.abs(b - b.T).max() < 1e-12
         # alpha-conj(alpha) block is the Hermitian D-tilde restriction
@@ -192,11 +172,8 @@ class TestStructure:
 
 def _every_engine_on_two_vacuum_modes():
     # all-vacuum inputs satisfy every engine's precondition
-    net = validate_unitary(np.eye(2))
-    qf = build_qform([vacuum()] * 2, net)
-    return [lambda pat, fn=fn: fn(qf, pat) for fn in ONE_PATTERN.values()] + [
-        lambda pat: prob_coherent(net, [0.0, 0.0], pat)
-    ]
+    qf = build_qform([vacuum()] * 2, validate_unitary(np.eye(2)))
+    return [lambda pat, fn=fn: fn(qf, pat) for fn in ONE_PATTERN.values()]
 
 
 class TestPatternRule:
@@ -310,15 +287,6 @@ class TestProbabilities:
         qf, _ = _table_case("squeezed", 6)
         pats = list(enumerate_patterns(6, 4))
         assert probabilities(qf, "squeezed", enumerate_patterns(6, 4)).tolist() == [prob_squeezed(qf, p) for p in pats]
-
-    def test_pairing_matrix_is_the_stacked_builder(self):
-        qf, _ = _table_case("general", 6)
-        modes = np.array([[0, 2, 5], [1, 3, 4]])
-        stack = engines._pairing_matrices(qf, modes)
-        for row, b in zip(modes, stack):
-            pat = tuple(int(k in row) for k in range(6))
-            assert np.array_equal(pairing_matrix(qf, pat), b)
-        assert pairing_matrix(qf, (0,) * 6).shape == (0, 0)
 
 
 class TestClamp:

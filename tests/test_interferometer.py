@@ -6,7 +6,6 @@ import pytest
 from gbsim import (
     ValidationError,
     haar_random,
-    propagate_coherent,
     tmsv_network,
     validate_unitary,
 )
@@ -56,38 +55,6 @@ class TestHaarRandom:
     def test_zero_modes_rejected(self):
         with pytest.raises(ValidationError):
             haar_random(0, 1)
-
-
-class TestPropagate:
-    def test_identity(self):
-        net = validate_unitary(np.eye(3))
-        alpha = np.array([1 + 2j, 0.5, -1j])
-        assert np.allclose(propagate_coherent(net, alpha), alpha, atol=0)
-
-    def test_splitter(self):
-        b = validate_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-        gamma = 0.7 - 0.2j
-        beta = propagate_coherent(b, [gamma, 0])
-        assert np.allclose(beta, [gamma / math.sqrt(2), gamma / math.sqrt(2)], atol=1e-15)
-
-    def test_energy_conserved(self):
-        rng = np.random.default_rng(5)
-        net = haar_random(6, 11)
-        alpha = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        beta = propagate_coherent(net, alpha)
-        assert abs((np.abs(beta) ** 2).sum() - (np.abs(alpha) ** 2).sum()) < 1e-12
-
-    def test_linear_in_alpha(self):
-        rng = np.random.default_rng(6)
-        net = haar_random(4, 12)
-        a, b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        lhs = propagate_coherent(net, 2.0 * a + 1j * b)
-        rhs = 2.0 * propagate_coherent(net, a) + 1j * propagate_coherent(net, b)
-        assert np.allclose(lhs, rhs, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            propagate_coherent(validate_unitary(np.eye(2)), [1.0, 0.0, 0.0])
 
 
 def sector_one(net):

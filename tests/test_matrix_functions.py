@@ -12,7 +12,6 @@ from gbsim import (
     ValidationError,
     hafnian,
     permanent,
-    submatrix_by_pattern,
 )
 from permutil import hafnian_naive, permanent_naive
 
@@ -173,29 +172,6 @@ def test_read_only_input_and_cached_tables(kernel, n):
     assert np.array_equal(a, before)
 
 
-class TestSubmatrixByPattern:
-    def test_all_ones_identity_op(self):
-        m = np.arange(9).reshape(3, 3).astype(complex)
-        assert np.array_equal(submatrix_by_pattern(m, (1, 1, 1)), m)
-
-    def test_all_zeros_empty(self):
-        m = np.eye(3)
-        assert submatrix_by_pattern(m, (0, 0, 0)).shape == (0, 0)
-
-    def test_index_bookkeeping(self):
-        m = np.arange(9).reshape(3, 3).astype(complex)
-        sub = submatrix_by_pattern(m, (1, 0, 1))
-        assert np.array_equal(sub, np.array([[0, 2], [6, 8]]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            submatrix_by_pattern(np.eye(3), (1, 0))
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValidationError):
-            submatrix_by_pattern(np.eye(3), (1, 2, 0))
-
-
 class TestStacks:
     """A (P, n, n) stack gives each matrix's own kernel value, bit for bit."""
 
@@ -228,7 +204,3 @@ class TestStacks:
                 permanent(bad)
             with pytest.raises(ValidationError):
                 hafnian(bad)
-
-    def test_submatrix_takes_one_matrix_only(self):
-        with pytest.raises(ValidationError):
-            submatrix_by_pattern(np.ones((2, 3, 3)), (1, 0, 1))

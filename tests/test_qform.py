@@ -54,14 +54,14 @@ def test_trace_preserved_under_conjugation():
     states = [thermal(1.5), squeezed(0.3), squeezed_thermal(1.2, 0.2), vacuum()]
     mus = [derive_q_params(s).mu for s in states]
     qf = build_qform(states, haar_random(4, 5))
-    assert np.trace(qf.d).real == pytest.approx(sum(mus), rel=1e-12)
+    assert np.trace(np.eye(4) - qf.d_tilde).real == pytest.approx(sum(mus), rel=1e-12)
 
 
 def test_classical_inputs_give_d_spectrum_in_unit_interval():
     states = [thermal(1.8), thermal(3.5), squeezed_thermal(2.0, 0.2), vacuum()]
     # squeezed_thermal(2.0, 0.2) has v_p = 2 e^{-0.4} > 1: classical
     qf = build_qform(states, haar_random(4, 19))
-    w = np.linalg.eigvalsh(qf.d)
+    w = np.linalg.eigvalsh(np.eye(4) - qf.d_tilde)
     assert w.min() > 0.0
     assert w.max() <= 1.0 + 1e-12
 
