@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -23,12 +24,14 @@ import sys
 import tempfile
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .engines import applicable, enumerate_patterns, probabilities
 from .errors import CostLimitError, GbsimError, ValidationError
 from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
-from .matrix_functions import detected_modes, hafnian, permanent
+from .matrix_functions import detected_modes, detection_table, hafnian, permanent
 from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json
 from .psd_permanent import DEFAULT_HEADROOM, estimate_permanent, exact_permanent_psd
 from .qform import build_qform
@@ -116,20 +119,24 @@ def _config_integer(cfg: dict, field: str) -> int:
     return int(value)
 
 
-def _config_patterns(cfg: dict, m: int) -> list[tuple[int, ...]]:
+def _config_patterns(cfg: dict, m: int) -> np.ndarray:
+    """The config's patterns as a (P, m) bool table."""
     if "patterns" in cfg:
-        if not isinstance(cfg["patterns"], list):
+        pats = cfg["patterns"]
+        if not isinstance(pats, list):
             raise ValidationError("config field 'patterns' must be an array")
-        pats = []
-        for i, p in enumerate(cfg["patterns"]):
-            try:
-                detected_modes(p, m)
-            except ValidationError as exc:
-                raise ValidationError(f"patterns[{i}]: {exc}") from None
-            pats.append(tuple(int(x) for x in p))
-        return pats
+        try:
+            return detection_table(pats, m)
+        except ValidationError:
+            # The table check raised detected_modes' error for the first bad pattern;
+            # this walk finds that pattern again only to prefix its index.
+            for i, p in enumerate(pats):
+                try:
+                    detected_modes(p, m)
+                except ValidationError as exc:
+                    raise ValidationError(f"patterns[{i}]: {exc}") from None
     if "n_max" in cfg:
-        return list(enumerate_patterns(m, _config_integer(cfg, "n_max")))
+        return detection_table(enumerate_patterns(m, _config_integer(cfg, "n_max")), m)
     raise ValidationError("config needs either 'patterns' or 'n_max'")
 
 
@@ -158,10 +165,12 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
-def _render(meta: dict, columns: list[str], rows: list[dict], fmt: str) -> str:
+def _render(meta: dict, columns: dict[str, list], fmt: str) -> str:
+    """The report of `columns`, which maps each column's name to its values, one per row."""
     if fmt == "json":
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
         return json.dumps({"tool": "gbsim", **meta, "rows": rows}, indent=2, sort_keys=False) + "\n"
-    cells = [[_cell(r.get(c)) for c in columns] for r in rows]
+    cells = [list(map(_cell, values)) for values in columns.values()]
     head = [f"# gbsim {meta.get('version', __version__)}"]
     for k, v in meta.items():
         if k != "version":
@@ -172,15 +181,13 @@ def _render(meta: dict, columns: list[str], rows: list[dict], fmt: str) -> str:
             buf.write(line + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(cells)
+        writer.writerows(zip(*cells))
         return buf.getvalue()
-    widths = [max(len(col), *(len(c[i]) for c in cells)) if cells else len(col) for i, col in enumerate(columns)]
-    lines = head + [
-        "  ".join(col.ljust(widths[i]) for i, col in enumerate(columns)),
-    ]
-    for c in cells:
-        lines.append("  ".join(c[i].ljust(widths[i]) for i in range(len(columns))))
-    return "\n".join(lines) + "\n"
+    padded = []
+    for name, col in zip(columns, cells):
+        width = max(map(len, [name, *col]))
+        padded.append([name.ljust(width)] + [c.ljust(width) for c in col])
+    return "\n".join(head + ["  ".join(line) for line in zip(*padded)]) + "\n"
 
 
 def _cell(v) -> str:
@@ -193,8 +200,9 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _pattern_str(p) -> str:
-    return ",".join(str(int(x)) for x in p)
+def _pattern_strs(patterns) -> list[str]:
+    """Each pattern's entries as integers joined by commas."""
+    return [",".join(map(str, p)) for p in patterns]
 
 
 def cmd_haar(args) -> int:
@@ -224,20 +232,18 @@ def cmd_prob(args) -> int:
     engine = names[-1] if args.engine == "auto" else args.engine
     if engine not in names:
         raise ValidationError(f"engine '{engine}' is not applicable to these inputs")
-    columns = ["pattern", "N", "probability", "engine"]
-    if args.validate:
-        columns.append("crosscheck_delta")
     run = names if args.validate else [engine]
-    table = {name: probabilities(qform, name, patterns).tolist() for name in run}
-    rows = []
-    for i, pat in enumerate(patterns):
-        row = {"pattern": _pattern_str(pat), "N": sum(pat), "probability": table[engine][i], "engine": engine}
-        if args.validate:
-            vals = [table[name][i] for name in run]
-            row["crosscheck_delta"] = float(max(vals) - min(vals))
-        rows.append(row)
+    table = np.array([probabilities(qform, name, patterns) for name in run])
+    columns = {
+        "pattern": _pattern_strs(patterns.view(np.uint8).tolist()),
+        "N": patterns.sum(axis=1).tolist(),
+        "probability": table[run.index(engine)].tolist(),
+        "engine": [engine] * len(patterns),
+    }
+    if args.validate:
+        columns["crosscheck_delta"] = (table.max(axis=0) - table.min(axis=0)).tolist()
     meta = {"version": __version__, "config_hash": _config_hash(cfg)}
-    text = _render(meta, columns, rows, args.format)
+    text = _render(meta, columns, args.format)
     if args.dump_qform:
         dump = [
             f"# K = {_fmt(qform.k)}",
@@ -262,17 +268,19 @@ def cmd_sample(args) -> int:
             raise ValidationError(f"GBSIM_WORKERS must be an integer, got {env!r}") from None
     report = sample_patterns(states, net, args.shots, args.seed, workers=workers)
     items = sorted(report.histogram.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    rows = [
-        {"pattern": _pattern_str(pat), "count": cnt, "frequency": cnt / report.shots}
-        for pat, cnt in items
-    ]
+    counts = [cnt for _, cnt in items]
+    columns = {
+        "pattern": _pattern_strs(pat for pat, _ in items),
+        "count": counts,
+        "frequency": [cnt / report.shots for cnt in counts],
+    }
     meta = {
         "version": __version__,
         "config_hash": _config_hash(cfg),
         "seed": args.seed,
         "shots": args.shots,
     }
-    _emit(_render(meta, ["pattern", "count", "frequency"], rows, args.format), args.out)
+    _emit(_render(meta, columns, args.format), args.out)
     return EXIT_OK
 
 
@@ -282,9 +290,8 @@ def cmd_permanent_psd(args) -> int:
     if result.exact is None and args.exact:
         result = replace(result, exact=exact_permanent_psd(h))
     meta = {"version": __version__, "matrix": os.path.basename(args.matrix), "seed": args.seed}
-    columns = ["estimate", "stderr", "count", "shots", "exact", "ratio", "low_confidence"]
-    rows = [{c: getattr(result, c) for c in columns}]
-    _emit(_render(meta, columns, rows, args.format), args.out)
+    names = ["estimate", "stderr", "count", "shots", "exact", "ratio", "low_confidence"]
+    _emit(_render(meta, {c: [getattr(result, c)] for c in names}, args.format), args.out)
     return EXIT_OK
 
 
@@ -293,32 +300,33 @@ def cmd_validate(args) -> int:
     if "patterns" in cfg or "n_max" in cfg:
         patterns = _config_patterns(cfg, net.m)
     else:
-        patterns = list(enumerate_patterns(net.m, net.m))
+        patterns = detection_table(enumerate_patterns(net.m, net.m), net.m)
     qform = build_qform(states, net)
     names = applicable(qform)
-    fock = apply_network(prepare_input(states, max(map(sum, patterns), default=0)), net)
-    table = {name: probabilities(qform, name, patterns).tolist() for name in names}
-    columns = ["pattern", "N"] + names + (["oracle"] if args.oracle else []) + ["delta"]
-    rows = []
-    worst = 0.0
-    for i, pat in enumerate(patterns):
-        oracle_p = pattern_probability(fock, pat)
-        row = {"pattern": _pattern_str(pat), "N": sum(pat), **{name: table[name][i] for name in names}}
-        delta = max(abs(row[name] - oracle_p) for name in names)
-        if args.oracle:
-            row["oracle"] = oracle_p
-        row["delta"] = delta
-        worst = max(worst, delta)
-        rows.append(row)
+    counts = patterns.view(np.uint8).tolist()
+    weights = patterns.sum(axis=1)
+    fock = apply_network(prepare_input(states, int(weights.max(initial=0))), net)
+    table = np.array([probabilities(qform, name, patterns) for name in names])
+    oracle = np.array([pattern_probability(fock, c) for c in counts])
+    deltas = np.abs(table - oracle).max(axis=0)
+    columns = {"pattern": _pattern_strs(counts), "N": weights.tolist(), **dict(zip(names, table.tolist()))}
+    if args.oracle:
+        columns["oracle"] = oracle.tolist()
+    columns["delta"] = deltas.tolist()
+    worst = float(deltas.max(initial=0.0))
     meta = {"version": __version__, "config_hash": _config_hash(cfg), "oracle_tolerance": ORACLE_TOL}
-    _emit(_render(meta, columns, rows, args.format), args.out)
+    _emit(_render(meta, columns, args.format), args.out)
     if worst > ORACLE_TOL:
         sys.stderr.write(f"gbsim validate: engine-oracle delta {worst:.3e} exceeds {ORACLE_TOL:g}\n")
         return EXIT_VALIDATION
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones;
+    each parse returns a fresh namespace, so nothing carries between calls.
+    Each subcommand's `fn` default is the `cmd_*` function bound at that first call."""
     ap = argparse.ArgumentParser(prog="gbsim", description=__doc__)
     ap.add_argument("--version", action="version", version=f"gbsim {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)

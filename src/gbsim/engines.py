@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ContractError, NumericalIntegrityError, ValidationError
-from .matrix_functions import detected_modes, hafnian, permanent, submatrices
+from .matrix_functions import detection_table, hafnian, permanent, submatrices
 from .qform import OutputQForm
 from .states import input_kinds
 
@@ -92,18 +92,22 @@ def _check_real(values: np.ndarray, what: str) -> np.ndarray:
 
 def probabilities(qform: OutputQForm, name: str, patterns) -> np.ndarray:
     """p(n) of each pattern by the engine `name` (general, thermal or squeezed), in
-    input order: one submatrix gather and batched kernel call per weight N and chunk."""
+    input order: one submatrix gather and batched kernel call per weight N and chunk.
+
+    `patterns` is any iterable of patterns or a (P, M) array, checked as by
+    `detection_table`."""
     engine, what, contract = _TABLES[name]
-    modes = [detected_modes(p, qform.m) for p in patterns]
+    table = detection_table(patterns, qform.m)
     if name not in applicable(qform):
         raise ContractError(contract)
-    weights = np.array([len(row) for row in modes], dtype=np.intp)
-    values = np.empty(len(modes), dtype=complex)
-    for n in sorted(set(weights.tolist())):
+    weights = table.sum(axis=1)
+    values = np.empty(len(table), dtype=complex)
+    for n in sorted(set(weights.tolist())):  # np.unique would import numpy.ma
         at = np.flatnonzero(weights == n)
+        modes = np.nonzero(table[at])[1].reshape(len(at), n)  # each row's detected modes, ascending
         step = max(1, _CHUNK_TERMS >> 2 * n)
-        for rows in (at[i : i + step] for i in range(0, len(at), step)):
-            values[rows] = engine(qform, np.array([modes[r] for r in rows], dtype=np.intp))
+        for i in range(0, len(at), step):
+            values[at[i : i + step]] = engine(qform, modes[i : i + step])
     return _check_real(values, what)
 
 

@@ -42,12 +42,14 @@ class Interferometer:
 def validate_unitary(u) -> Interferometer:
     """Wrap a square matrix as an Interferometer, rejecting non-unitaries.
 
-    The defect is measured as max |U^dag U - 1| over entries and may be at
-    most DEFAULT_UNITARITY_TOL.
+    Every entry must be finite.  The defect is measured as max |U^dag U - 1|
+    over entries and may be at most DEFAULT_UNITARITY_TOL.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
         raise ValidationError(f"network matrix must be square and non-empty, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValidationError("network matrix has a non-finite entry (nan or inf)")
     defect = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
     if defect > DEFAULT_UNITARITY_TOL:
         raise ValidationError(f"matrix is not unitary: defect {defect:.3e} exceeds tolerance {DEFAULT_UNITARITY_TOL:.1e}")

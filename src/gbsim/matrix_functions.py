@@ -148,6 +148,29 @@ def detected_modes(pattern, m: int) -> list[int]:
     return [i for i, c in enumerate(counts) if c]
 
 
+def detection_table(patterns, m: int) -> np.ndarray:
+    """Validate a table of detection patterns over m modes; return it as a (P, m) bool array.
+
+    A real (P, m) numeric table whose entries all equal 0 or 1 passes in one
+    numpy check.  Anything else (ragged rows, object or string entries, NaN)
+    is checked pattern by pattern with `detected_modes`, so the first bad
+    pattern raises exactly its error: the fast check accepts a subset of what
+    `detected_modes` does.
+    """
+    if not isinstance(patterns, np.ndarray):
+        patterns = list(patterns)  # a generator is read once
+    try:
+        a = np.asarray(patterns)
+    except ValueError:  # ragged rows
+        a = None
+    if a is not None and a.dtype.kind in "biuf" and a.ndim == 2 and a.shape[1] == m and ((a == 0) | (a == 1)).all():
+        return a == 1
+    table = np.zeros((len(patterns), m), dtype=bool)
+    for row, p in zip(table, patterns):
+        row[detected_modes(p, m)] = True
+    return table
+
+
 def submatrices(m: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """(P, N, N) stack of m's rows and columns at each row of a (P, N) index array."""
     return m[modes[:, :, None], modes[:, None, :]]

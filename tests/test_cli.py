@@ -376,6 +376,48 @@ def test_integer_values_still_run(thermal_config, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["file", "inline"])
+@pytest.mark.parametrize("command", ["prob", "sample", "validate"])
+def test_non_finite_unitary_exits_1_without_traceback(thermal_config, command, where, capsys):
+    u = gbsim.haar_random(2, 9).u.copy()
+    u[0, 1] = complex(math.nan, 0.0)
+    if where == "file":
+        (thermal_config.parent / "u.txt").write_text(dump_complex_matrix(u))
+        path = thermal_config
+    else:
+        path = _edited_config(thermal_config, unitary=[[[z.real, z.imag] for z in row] for row in u])
+    extra = ["--shots", "10", "--seed", "0"] if command == "sample" else []
+    assert main([command, "--config", str(path), *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gbsim: error:") and "non-finite" in err and "Traceback" not in err
+
+
+class TestSharedParser:
+    """In-process `main` calls share one parser; each call starts from the defaults."""
+
+    def test_validate_flag_does_not_carry_over(self, thermal_config, capsys):
+        assert main(["prob", "--config", str(thermal_config), "--validate", "--format", "csv"]) == 0
+        assert "crosscheck_delta" in capsys.readouterr().out
+        assert main(["prob", "--config", str(thermal_config), "--format", "csv"]) == 0
+        assert "crosscheck_delta" not in capsys.readouterr().out
+
+    def test_workers_flag_does_not_carry_over(self, thermal_config, monkeypatch, capsys):
+        monkeypatch.setenv("GBSIM_WORKERS", "abc")
+        argv = ["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "0"]
+        assert main([*argv, "--workers", "2"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 1  # GBSIM_WORKERS is read again
+        assert "GBSIM_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--version"], ["prob"], ["no-such-command"], ["haar", "--modes", "x", "--seed", "1"]])
+    def test_normal_call_after_an_exit(self, thermal_config, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert main(["prob", "--config", str(thermal_config), "--format", "json"]) == 0
+        assert "crosscheck_delta" not in capsys.readouterr().out
+
+
 def test_version_embedded_in_reports(thermal_config, capsys):
     main(["prob", "--config", str(thermal_config)])
     assert f"# gbsim {gbsim.__version__}" in capsys.readouterr().out

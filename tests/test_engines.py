@@ -22,6 +22,7 @@ from gbsim import (
 )
 from gbsim import engines
 from gbsim.engines import applicable, probabilities
+from gbsim.matrix_functions import detected_modes
 
 # the single-pattern engines, by the names `applicable` returns
 ONE_PATTERN = {"general": prob_general, "thermal": prob_thermal, "squeezed": prob_squeezed}
@@ -235,6 +236,65 @@ def _table_case(name, m, seed=90):
     return qf, [pats[i] for i in rng.permutation(len(pats))]
 
 
+# the ways a caller may hold a table of patterns
+CONTAINERS = {
+    "tuples": lambda pats: [tuple(p) for p in pats],
+    "int-array": lambda pats: np.array(pats, dtype=np.int64),
+    "bool-array": lambda pats: np.array(pats, dtype=bool),
+    "float-array": lambda pats: np.array(pats, dtype=float),
+    "generator": lambda pats: (tuple(p) for p in pats),
+}
+
+# an entry written into two patterns of a valid table, and whether it reads as a click (1), no click (0) or is rejected (None)
+ENTRIES = {
+    "1.0": (1.0, 1),
+    "True": (True, 1),
+    "np.int64(1)": (np.int64(1), 1),
+    "-0.0": (-0.0, 0),
+    "2": (2, None),
+    "-1": (-1, None),
+    "1.9": (1.9, None),
+    "0.5": (0.5, None),
+    "1+0j": (1 + 0j, None),
+    "nan": (math.nan, None),
+    "'1'": ("1", None),
+    "2**70": (2**70, None),
+    "nested": ([1], None),
+    "wrong-length": (None, None),  # every pattern one entry short
+    "ragged": (None, None),  # the two patterns one entry long
+}
+
+
+def _edited_table(pats, entry):
+    """pats with `entry` written into patterns 3 and 7, as lists."""
+    rows = [list(p) for p in pats[:12]]
+    value, _ = ENTRIES[entry]
+    if entry == "wrong-length":
+        return [row[:-1] for row in rows]
+    for r, col in ((3, 2), (7, 0)):
+        if entry == "ragged":
+            rows[r].append(0)
+        else:
+            rows[r][col] = value
+    return rows
+
+
+def _per_pattern_rule(qf, name, patterns):
+    """The table by the one-pattern rule: `detected_modes` on each pattern in
+    order (raising for the first bad one), then the table of int tuples."""
+    pats = list(patterns)
+    for p in pats:
+        detected_modes(p, qf.m)
+    return probabilities(qf, name, [tuple(int(x) for x in p) for p in pats])
+
+
+def _outcome(fn):
+    try:
+        return fn().tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
 class TestProbabilities:
     @pytest.mark.parametrize("m", [6, 10])
     @pytest.mark.parametrize("name", sorted(TABLE_INPUTS))
@@ -282,6 +342,33 @@ class TestProbabilities:
         pats = [(0,) * 12, (1,) * 11 + (0,), (1,) + (0,) * 11]
         with pytest.raises(CostLimitError):
             probabilities(qf, "general", pats)
+
+    @pytest.mark.parametrize("container", sorted(CONTAINERS))
+    def test_containers_equal_the_tuple_table(self, container):
+        qf, pats = _table_case("thermal", 6)
+        for name in applicable(qf):
+            want = probabilities(qf, name, pats)
+            assert probabilities(qf, name, CONTAINERS[container](pats)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "container, entry",
+        # a float array holds every entry but a sequence or a complex number
+        [(c, e) for c in ("tuples", "generator", "float-array") for e in sorted(ENTRIES) if c != "float-array" or e not in ("nested", "ragged", "1+0j")],
+    )
+    def test_entries_checked_as_detected_modes(self, container, entry):
+        qf, pats = _table_case("thermal", 6)
+        rows = _edited_table(pats, entry)
+        for name in applicable(qf):
+            got = _outcome(lambda: probabilities(qf, name, CONTAINERS[container](rows)))
+            assert got == _outcome(lambda: _per_pattern_rule(qf, name, CONTAINERS[container](rows)))
+        if container == "tuples":
+            reads_as = ENTRIES[entry][1]
+            assert isinstance(got, bytes) == (reads_as is not None)
+            if reads_as is not None:
+                clean = [tuple(reads_as if x is ENTRIES[entry][0] else x for x in row) for row in rows]
+                assert got == probabilities(qf, name, clean).tobytes()
+            else:  # the first bad pattern is named
+                assert str(tuple(rows[0 if entry == "wrong-length" else 3])) in got
 
     def test_generator_input(self):
         qf, _ = _table_case("squeezed", 6)

@@ -26,6 +26,14 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate_unitary(np.array([[1, 0], [1, 1]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_rejected(self, bad):
+        # a NaN defect compares False against the tolerance, so it needs its own check
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_unitary(u)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             validate_unitary(np.ones((2, 3)))
