@@ -5,7 +5,9 @@ Subcommands: prob | sample | permanent | hafnian | permanent-psd | validate | ha
 All numeric output is printed with 17 significant digits.  Reports are
 rendered fully before anything is written, and files are written atomically
 (temp file + rename), so a failing run never leaves a partial table.  Exit
-codes: 0 success, 1 validation error, 2 cost-limit error.
+codes: 0 success, 2 cost-limit error, 1 any other error: invalid input, an
+input file that cannot be read or decoded, an --out that cannot be written,
+or an --engine whose precondition fails.
 
 Environment overrides: GBSIM_WORKERS (default worker count for sampling),
 GBSIM_OUT_DIR (directory prepended to relative --out paths).
@@ -32,7 +34,7 @@ from .errors import CostLimitError, GbsimError, ValidationError
 from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
 from .matrix_functions import detected_modes, detection_table, hafnian, permanent
-from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json
+from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json, read_text
 from .psd_permanent import DEFAULT_HEADROOM, estimate_permanent, exact_permanent_psd
 from .qform import build_qform
 from .sampler import sample_patterns
@@ -56,10 +58,7 @@ def _config_hash(cfg: dict) -> str:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config: {exc}") from None
+        cfg = json.loads(read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -153,16 +152,18 @@ def _emit(text: str, out: str | None) -> None:
         return
     path = _out_path(out)
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".gbsim-")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".gbsim-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out file '{path}': {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _render(meta: dict, columns: dict[str, list], fmt: str) -> str:
@@ -230,14 +231,13 @@ def cmd_prob(args) -> int:
     names = applicable(qform)
     # auto prefers the most specialized engine whose precondition holds
     engine = names[-1] if args.engine == "auto" else args.engine
-    if engine not in names:
-        raise ValidationError(f"engine '{engine}' is not applicable to these inputs")
-    run = names if args.validate else [engine]
+    # the chosen engine first: an inapplicable one raises its own precondition
+    run = [engine, *(n for n in names if n != engine)] if args.validate else [engine]
     table = np.array([probabilities(qform, name, patterns) for name in run])
     columns = {
         "pattern": _pattern_strs(patterns.view(np.uint8).tolist()),
         "N": patterns.sum(axis=1).tolist(),
-        "probability": table[run.index(engine)].tolist(),
+        "probability": table[0].tolist(),
         "engine": [engine] * len(patterns),
     }
     if args.validate:
@@ -245,14 +245,9 @@ def cmd_prob(args) -> int:
     meta = {"version": __version__, "config_hash": _config_hash(cfg)}
     text = _render(meta, columns, args.format)
     if args.dump_qform:
-        dump = [
-            f"# K = {_fmt(qform.k)}",
-            "# C:",
-            *("#   " + " ".join(format_complex(z) for z in row) for row in qform.c),
-            "# D-tilde:",
-            *("#   " + " ".join(format_complex(z) for z in row) for row in qform.d_tilde),
-        ]
-        text += "\n".join(dump) + "\n"
+        text += f"# K = {_fmt(qform.k)}\n"
+        for name, mat in (("C", qform.c), ("D-tilde", qform.d_tilde)):
+            text += f"# {name}:\n" + "".join(f"#   {row}\n" for row in dump_complex_matrix(mat).splitlines())
     _emit(text, args.out)
     return EXIT_OK
 
@@ -297,10 +292,7 @@ def cmd_permanent_psd(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg, states, net = _load_run(args.config)
-    if "patterns" in cfg or "n_max" in cfg:
-        patterns = _config_patterns(cfg, net.m)
-    else:
-        patterns = detection_table(enumerate_patterns(net.m, net.m), net.m)
+    patterns = _config_patterns({"n_max": net.m, **cfg}, net.m)  # default: every 0/1 pattern
     qform = build_qform(states, net)
     names = applicable(qform)
     counts = patterns.view(np.uint8).tolist()
@@ -325,8 +317,7 @@ def cmd_validate(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by later ones;
-    each parse returns a fresh namespace, so nothing carries between calls.
-    Each subcommand's `fn` default is the `cmd_*` function bound at that first call."""
+    each parse returns a fresh namespace, so nothing carries between calls."""
     ap = argparse.ArgumentParser(prog="gbsim", description=__doc__)
     ap.add_argument("--version", action="version", version=f"gbsim {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -339,17 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_haar)
 
     p = sub.add_parser("permanent", help="permanent of a complex matrix file")
     p.add_argument("matrix")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_permanent)
 
     p = sub.add_parser("hafnian", help="hafnian of a complex matrix file")
     p.add_argument("matrix")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_hafnian)
 
     p = sub.add_parser("prob", help="exact detection probabilities from a config")
     p.add_argument("--config", required=True)
@@ -357,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true", help="cross-check all applicable engines")
     p.add_argument("--dump-qform", action="store_true", help="append the (K, C, D-tilde) report")
     add_fmt(p)
-    p.set_defaults(fn=cmd_prob)
 
     p = sub.add_parser("sample", help="sample photon-count patterns (classical inputs)")
     p.add_argument("--config", required=True)
@@ -365,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=0, help="0 = use GBSIM_WORKERS or 1")
     add_fmt(p)
-    p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("permanent-psd", help="estimate the permanent of a PSD Hermitian matrix by sampling")
     p.add_argument("--matrix", required=True)
@@ -374,20 +360,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--headroom", type=float, default=DEFAULT_HEADROOM)
     p.add_argument("--exact", action="store_true", help="force the exact permanent even for large n")
     add_fmt(p)
-    p.set_defaults(fn=cmd_permanent_psd)
 
     p = sub.add_parser("validate", help="compare every applicable engine against the Fock oracle")
     p.add_argument("--config", required=True)
     p.add_argument("--oracle", action="store_true", help="add the oracle probability column")
     add_fmt(p)
-    p.set_defaults(fn=cmd_validate)
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, so a rebound cmd_* function is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CostLimitError as exc:
         sys.stderr.write(f"gbsim: cost limit: {exc}\n")
         return EXIT_COST

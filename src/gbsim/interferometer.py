@@ -64,7 +64,7 @@ def haar_random(m: int, seed: int) -> Interferometer:
     """
     if m < 1:
         raise ValidationError(f"mode count must be >= 1, got {m}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)

@@ -3,7 +3,8 @@
 File format: one matrix row per line, entries separated by whitespace.
 Each entry is either a Python complex literal ("0.5-0.25j", "1.5", "2j") or
 a comma pair "re,im".  Writing always uses the literal form with 17
-significant digits, so written files round-trip bit-exactly.
+significant digits, so written files round-trip bit-exactly.  Every input
+file is read through `read_text`.
 """
 
 from __future__ import annotations
@@ -33,20 +34,30 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def load_complex_matrix(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([parse_complex_token(tok) for tok in line.split()])
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the input file at `path`; a file that cannot be read or
+    decoded raises ValidationError naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"cannot read {what}: not UTF-8 text: '{path}'") from None
+
+
+def _matrix(rows: list[list[complex]], what: str) -> np.ndarray:
     if not rows:
-        raise ValidationError(f"matrix file {path} is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValidationError(f"matrix file {path} has ragged rows")
+        raise ValidationError(f"{what} is empty")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValidationError(f"{what} has ragged rows")
     return np.array(rows, dtype=complex)
+
+
+def load_complex_matrix(path) -> np.ndarray:
+    lines = read_text(path, "matrix file").split("\n")  # text mode turned every line end into \n
+    rows = [[parse_complex_token(tok) for tok in line.split()] for line in lines]
+    return _matrix([row for row in rows if row], f"matrix file {path}")
 
 
 def dump_complex_matrix(m) -> str:
@@ -60,6 +71,4 @@ def matrix_from_json(obj) -> np.ndarray:
         rows = [[complex(float(e[0]), float(e[1])) for e in row] for row in obj]
     except (TypeError, ValueError, IndexError):
         raise ValidationError("inline unitary must be a nested array of [re, im] pairs") from None
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValidationError("inline unitary must be a non-empty rectangular array")
-    return np.array(rows, dtype=complex)
+    return _matrix(rows, "inline unitary")

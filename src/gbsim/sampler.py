@@ -91,6 +91,8 @@ class PatternEstimate(NamedTuple):
 
 def _integer(value, what: str) -> int:
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None

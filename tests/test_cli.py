@@ -138,8 +138,8 @@ class TestProb:
         assert main(["prob", "--config", str(path), "--engine", engine, "--format", "json"]) == rc
         if rc == 0:
             assert {row["engine"] for row in json.loads(capsys.readouterr().out)["rows"]} == {engine}
-        else:
-            assert "not applicable" in capsys.readouterr().err
+        else:  # the engine's own precondition text
+            assert f"gbsim: error: {engine} engine requires" in capsys.readouterr().err
 
     @pytest.mark.parametrize("patterns", [[[0.5, 1]], [[1.9, 0]], [[2, 0]], [["1", 0]], [[1, 0, 0]]])
     def test_pattern_entries_must_be_0_or_1(self, thermal_config, patterns, capsys):
@@ -248,6 +248,15 @@ class TestPermanentPsd:
             assert main(argv + ["--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_missing_exact_printed_as_dash(self, tmp_path, capsys):
+        # n = 13 without --exact: no exact value, so exact and ratio print "-"
+        f = tmp_path / "eye.txt"
+        f.write_text(dump_complex_matrix(np.eye(13)))
+        assert main(["permanent-psd", "--matrix", str(f), "--shots", "2000", "--seed", "1", "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[-2:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["exact"] == "-" and cells["ratio"] == "-" and cells["low_confidence"] in ("yes", "no")
 
     def test_exact_above_crosscheck_limit(self, tmp_path, capsys):
         # n = 13 is past the estimator's own cross-check, so only --exact fills these
@@ -532,3 +541,71 @@ def test_table_above_the_cost_limit_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["prob", "--config", str(path), "--engine", "general"]) == 2
     assert "cost limit" in capsys.readouterr().err
+
+
+def _assert_error_exit(capsys, *fragments):
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gbsim: error:") and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestInputFiles:
+    """Every input file goes through one reader: a file that cannot be read or decoded exits 1."""
+
+    @pytest.fixture(params=["missing", "directory", "not-utf8"])
+    def bad_path(self, request, tmp_path):
+        path = tmp_path / "m.txt"
+        if request.param == "directory":
+            path.mkdir()
+        elif request.param == "not-utf8":
+            path.write_bytes(b"1 \xff\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["permanent", "{}"], ["hafnian", "{}"], ["permanent-psd", "--matrix", "{}", "--shots", "10", "--seed", "0"]],
+        ids=["permanent", "hafnian", "permanent-psd"],
+    )
+    def test_matrix_file(self, bad_path, argv, capsys):
+        assert main([a.format(bad_path) for a in argv]) == 1
+        _assert_error_exit(capsys, "cannot read matrix file", "m.txt")
+
+    @pytest.mark.parametrize("command", ["prob", "validate", "sample"])
+    def test_unitary_file(self, thermal_config, bad_path, command, capsys):
+        path = _edited_config(thermal_config, unitary={"file": str(bad_path)})
+        extra = ["--shots", "10", "--seed", "0"] if command == "sample" else []
+        assert main([command, "--config", str(path), *extra]) == 1
+        _assert_error_exit(capsys, "cannot read matrix file", "m.txt")
+
+    def test_config_file(self, bad_path, capsys):
+        assert main(["prob", "--config", str(bad_path)]) == 1
+        _assert_error_exit(capsys, "cannot read config")
+
+
+class TestOut:
+    def test_out_dir_environment_prefixes_relative_paths(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GBSIM_OUT_DIR", str(tmp_path / "reports"))
+        assert main(["haar", "--modes", "2", "--seed", "1", "--out", "u.txt"]) == 0
+        assert main(["haar", "--modes", "2", "--seed", "1", "--out", str(tmp_path / "abs.txt")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "reports" / "u.txt").read_bytes() == (tmp_path / "abs.txt").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["abs.txt", "reports"]
+
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    def test_unwritable_out_exits_1_and_leaves_nothing(self, tmp_path, where, capsys):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        out = tmp_path / ("dir" if where == "directory" else "file/u.txt")
+        assert main(["haar", "--modes", "2", "--seed", "1", "--out", str(out)]) == 1
+        _assert_error_exit(capsys, f"cannot write --out file '{out}'")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]  # no .gbsim-* temp file
+
+
+def test_dispatch_reads_the_command_at_each_call(monkeypatch, capsys):
+    # the parser is built once; the cmd_* function is looked up at every call
+    assert main(["haar", "--modes", "1", "--seed", "0"]) == 0
+    seen = []
+    monkeypatch.setattr(gbsim.cli, "cmd_haar", lambda args: seen.append(args.modes) or 7)
+    assert main(["haar", "--modes", "2", "--seed", "0"]) == 7
+    assert seen == [2]

@@ -106,12 +106,20 @@ class TestPrepareInput:
         with pytest.raises(CutoffError, match="cap"):
             prepare_input([vacuum()] * 4, cutoff=16)
 
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(ValidationError, match="cutoff must be non-negative"):
+            prepare_input([vacuum()], cutoff=-1)
+
     def test_squeezed_thermal_unsupported(self):
         with pytest.raises(ValidationError):
             prepare_input([squeezed_thermal(1.5, 0.3)], cutoff=0)
 
 
 class TestApplyNetwork:
+    def test_mode_count_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="network has 3 modes, state has 2"):
+            apply_network(prepare_input([vacuum()] * 2, cutoff=1), haar_random(3, 1))
+
     def test_identity_network(self):
         st = prepare_input([thermal(2.0), squeezed(0.4)], cutoff=20)
         out = apply_network(st, validate_unitary(np.eye(2)))

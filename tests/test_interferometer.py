@@ -60,6 +60,11 @@ class TestHaarRandom:
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 1 / 6) < 5 * se
 
+    @pytest.mark.parametrize("seed", [True, np.True_, -1, 1.5, "1"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            haar_random(2, seed)
+
     def test_zero_modes_rejected(self):
         with pytest.raises(ValidationError):
             haar_random(0, 1)

@@ -47,6 +47,19 @@ class TestEmbed:
         with pytest.raises(ValidationError):
             embed(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("headroom", [0.0, 1.0, -0.1, 1.5])
+    def test_headroom_outside_open_unit_interval_rejected(self, headroom):
+        with pytest.raises(ValidationError, match="headroom"):
+            embed(np.eye(2), headroom=headroom)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="empty"):
+            embed(np.zeros((0, 0)))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValidationError, match="square"):
+            embed(np.ones((2, 3)))
+
     def test_negative_definite_rejected(self):
         with pytest.raises(ValidationError):
             embed(np.diag([1.0, -0.5]))

@@ -82,6 +82,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             thermal(0.8)
 
+    def test_squeezed_thermal_below_vacuum_rejected(self):
+        with pytest.raises(ValidationError, match="base variance"):
+            squeezed_thermal(0.9, 0.3)
+
     def test_squeezed_sign_canonicalized(self):
         assert squeezed(-0.7) == squeezed(0.7)
 
