@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .engines import applicable, enumerate_patterns, probabilities
-from .errors import CostLimitError, GbsimError, ValidationError
+from .errors import CostLimitError, GbsimError, ValidationError, integer
 from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
 from .matrix_functions import detected_modes, detection_table, hafnian, permanent
@@ -111,11 +111,11 @@ def _load_run(path: str) -> tuple[dict, list, Interferometer]:
 
 
 def _config_integer(cfg: dict, field: str) -> int:
-    """Config field `field` as an int: 2 and 2.0 are accepted, true and 2.5 are not."""
+    """Config field `field` through `integer`, with JSON's 2.0 read as 2."""
     value = cfg[field]
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValidationError(f"config field '{field}' must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return integer(value, f"config field '{field}'")
 
 
 def _config_patterns(cfg: dict, m: int) -> np.ndarray:

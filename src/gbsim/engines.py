@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ContractError, NumericalIntegrityError, ValidationError
+from .errors import ContractError, NumericalIntegrityError, ValidationError, integer
 from .matrix_functions import detection_table, hafnian, permanent, submatrices
 from .qform import OutputQForm
 from .states import input_kinds
@@ -47,6 +47,7 @@ def enumerate_patterns(m: int, n_max: int) -> Iterator[tuple[int, ...]]:
 
     Streams patterns one at a time; nothing is materialized.
     """
+    m, n_max = integer(m, "mode count"), integer(n_max, "n_max")
     if n_max > m or n_max < 0:
         raise ValidationError(f"n_max must be in [0, {m}], got {n_max}")
     for n in range(n_max + 1):

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all gbsim modules."""
+"""Exception hierarchy shared by all gbsim modules, and `integer`, the one
+rule that every count, size and seed argument goes through."""
+
+import operator
 
 
 class GbsimError(Exception):
@@ -7,6 +10,16 @@ class GbsimError(Exception):
 
 class ValidationError(GbsimError):
     """Invalid input data: unphysical state, non-unitary matrix, bad config."""
+
+
+def integer(value, what: str) -> int:
+    """`value` as an int; anything else (a bool, float, string) raises "<what> must be an integer"."""
+    try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 class ContractError(ValidationError):

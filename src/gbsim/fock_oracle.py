@@ -31,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CutoffError, ValidationError
+from .errors import CutoffError, ValidationError, integer
 from .interferometer import DEFAULT_UNITARITY_TOL, Interferometer
 from .matrix_functions import photon_counts
 from .states import GaussianModeState, derive_q_params, input_kinds, mean_photon_number
@@ -234,7 +234,7 @@ def prepare_input(states: list[GaussianModeState], cutoff: int) -> FockState:
     m = len(states)
     if m < 1 or m > MAX_MODES:
         raise ValidationError(f"the Fock oracle handles 1..{MAX_MODES} modes, got {m}")
-    if cutoff < 0:
+    if (cutoff := integer(cutoff, "cutoff")) < 0:
         raise ValidationError("cutoff must be non-negative")
     if math.comb(cutoff + m, m) > MAX_BASIS_DIM:
         raise CutoffError(f"cutoff {cutoff} needs {math.comb(cutoff + m, m)} basis states, above the cap {MAX_BASIS_DIM}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 DEFAULT_UNITARITY_TOL = 1e-10
 
@@ -62,10 +62,10 @@ def haar_random(m: int, seed: int) -> Interferometer:
     QR of a complex Ginibre matrix with the R-diagonal phase fix, so the
     distribution is exactly Haar rather than merely orthonormal.
     """
-    if m < 1:
+    if (m := integer(m, "mode count")) < 1:
         raise ValidationError(f"mode count must be >= 1, got {m}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if (seed := integer(seed, "seed")) < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

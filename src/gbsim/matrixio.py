@@ -16,16 +16,11 @@ from .errors import ValidationError
 
 def parse_complex_token(tok: str) -> complex:
     tok = tok.strip()
-    if "," in tok:
-        parts = tok.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"cannot parse complex entry {tok!r}")
-        try:
-            return complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ValidationError(f"cannot parse complex entry {tok!r}") from None
     try:
-        return complex(tok)
+        if "," not in tok:
+            return complex(tok)
+        real, imag = tok.split(",")  # a third part fails to unpack
+        return complex(float(real), float(imag))
     except ValueError:
         raise ValidationError(f"cannot parse complex entry {tok!r}") from None
 

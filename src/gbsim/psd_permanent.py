@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalIntegrityError, ValidationError
 from .interferometer import validate_unitary
 from .matrix_functions import permanent
 from .sampler import LOW_CONFIDENCE_COUNT, estimate_probabilities  # the threshold the docstrings name
@@ -160,14 +160,14 @@ def estimate_permanent(
 
 
 def exact_permanent_psd(h) -> float:
-    """Exact permanent of a PSD Hermitian matrix, checked to be real and
-    non-negative up to roundoff."""
+    """Exact permanent of a PSD Hermitian matrix.  Beyond roundoff, an imaginary residue
+    raises NumericalIntegrityError and a negative value (PSD is not checked) ValidationError."""
     h = _check_psd_hermitian(h)
     n = h.shape[0]
     val = permanent(h)
     scale = max(float(np.abs(h).max()), 1e-300) ** n if n else 1.0
     if abs(val.imag) > 1e-10 * max(abs(val), scale):
-        raise ValidationError(f"permanent of PSD matrix has imaginary residue {val.imag:.3e}")
+        raise NumericalIntegrityError(f"permanent of PSD matrix has imaginary residue {val.imag:.3e}")
     if val.real < -1e-10 * scale:
         raise ValidationError(f"permanent of PSD matrix is negative: {val.real:.3e}")
     return float(val.real)

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .interferometer import Interferometer
 from .matrix_functions import photon_counts
 from .states import GaussianModeState, is_classical, mean_photon_number
@@ -87,15 +87,6 @@ class PatternEstimate(NamedTuple):
     ess: np.ndarray
     count: np.ndarray
     low_confidence: np.ndarray
-
-
-def _integer(value, what: str) -> int:
-    try:
-        if isinstance(value, bool):  # operator.index(True) is 1
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 class _Scratch(threading.local):
@@ -147,12 +138,12 @@ def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Calla
     order.  `draw` takes `_block_counts`'s arguments, the run's `_Scratch` last."""
     if len(states) != net.m:
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
-    if _integer(shots, "shot count") < 1:
+    if integer(shots, "shot count") < 1:
         raise ValidationError(f"shot count must be >= 1, got {shots}")
-    seed = _integer(seed, "seed")
+    seed = integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
-    workers = _integer(workers, "worker count")
+    workers = integer(workers, "worker count")
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
     for i, s in enumerate(states):

@@ -114,6 +114,26 @@ def total_photon_moments(report):
     return mean, (var / report.shots) ** 0.5
 
 
+def photon_number_law(variances, n_max: int) -> np.ndarray:
+    """P(N = n) for n = 0..n_max, N the total photon number of independent
+    zero-mean Gaussian modes whose quadrature variances (vacuum = 1, two per
+    mode) are `variances`.  A passive network conserves N, so the law holds
+    behind any network, for classical and non-classical inputs alike.
+
+    Its generating function is the product over quadratures of
+    sqrt(2/(v+1)) (1 - q s)^(-1/2) with q = (v-1)/(v+1), and
+    (1 - q s)^(-1/2) has coefficients C(2k, k) (q/4)^k: so the n = 0 term is
+    prod sqrt(2/(v+1)) and the n = 1 term is that times sum q/2.
+    """
+    k = np.arange(n_max + 1)
+    central = np.array([math.comb(2 * j, j) for j in k], dtype=float) / 4.0**k
+    law = np.eye(1, n_max + 1)[0]
+    for v in variances:
+        q = (v - 1.0) / (v + 1.0)
+        law = np.convolve(law, central * q**k)[: n_max + 1] * math.sqrt(2.0 / (v + 1.0))
+    return law
+
+
 def geometric_chi2_pvalue(report, nbar: float, bins: int = 20) -> float:
     """Binned chi-squared p-value of a one-mode sample against the thermal law
     P(n) = nbar^n / (nbar + 1)^(n + 1).

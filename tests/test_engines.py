@@ -23,6 +23,7 @@ from gbsim import (
 from gbsim import engines
 from gbsim.engines import applicable, probabilities
 from gbsim.matrix_functions import detected_modes
+from statutil import photon_number_law
 
 # the single-pattern engines, by the names `applicable` returns
 ONE_PATTERN = {"general": prob_general, "thermal": prob_thermal, "squeezed": prob_squeezed}
@@ -139,6 +140,16 @@ class TestEnumeratePatterns:
         assert sum(first[1]) == 1
         # 1 + 30 + C(30,2) patterns in total; count without materializing
         assert 3 + sum(1 for _ in gen) == 1 + 30 + 435
+
+    @pytest.mark.parametrize(
+        "m, n_max, what", [(3, 1.5, "n_max"), (3, True, "n_max"), ("3", 1, "mode count"), (3.0, 1, "mode count")]
+    )
+    def test_non_integer_arguments_rejected(self, m, n_max, what):
+        with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+            list(enumerate_patterns(m, n_max))
+
+    def test_numpy_integers_run(self):
+        assert list(enumerate_patterns(np.int64(3), np.uint64(1))) == list(enumerate_patterns(3, 1))
 
 
 class TestStructure:
@@ -407,3 +418,33 @@ class TestClamp:
     def test_above_one_reads_one(self, monkeypatch):
         qf = self._vacuum_general(monkeypatch, 1.0 + 1e-12)
         assert prob_general(qf, (1, 1, 0)) == 1.0
+
+
+
+# --- the total photon-number law: every engine above the Fock oracle's modes --
+
+LAW_INPUTS = {
+    "thermal": lambda r, m: [thermal(v) for v in r.uniform(1.3, 3.2, m)],
+    "squeezed": lambda r, m: [squeezed(s) for s in r.uniform(0.3, 0.9, m)],
+    "squeezed-thermal": lambda r, m: [squeezed_thermal(v, s) for v, s in zip(r.uniform(1.1, 2.0, m), r.uniform(0.2, 0.6, m))],
+    "mixed": lambda r, m: [(thermal(1 + 2 * x), squeezed(x), vacuum())[i % 3] for i, x in enumerate(r.uniform(0.3, 0.9, m))],
+}
+
+
+@pytest.mark.parametrize("m", [6, 9, 12])
+@pytest.mark.parametrize("kind", LAW_INPUTS)
+def test_vacuum_and_one_photon_match_the_law(kind, m):
+    # a passive network conserves the total count, so p(vacuum) and the sum over
+    # the M one-photon patterns are the law's n = 0 and n = 1 terms at any M
+    states = LAW_INPUTS[kind](np.random.default_rng(300 + m), m)
+    qf = build_qform(states, haar_random(m, 300 + m))
+    law = photon_number_law([v for s in states for v in (s.v_x, s.v_p)], 1)
+    names = applicable(qf)
+    assert names == ["general", kind] if kind in ("thermal", "squeezed") else names == ["general"]
+    for name in names:
+        p = probabilities(qf, name, np.eye(m + 1, m, -1, dtype=bool))  # vacuum, then e_1..e_M
+        assert abs(p[0] - law[0]) <= 1e-13 * law[0], name
+        if kind == "squeezed":  # odd counts vanish; the law reads 0 up to its own roundoff
+            assert abs(p[1:].sum() - law[1]) <= 1e-14, name
+        else:
+            assert abs(p[1:].sum() - law[1]) <= 1e-13 * law[1], name

@@ -110,6 +110,16 @@ class TestPrepareInput:
         with pytest.raises(ValidationError, match="cutoff must be non-negative"):
             prepare_input([vacuum()], cutoff=-1)
 
+    @pytest.mark.parametrize("cutoff", [2.5, True, "2"])
+    def test_non_integer_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValidationError, match="cutoff must be an integer"):
+            prepare_input([thermal(2.0)], cutoff)
+
+    @pytest.mark.parametrize("cutoff", [np.int64(2), np.uint64(2)])
+    def test_numpy_integer_cutoff_runs(self, cutoff):
+        st = prepare_input([thermal(2.0)], cutoff)
+        assert type(st.cutoff) is int and st.cutoff == 2
+
     def test_squeezed_thermal_unsupported(self):
         with pytest.raises(ValidationError):
             prepare_input([squeezed_thermal(1.5, 0.3)], cutoff=0)

@@ -60,14 +60,31 @@ class TestHaarRandom:
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 1 / 6) < 5 * se
 
-    @pytest.mark.parametrize("seed", [True, np.True_, -1, 1.5, "1"])
+    @pytest.mark.parametrize("seed", [True, np.True_, -1, 1.5, "1", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             haar_random(2, seed)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(1.5, "seed must be an integer, got 1.5"), (-1, "seed must be a non-negative integer, got -1")],
+    )
+    def test_seed_messages(self, seed, message):
+        with pytest.raises(ValidationError) as info:
+            haar_random(2, seed)
+        assert str(info.value) == message
+
     def test_zero_modes_rejected(self):
         with pytest.raises(ValidationError):
             haar_random(0, 1)
+
+    @pytest.mark.parametrize("m", [2.5, "2", True, None])
+    def test_non_integer_mode_count_rejected(self, m):
+        with pytest.raises(ValidationError, match="mode count must be an integer"):
+            haar_random(m, 1)
+
+    def test_numpy_integers_run(self):
+        assert np.array_equal(haar_random(np.int64(3), np.uint64(5)).u, haar_random(3, 5).u)
 
 
 def sector_one(net):

@@ -5,6 +5,7 @@ import pytest
 
 from gbsim import (
     CostLimitError,
+    NumericalIntegrityError,
     ValidationError,
     embed,
     estimate_permanent,
@@ -186,3 +187,22 @@ class TestExact:
     def test_cost_limit(self):
         with pytest.raises(CostLimitError):
             exact_permanent_psd(np.eye(25))
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [(1 + 1e-3j, NumericalIntegrityError, "imaginary residue"), (-1.0, ValidationError, "is negative")],
+    )
+    def test_residue_and_sign_checks(self, monkeypatch, value, error, message):
+        # a Hermitian matrix's permanent is real, so a residue is a defect;
+        # the sign is the input's, as only hermiticity is checked
+        monkeypatch.setattr(psd_permanent, "permanent", lambda h: complex(value))
+        with pytest.raises(error, match=message):
+            exact_permanent_psd(np.eye(2))
+
+    def test_imaginary_residue_exits_1_in_the_cli(self, monkeypatch, tmp_path, capsys):
+        from gbsim.cli import main
+
+        monkeypatch.setattr(psd_permanent, "permanent", lambda h: 1 + 1e-3j)
+        (tmp_path / "h.txt").write_text("1 0\n0 1\n")
+        assert main(["permanent-psd", "--matrix", str(tmp_path / "h.txt"), "--shots", "10", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "gbsim: error: permanent of PSD matrix has imaginary residue 1.000e-03\n"
