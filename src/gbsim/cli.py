@@ -5,9 +5,11 @@ Subcommands: prob | sample | permanent | hafnian | permanent-psd | validate | ha
 All numeric output is printed with 17 significant digits.  Reports are
 rendered fully before anything is written, and files are written atomically
 (temp file + rename), so a failing run never leaves a partial table.  Exit
-codes: 0 success, 2 cost-limit error, 1 any other error: invalid input, an
-input file that cannot be read or decoded, an --out that cannot be written,
-or an --engine whose precondition fails.
+codes: 0 success, 2 cost-limit error, 1 any other error: invalid input (a
+nan or inf matrix entry included), an input file that cannot be read or
+decoded, an --out that cannot be written, or an --engine whose precondition
+fails.  A config is read once into its states and network, and a bad
+pattern is named by its index, patterns[i].
 
 Environment overrides: GBSIM_WORKERS (default worker count for sampling),
 GBSIM_OUT_DIR (directory prepended to relative --out paths).
@@ -33,7 +35,7 @@ from .engines import applicable, enumerate_patterns, probabilities
 from .errors import CostLimitError, GbsimError, ValidationError, integer
 from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
-from .matrix_functions import detected_modes, detection_table, hafnian, permanent
+from .matrix_functions import detection_table, hafnian, permanent
 from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json, read_text
 from .psd_permanent import DEFAULT_HEADROOM, estimate_permanent, exact_permanent_psd
 from .qform import build_qform
@@ -56,7 +58,17 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _load_config(path: str) -> dict:
+def _config_integer(cfg: dict, field: str) -> int:
+    """Config field `field` through `integer`, with JSON's 2.0 read as 2."""
+    value = cfg[field]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return integer(value, f"config field '{field}'")
+
+
+def _load_run(path: str) -> tuple[dict, list, Interferometer]:
+    """The config at `path`, as read (its hash is taken from it), with its parsed
+    states and network; every check and message uses the parsed mode count."""
     try:
         cfg = json.loads(read_text(path, "config"))
     except json.JSONDecodeError as exc:
@@ -68,11 +80,7 @@ def _load_config(path: str) -> dict:
     for field in ("modes", "states", "unitary"):
         if field not in cfg:
             raise ValidationError(f"config field '{field}' is missing")
-    _config_integer(cfg, "modes")
-    return cfg
-
-
-def _config_states(cfg: dict) -> list:
+    modes = _config_integer(cfg, "modes")
     if not isinstance(cfg["states"], list):
         raise ValidationError("config field 'states' must be an array")
     states = []
@@ -81,76 +89,38 @@ def _config_states(cfg: dict) -> list:
             states.append(state_from_descriptor(desc))
         except ValidationError as exc:
             raise ValidationError(f"states[{i}]: {exc}") from None
-    if len(states) != cfg["modes"]:
-        raise ValidationError(f"config declares modes = {cfg['modes']} but lists {len(states)} states")
-    return states
-
-
-def _config_unitary(cfg: dict, base_dir: str):
+    if len(states) != modes:
+        raise ValidationError(f"config declares modes = {modes} but lists {len(states)} states")
     entry = cfg["unitary"]
     if isinstance(entry, dict) and isinstance(entry.get("file"), str):
-        path = entry["file"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        u = load_complex_matrix(path)
+        # a relative path is relative to the config; join keeps an absolute one as it is
+        u = load_complex_matrix(os.path.join(os.path.dirname(os.path.abspath(path)), entry["file"]))
     elif isinstance(entry, list):
         u = matrix_from_json(entry)
     else:
         raise ValidationError("config field 'unitary' must be an inline array or {\"file\": path}")
     net = validate_unitary(u)
-    if net.m != cfg["modes"]:
-        raise ValidationError(f"unitary is {net.m}x{net.m} but config declares modes = {cfg['modes']}")
-    return net
-
-
-def _load_run(path: str) -> tuple[dict, list, Interferometer]:
-    """The config at `path` with its parsed states and network."""
-    cfg = _load_config(path)
-    states = _config_states(cfg)
-    return cfg, states, _config_unitary(cfg, os.path.dirname(os.path.abspath(path)))
-
-
-def _config_integer(cfg: dict, field: str) -> int:
-    """Config field `field` through `integer`, with JSON's 2.0 read as 2."""
-    value = cfg[field]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return integer(value, f"config field '{field}'")
+    if net.m != modes:
+        raise ValidationError(f"unitary is {net.m}x{net.m} but config declares modes = {modes}")
+    return cfg, states, net
 
 
 def _config_patterns(cfg: dict, m: int) -> np.ndarray:
-    """The config's patterns as a (P, m) bool table."""
+    """The config's patterns as a (P, m) bool table; a bad pattern is named by its index."""
     if "patterns" in cfg:
-        pats = cfg["patterns"]
-        if not isinstance(pats, list):
+        if not isinstance(cfg["patterns"], list):
             raise ValidationError("config field 'patterns' must be an array")
-        try:
-            return detection_table(pats, m)
-        except ValidationError:
-            # The table check raised detected_modes' error for the first bad pattern;
-            # this walk finds that pattern again only to prefix its index.
-            for i, p in enumerate(pats):
-                try:
-                    detected_modes(p, m)
-                except ValidationError as exc:
-                    raise ValidationError(f"patterns[{i}]: {exc}") from None
+        return detection_table(cfg["patterns"], m)
     if "n_max" in cfg:
         return detection_table(enumerate_patterns(m, _config_integer(cfg, "n_max")), m)
     raise ValidationError("config needs either 'patterns' or 'n_max'")
-
-
-def _out_path(path: str) -> str:
-    out_dir = os.environ.get("GBSIM_OUT_DIR")
-    if out_dir and not os.path.isabs(path):
-        return os.path.join(out_dir, path)
-    return path
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    path = _out_path(out)
+    path = os.path.join(os.environ.get("GBSIM_OUT_DIR", ""), out)  # an absolute `out` stays as it is
     d = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
@@ -213,15 +183,13 @@ def cmd_haar(args) -> int:
 
 
 def cmd_permanent(args) -> int:
-    val = permanent(load_complex_matrix(args.matrix))
-    _emit(format_complex(val) + "\n", args.out)
+    """The permanent or hafnian of a matrix file, by the command's name."""
+    kernel = permanent if args.command == "permanent" else hafnian
+    _emit(format_complex(kernel(load_complex_matrix(args.matrix))) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_hafnian(args) -> int:
-    val = hafnian(load_complex_matrix(args.matrix))
-    _emit(format_complex(val) + "\n", args.out)
-    return EXIT_OK
+cmd_hafnian = cmd_permanent
 
 
 def cmd_prob(args) -> int:
@@ -331,13 +299,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("permanent", help="permanent of a complex matrix file")
-    p.add_argument("matrix")
-    p.add_argument("--out")
-
-    p = sub.add_parser("hafnian", help="hafnian of a complex matrix file")
-    p.add_argument("matrix")
-    p.add_argument("--out")
+    for name in ("permanent", "hafnian"):
+        p = sub.add_parser(name, help=f"{name} of a complex matrix file")
+        p.add_argument("matrix")
+        p.add_argument("--out")
 
     p = sub.add_parser("prob", help="exact detection probabilities from a config")
     p.add_argument("--config", required=True)

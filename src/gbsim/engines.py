@@ -45,17 +45,22 @@ def applicable(qform: OutputQForm) -> list[str]:
 def enumerate_patterns(m: int, n_max: int) -> Iterator[tuple[int, ...]]:
     """All C(m, n) patterns for each n <= n_max, lexicographic within each n.
 
-    Streams patterns one at a time; nothing is materialized.
+    The arguments are checked at the call; the patterns are then streamed one
+    at a time, and nothing is materialized.
     """
     m, n_max = integer(m, "mode count"), integer(n_max, "n_max")
     if n_max > m or n_max < 0:
         raise ValidationError(f"n_max must be in [0, {m}], got {n_max}")
-    for n in range(n_max + 1):
-        for detected in combinations(range(m), n):
-            pat = [0] * m
-            for i in detected:
-                pat[i] = 1
-            yield tuple(pat)
+
+    def stream():
+        for n in range(n_max + 1):
+            for detected in combinations(range(m), n):
+                pat = [0] * m
+                for i in detected:
+                    pat[i] = 1
+                yield tuple(pat)
+
+    return stream()
 
 
 def _pairing_matrices(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:

@@ -154,8 +154,8 @@ def detection_table(patterns, m: int) -> np.ndarray:
     A real (P, m) numeric table whose entries all equal 0 or 1 passes in one
     numpy check.  Anything else (ragged rows, object or string entries, NaN)
     is checked pattern by pattern with `detected_modes`, so the first bad
-    pattern raises exactly its error: the fast check accepts a subset of what
-    `detected_modes` does.
+    pattern i raises its error prefixed "patterns[i]: ": the fast check accepts
+    a subset of what `detected_modes` does.
     """
     if not isinstance(patterns, np.ndarray):
         patterns = list(patterns)  # a generator is read once
@@ -166,8 +166,11 @@ def detection_table(patterns, m: int) -> np.ndarray:
     if a is not None and a.dtype.kind in "biuf" and a.ndim == 2 and a.shape[1] == m and ((a == 0) | (a == 1)).all():
         return a == 1
     table = np.zeros((len(patterns), m), dtype=bool)
-    for row, p in zip(table, patterns):
-        row[detected_modes(p, m)] = True
+    for i, p in enumerate(patterns):
+        try:
+            table[i, detected_modes(p, m)] = True
+        except ValidationError as exc:
+            raise ValidationError(f"patterns[{i}]: {exc}") from None
     return table
 
 

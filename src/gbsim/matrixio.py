@@ -4,7 +4,8 @@ File format: one matrix row per line, entries separated by whitespace.
 Each entry is either a Python complex literal ("0.5-0.25j", "1.5", "2j") or
 a comma pair "re,im".  Writing always uses the literal form with 17
 significant digits, so written files round-trip bit-exactly.  Every input
-file is read through `read_text`.
+file is read through `read_text`, and every matrix, from a file or inline,
+must be rectangular and finite: a nan or inf entry raises ValidationError.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ def _matrix(rows: list[list[complex]], what: str) -> np.ndarray:
         raise ValidationError(f"{what} is empty")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError(f"{what} has ragged rows")
-    return np.array(rows, dtype=complex)
+    a = np.array(rows, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has a non-finite entry (nan or inf)")
+    return a
 
 
 def load_complex_matrix(path) -> np.ndarray:

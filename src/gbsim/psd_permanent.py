@@ -56,6 +56,8 @@ def _check_psd_hermitian(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValidationError("matrix has a non-finite entry (nan or inf)")
     scale = max(float(np.abs(h).max()), 1.0) if h.size else 1.0
     if h.size and float(np.abs(h - h.conj().T).max()) > _HERM_TOL * scale:
         raise ValidationError("matrix is not Hermitian within tolerance")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -385,6 +386,25 @@ def test_integer_values_still_run(thermal_config, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_messages_use_the_parsed_mode_count(thermal_config, capsys):
+    three = [{"type": "thermal", "v": 2.0}] * 3
+    assert main(["prob", "--config", str(_edited_config(thermal_config, modes=2.0, states=three))]) == 1
+    _assert_error_exit(capsys, "config declares modes = 2 but lists 3 states")
+    assert main(["prob", "--config", str(_edited_config(thermal_config, modes=3.0, states=three))]) == 1
+    _assert_error_exit(capsys, "unitary is 2x2 but config declares modes = 3")
+
+
+def test_integral_float_modes_keeps_the_raw_config_hash(thermal_config, capsys):
+    path = _edited_config(thermal_config, modes=2.0)
+    raw = json.loads(path.read_text())
+    assert raw["modes"] == 2.0 and isinstance(raw["modes"], float)
+    want = hashlib.sha256(json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+    assert main(["prob", "--config", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config_hash"] == want
+    assert main(["prob", "--config", str(thermal_config), "--format", "json"]) == 0  # "modes": 2
+    assert json.loads(capsys.readouterr().out)["config_hash"] != want
+
+
 @pytest.mark.parametrize("where", ["file", "inline"])
 @pytest.mark.parametrize("command", ["prob", "sample", "validate"])
 def test_non_finite_unitary_exits_1_without_traceback(thermal_config, command, where, capsys):
@@ -581,6 +601,25 @@ class TestInputFiles:
     def test_config_file(self, bad_path, capsys):
         assert main(["prob", "--config", str(bad_path)]) == 1
         _assert_error_exit(capsys, "cannot read config")
+
+
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf+1j"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["permanent", "{}"],
+        ["hafnian", "{}"],
+        ["permanent-psd", "--matrix", "{}", "--shots", "10", "--seed", "0"],
+        ["permanent-psd", "--matrix", "{}", "--shots", "10", "--seed", "0", "--exact"],
+    ],
+    ids=["permanent", "hafnian", "permanent-psd", "permanent-psd-exact"],
+)
+def test_non_finite_matrix_file_exits_1(tmp_path, argv, entry, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(f"1 {entry}\n{entry} 1\n")
+    assert main([a.format(path) for a in argv]) == 1
+    _assert_error_exit(capsys, f"matrix file {path} has a non-finite entry")
 
 
 class TestOut:

@@ -148,6 +148,12 @@ class TestEnumeratePatterns:
         with pytest.raises(ValidationError, match=f"{what} must be an integer"):
             list(enumerate_patterns(m, n_max))
 
+    @pytest.mark.parametrize("n_max, match", [(5, r"n_max must be in \[0, 3\], got 5"), (True, "n_max must be an integer")])
+    def test_arguments_checked_at_the_call(self, n_max, match):
+        # raised by the call itself, before any pattern is asked for
+        with pytest.raises(ValidationError, match=match):
+            enumerate_patterns(3, n_max)
+
     def test_numpy_integers_run(self):
         assert list(enumerate_patterns(np.int64(3), np.uint64(1))) == list(enumerate_patterns(3, 1))
 
@@ -291,11 +297,15 @@ def _edited_table(pats, entry):
 
 
 def _per_pattern_rule(qf, name, patterns):
-    """The table by the one-pattern rule: `detected_modes` on each pattern in
-    order (raising for the first bad one), then the table of int tuples."""
+    """The table by the indexed one-pattern rule: `detected_modes` on each pattern
+    in order (the first bad one, i, raising its error prefixed "patterns[i]: "),
+    then the table of int tuples."""
     pats = list(patterns)
-    for p in pats:
-        detected_modes(p, qf.m)
+    for i, p in enumerate(pats):
+        try:
+            detected_modes(p, qf.m)
+        except ValidationError as exc:
+            raise ValidationError(f"patterns[{i}]: {exc}") from None
     return probabilities(qf, name, [tuple(int(x) for x in p) for p in pats])
 
 
@@ -380,6 +390,16 @@ class TestProbabilities:
                 assert got == probabilities(qf, name, clean).tobytes()
             else:  # the first bad pattern is named
                 assert str(tuple(rows[0 if entry == "wrong-length" else 3])) in got
+
+    @pytest.mark.parametrize("container", ["tuples", "generator", "float-array"])
+    def test_bad_row_is_named_by_its_index(self, container):
+        qf, pats = _table_case("thermal", 6)
+        rows = [list(p) for p in pats[:8]]
+        rows[2][1] = 2
+        for name in applicable(qf):
+            with pytest.raises(ValidationError) as info:
+                probabilities(qf, name, CONTAINERS[container](rows))
+            assert str(info.value).startswith("patterns[2]: detection pattern entries must be 0 or 1")
 
     def test_generator_input(self):
         qf, _ = _table_case("squeezed", 6)

@@ -66,6 +66,16 @@ class TestEmbed:
             embed(np.diag([1.0, -0.5]))
 
 
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "-inf-j"])
+@pytest.mark.parametrize("call", [embed, lambda h: estimate_permanent(h, 100, 0), exact_permanent_psd], ids=["embed", "estimate_permanent", "exact_permanent_psd"])
+def test_non_finite_entry_rejected(call, value):
+    h = np.eye(3, dtype=complex)
+    h[1, 2] = h[2, 1] = value
+    with pytest.raises(ValidationError, match="non-finite"):
+        call(h)
+
+
 class TestEstimate:
     def test_diagonal_matrix(self):
         d = np.array([0.5, 1.5, 2.0])
