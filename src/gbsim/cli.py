@@ -5,11 +5,12 @@ Subcommands: prob | sample | permanent | hafnian | permanent-psd | validate | ha
 All numeric output is printed with 17 significant digits.  Reports are
 rendered fully before anything is written, and files are written atomically
 (temp file + rename), so a failing run never leaves a partial table.  Exit
-codes: 0 success, 2 cost-limit error, 1 any other error: invalid input (a
-nan or inf matrix entry included), an input file that cannot be read or
-decoded, an --out that cannot be written, or an --engine whose precondition
-fails.  A config is read once into its states and network, and a bad
-pattern is named by its index, patterns[i].
+codes: 0 success, 2 cost-limit error, 1 any other error: a usage error (a
+missing or malformed argument, an unknown command), invalid input (a nan or
+inf matrix entry included), an input file that cannot be read or decoded,
+an --out that cannot be written, or an --engine whose precondition fails.
+A config is read once into its states and network, and a bad pattern is
+named by its index, patterns[i].
 
 Environment overrides: GBSIM_WORKERS (default worker count for sampling),
 GBSIM_OUT_DIR (directory prepended to relative --out paths).
@@ -282,11 +283,20 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors at exit 1, since 2 is the cost-limit code;
+    the usage and message text are argparse's.  Subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by later ones;
     each parse returns a fresh namespace, so nothing carries between calls."""
-    ap = argparse.ArgumentParser(prog="gbsim", description=__doc__)
+    ap = _Parser(prog="gbsim", description=__doc__)
     ap.add_argument("--version", action="version", version=f"gbsim {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 

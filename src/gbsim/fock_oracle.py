@@ -1,23 +1,28 @@
 """Brute-force Fock-space simulator: the independent ground truth.
 
-Supports at most four modes and thermal / squeezed-vacuum / vacuum inputs.
-A linear network conserves the total photon number N, so it acts on each
-N-photon sector alone, by a unitary U_N on the C(N+M-1, M-1) compositions of
-N into M modes (the phi(U) of Aaronson & Arkhipov, arXiv:1011.3245).  U_N
-is composed from this module's own Givens sweep of U, each layer a phase
-and a beam-splitter block per sector, and its one-photon sector is checked
-against U itself, so the sweep's convention has a single implementation.  The
-cutoff is the largest total photon number the caller will ask about: the
-input is truncated on N <= cutoff, and within a sector the evolution is
-exact, so every pattern with at most `cutoff` photons gets its exact
-probability whatever mass lies beyond the cutoff, and nothing leaks.
-Thermal and vacuum modes are mixtures over Fock numbers and squeezed modes
-are kets, so sector N holds a (d_N, T_N) matrix of kets, one per Fock
-configuration t of the mixed modes, weighted by sqrt(p(t)); a probability is
-a row sum of |.|^2.  No density matrix is built.
+Supports thermal / squeezed-vacuum / vacuum inputs.  A linear network
+conserves the total photon number N, so it acts on each N-photon sector
+alone, by a unitary U_N on the C(N+M-1, M-1) compositions of N into M modes
+(the phi(U) of Aaronson & Arkhipov, arXiv:1011.3245).  A sector's basis is
+its stars-and-bars compositions in colex order of their M - 1 bar positions:
+`_basis` lists them from the bar sets and `_rank` inverts it, so no index
+array outgrows its sector, whatever M.  U_N is composed from this module's
+own Givens sweep of U, each layer a phase and a beam-splitter block per
+sector, and its one-photon sector is checked against U itself, so the
+sweep's convention has a single implementation.  The cutoff is the largest
+total photon number the caller will ask about: the input is truncated on
+N <= cutoff, and within a sector the evolution is exact, so every pattern
+with at most `cutoff` photons gets its exact probability whatever mass lies
+beyond the cutoff, and nothing leaks.  Thermal and vacuum modes are
+mixtures over Fock numbers and squeezed modes are kets, so sector N holds a
+(d_N, T_N) matrix of kets, one per Fock configuration t of the mixed modes,
+weighted by sqrt(p(t)); a probability is a row sum of |.|^2.  No density
+matrix is built.
 
 This module exists to cross-check the exact engines and the sampler.  It
-forms no permanents, is single-threaded, and is capped in size.
+forms no permanents and is single-threaded.  Two caps bound it: MAX_MODES
+modes and MAX_BASIS_DIM states over all sectors.  The basis cap alone does
+not bound its cost, since U_N takes one pass per Givens layer, M(M-1)/2.
 """
 
 from __future__ import annotations
@@ -95,28 +100,29 @@ def _amplitudes(state: GaussianModeState, length: int) -> np.ndarray:
 def _rank(counts: np.ndarray) -> np.ndarray:
     """Index of each composition (along the last axis) in its sector's basis.
 
-    Stars and bars: the m - 1 bars of counts (n_0, .., n_{m-1}) sit at
-    b_k = n_0 + .. + n_k + k, and the colex rank of that bar set,
-    sum_k C(b_k, k + 1), numbers the compositions of N from 0 to d_N - 1.
+    Stars and bars: with prefix sums s_k = n_0 + .. + n_k, the m - 1 bars of
+    counts (n_0, .., n_{m-1}) sit at s_k + k, and the colex rank of that bar
+    set, sum_k C(s_k + k, k + 1), numbers the compositions of N from 0 to
+    d_N - 1.  The terms are read from a table of C(s + k, k + 1) for s up to
+    the largest prefix sum, and no entry of it exceeds d_N.
     """
-    bars = np.cumsum(counts[..., :-1], axis=-1) + np.arange(counts.shape[-1] - 1)
-    rank = np.zeros(bars.shape[:-1], dtype=np.intp)
-    for k in range(bars.shape[-1]):
-        term = np.ones_like(rank)
-        for i in range(k + 1):  # C(b, i + 1) = C(b, i) * (b - i) / (i + 1), exact
-            term = term * (bars[..., k] - i) // (i + 1)
-        rank += term
-    return rank
+    prefix = np.cumsum(counts[..., :-1], axis=-1)
+    k = np.arange(counts.shape[-1] - 1)
+    table = np.array([[math.comb(s + j, j + 1) for j in k.tolist()] for s in range(prefix.max(initial=0) + 1)], dtype=np.intp)
+    return table[prefix, k].sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
 def _basis(n: int, m: int) -> np.ndarray:
-    """The compositions of n into m modes, (d_n, m): row r has rank r."""
-    grid = np.indices((n + 1,) * (m - 1)).reshape(m - 1, (n + 1) ** (m - 1))
-    grid = grid[:, grid.sum(axis=0) <= n]
-    comps = np.vstack([grid, n - grid.sum(axis=0)]).T
-    basis = np.empty_like(comps)
-    basis[_rank(comps)] = comps
+    """The compositions of n into m modes, (d_n, m): row r has rank r.
+
+    Row r's bars are the r-th (m - 1)-subset of range(n + m - 1) in colex
+    order, which is the lex order of `combinations` reversed, with every bar
+    b mirrored to n + m - 2 - b; the counts are the gaps between the bars.
+    """
+    mirrored = np.array(list(combinations(range(n + m - 1), m - 1)), dtype=np.intp)
+    bars = (n + m - 2 - mirrored)[::-1, ::-1]
+    basis = np.diff(bars, axis=1, prepend=-1, append=n + m - 1) - 1
     basis.setflags(write=False)
     return basis
 
@@ -243,12 +249,12 @@ def prepare_input(states: list[GaussianModeState], cutoff: int) -> FockState:
     sectors = []
     for n in range(cutoff + 1):
         basis = _basis(n, m)
-        keys = basis[:, mixed] @ (cutoff + 1) ** np.arange(len(mixed))  # the mixed modes' configuration
-        distinct = np.sort(keys)
-        distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
-        kets = np.zeros((len(basis), len(distinct)))
+        # one column per configuration of the mixed modes, in order with the last mode first
+        configs = list(map(tuple, basis[:, mixed[::-1]].tolist()))
+        column = {t: j for j, t in enumerate(sorted(set(configs)))}
+        kets = np.zeros((len(basis), len(column)))
         amp = np.prod([a[col] for a, col in zip(amps, basis.T)], axis=0)
-        kets[np.arange(len(basis)), np.searchsorted(distinct, keys)] = amp
+        kets[np.arange(len(basis)), [column[t] for t in configs]] = amp
         sectors.append(kets)
     captured = sum(float(np.sum(kets**2)) for kets in sectors)
     return FockState(cutoff=cutoff, modes=m, sectors=sectors, tail_bound=max(1.0 - captured, 0.0))
@@ -280,11 +286,3 @@ def pattern_probability(state: FockState, pattern) -> float:
     r = int(_rank(np.array(counts)))
     return float(_row_mass(state.sectors[n][r : r + 1])[0])
 
-
-def photon_number_distribution(state: FockState) -> np.ndarray:
-    """Joint photon-number distribution as an array of shape (cutoff + 1,) * modes;
-    entries with more than `cutoff` photons in total are 0."""
-    joint = np.zeros((state.cutoff + 1,) * state.modes)
-    for n, kets in enumerate(state.sectors):
-        joint[tuple(_basis(n, state.modes).T)] = _row_mass(kets)
-    return joint

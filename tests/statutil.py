@@ -9,7 +9,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from gbsim.engines import enumerate_patterns, prob_thermal
-from gbsim.fock_oracle import apply_network, photon_number_distribution, prepare_input
+from gbsim.fock_oracle import FockState, _basis, _row_mass, apply_network, prepare_input
 from gbsim.sampler import BLOCK_SHOTS, _block_counts, _Scratch
 
 
@@ -94,6 +94,16 @@ def thermal_chi2_pvalue(report, qform, min_expected: float = 10.0) -> float:
     every multi-photon pattern falls in the catch-all bin."""
     probs = {pat: prob_thermal(qform, pat) for pat in enumerate_patterns(qform.m, qform.m)}
     return chi2_pvalue(report, probs, min_expected)
+
+
+def photon_number_distribution(state: FockState) -> np.ndarray:
+    """The oracle's joint photon-number distribution as a dense array of shape
+    (cutoff + 1,) * modes; entries with more than `cutoff` photons in total are 0.
+    Its size grows as (cutoff + 1)^M, so it is for small test states only."""
+    joint = np.zeros((state.cutoff + 1,) * state.modes)
+    for n, kets in enumerate(state.sectors):
+        joint[tuple(_basis(n, state.modes).T)] = _row_mass(kets)
+    return joint
 
 
 def fock_chi2_pvalue(report, states, net, cutoff: int, min_expected: float = 10.0) -> float:

@@ -30,8 +30,8 @@ from gbsim import (
     validate_unitary,
 )
 from gbsim.cli import main as cli_main
-from gbsim.fock_oracle import apply_network, pattern_probability, photon_number_distribution, prepare_input
-from statutil import thermal_chi2_pvalue
+from gbsim.fock_oracle import apply_network, pattern_probability, prepare_input
+from statutil import photon_number_distribution, thermal_chi2_pvalue
 
 
 def _report(n, ok, detail):

@@ -405,6 +405,18 @@ def test_integral_float_modes_keeps_the_raw_config_hash(thermal_config, capsys):
     assert json.loads(capsys.readouterr().out)["config_hash"] != want
 
 
+@pytest.mark.parametrize(
+    "unitary", [[["10"]], [[[1, 0, 5]]], [[{"re": 1, "im": 0}]], [[[True, 0]]]], ids=["string", "three-numbers", "object", "bool"]
+)
+def test_malformed_inline_entry_exits_1(thermal_config, unitary, capsys):
+    # an entry is a two-element array of numbers or refused: "10" is not read as 1 + 0j
+    one_mode = {"modes": 1, "states": [{"type": "thermal", "v": 2.0}], "n_max": 1}
+    assert main(["prob", "--config", str(_edited_config(thermal_config, **one_mode, unitary=[[[1, 0]]]))]) == 0
+    capsys.readouterr()
+    assert main(["prob", "--config", str(_edited_config(thermal_config, **one_mode, unitary=unitary))]) == 1
+    assert capsys.readouterr() == ("", "gbsim: error: inline unitary must be a nested array of [re, im] pairs\n")
+
+
 @pytest.mark.parametrize("where", ["file", "inline"])
 @pytest.mark.parametrize("command", ["prob", "sample", "validate"])
 def test_non_finite_unitary_exits_1_without_traceback(thermal_config, command, where, capsys):
@@ -419,6 +431,29 @@ def test_non_finite_unitary_exits_1_without_traceback(thermal_config, command, w
     assert main([command, "--config", str(path), *extra]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("gbsim: error:") and "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 1),
+        (["prob"], 1),
+        (["nosuch"], 1),
+        (["sample", "--config", "cfg.json", "--shots", "abc", "--seed", "1"], 1),
+        (["haar", "--modes", "3", "--seed", "1", "--bogus"], 1),
+        (["--help"], 0),
+        (["prob", "--help"], 0),
+        (["--version"], 0),
+    ],
+    ids=["no-command", "missing-option", "unknown-command", "bad-int", "unknown-option", "help", "command-help", "version"],
+)
+def test_usage_exit_codes(argv, code, capsys):
+    # a usage error exits 1, as validation errors do; 2 is the cost-limit code
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert (err.startswith("usage: gbsim") and "error: " in err) if code else err == ""
 
 
 class TestSharedParser:

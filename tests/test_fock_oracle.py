@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,13 +21,8 @@ from gbsim import (
     validate_unitary,
 )
 from gbsim import fock_oracle
-from gbsim.fock_oracle import (
-    FockState,
-    apply_network,
-    pattern_probability,
-    photon_number_distribution,
-    prepare_input,
-)
+from gbsim.fock_oracle import FockState, apply_network, pattern_probability, prepare_input
+from statutil import photon_number_distribution
 
 
 def bs_kernel(dim: int, theta: float) -> np.ndarray:
@@ -62,6 +58,47 @@ def squeezed_law(r: float, length: int) -> np.ndarray:
     return np.array(
         [math.comb(n, n // 2) * (math.tanh(r) / 2) ** n / math.cosh(r) if n % 2 == 0 else 0.0 for n in range(length)]
     )
+
+
+class TestBasis:
+    """The stars-and-bars index: `_basis` lists each sector in rank order and `_rank` inverts it."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 64, 70])
+    def test_rank_numbers_every_sector(self, m):
+        # every sector the caps admit at m <= 4; n = 1 and 2 where the old binomial loop overflowed
+        if m <= fock_oracle.MAX_MODES:
+            sizes = [n for n in range(fock_oracle.MAX_BASIS_DIM) if math.comb(n + m, m) <= fock_oracle.MAX_BASIS_DIM]
+        else:
+            sizes = [1, 2]
+        for n in sizes:
+            basis = fock_oracle._basis(n, m)
+            assert basis.shape == (math.comb(n + m - 1, m - 1), m)
+            assert (basis.sum(axis=1) == n).all() and (basis >= 0).all()
+            assert len(np.unique(basis, axis=0)) == len(basis)
+            assert np.array_equal(fock_oracle._rank(basis), np.arange(len(basis))), (n, m)
+
+    def test_basis_builds_no_grid(self):
+        # 220 rows of 10 modes; the (3 + 1)^9 index grid alone would be 18.9 MB
+        tracemalloc.start()
+        try:
+            fock_oracle._basis.__wrapped__(3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_seventy_thermal_modes(self, monkeypatch):
+        # one ket column per configuration, however many modes; the oracle then
+        # agrees with the thermal engine on vacuum and on every one-photon pattern
+        monkeypatch.setattr(fock_oracle, "MAX_MODES", 70)
+        states = [thermal(v) for v in np.random.default_rng(7).uniform(1.1, 1.6, 70)]
+        net = haar_random(70, 70)
+        st = prepare_input(states, cutoff=1)
+        assert [kets.shape for kets in st.sectors] == [(1, 1), (70, 70)]
+        out = apply_network(st, net)
+        qf = build_qform(states, net)
+        for pat in [np.zeros(70, dtype=int), *np.eye(70, dtype=int)]:
+            assert abs(pattern_probability(out, pat) - prob_thermal(qf, pat)) <= 1e-15
 
 
 class TestPrepareInput:

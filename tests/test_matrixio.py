@@ -43,11 +43,21 @@ def test_bad_file_rejected(tmp_path, text, match):
         ([[1, 0]], "pairs"),
         ([[[1]]], "pairs"),
         ([[["a", 0]]], "pairs"),
+        ([["10"]], "pairs"),
+        ([[["1", "0"]]], "pairs"),
+        ([[[1, 0, 5]]], "pairs"),
+        ([[{"re": 1, "im": 0}]], "pairs"),
+        ([[[True, 0]]], "pairs"),
+        ([[[1, None]]], "pairs"),
+        ([[[10**400, 0]]], "pairs"),
         (5, "pairs"),
         ([], "inline unitary is empty"),
         ([[[1, 0], [0, 0]], [[1, 0]]], "inline unitary has ragged rows"),
     ],
-    ids=["number-entries", "short-pair", "string-entry", "not-an-array", "empty", "ragged"],
+    ids=[
+        "number-entries", "short-pair", "string-entry", "string-as-pair", "string-numbers", "three-numbers",
+        "object", "bool", "null", "int-beyond-float", "not-an-array", "empty", "ragged",
+    ],
 )
 def test_bad_inline_rejected(obj, match):
     with pytest.raises(ValidationError, match=match):
