@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .engines import applicable, enumerate_patterns, probabilities
-from .errors import CostLimitError, GbsimError, ValidationError, integer
+from .errors import CostLimitError, CutoffError, GbsimError, ValidationError, integer
 from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
 from .matrix_functions import detection_table, hafnian, permanent
@@ -266,7 +266,10 @@ def cmd_validate(args) -> int:
     names = applicable(qform)
     counts = patterns.view(np.uint8).tolist()
     weights = patterns.sum(axis=1)
-    fock = apply_network(prepare_input(states, int(weights.max(initial=0))), net)
+    try:
+        fock = apply_network(prepare_input(states, int(weights.max(initial=0))), net)
+    except CutoffError as exc:
+        raise CutoffError(f"{exc}; give the config 'patterns' or a smaller 'n_max'") from None
     table = np.array([probabilities(qform, name, patterns) for name in names])
     oracle = np.array([pattern_probability(fock, c) for c in counts])
     deltas = np.abs(table - oracle).max(axis=0)
@@ -337,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_fmt(p)
 
     p = sub.add_parser("validate", help="compare every applicable engine against the Fock oracle")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True, help="with neither patterns nor n_max, every 0/1 pattern is checked, which the oracle admits up to 6 modes")
     p.add_argument("--oracle", action="store_true", help="add the oracle probability column")
     add_fmt(p)
     return ap

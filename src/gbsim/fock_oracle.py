@@ -20,9 +20,7 @@ weighted by sqrt(p(t)); a probability is a row sum of |.|^2.  No density
 matrix is built.
 
 This module exists to cross-check the exact engines and the sampler.  It
-forms no permanents and is single-threaded.  Two caps bound it: MAX_MODES
-modes and MAX_BASIS_DIM states over all sectors.  The basis cap alone does
-not bound its cost, since U_N takes one pass per Givens layer, M(M-1)/2.
+forms no permanents, is single-threaded, and has one cap, MAX_BASIS_DIM.
 """
 
 from __future__ import annotations
@@ -41,12 +39,13 @@ from .interferometer import DEFAULT_UNITARITY_TOL, Interferometer
 from .matrix_functions import photon_counts
 from .states import GaussianModeState, derive_q_params, input_kinds, mean_photon_number
 
-MAX_MODES = 4
-# Cap on the truncated basis, sum_{N <= c} C(N+M-1, M-1) = C(c+M, M) states,
-# so the largest pattern a caller may ask about has 15 photons at M = 4
-# (largest sector 816), 27 at M = 3 and 89 at M = 2.  The worst case, four
-# thermal modes at cutoff 15, evolves in 0.85 s on one core.  It also bounds
-# the caches below: beam-splitter blocks up to s = 89 hold 4 MB.
+# One cap, checked before any work, bounds the basis and the work.  Basis: the
+# C(c+M, M) states with at most c photons.  Work: the M(M-1)/2 Givens layers each
+# pass over the d_N^2 entries of every U_N, d_N = C(N+M-1, M-1), for N up to
+# max(c, 1) (U's sweep runs even at c = 0): at most MAX_BASIS_DIM^2 in all.  The
+# largest cutoffs: 4095, 89, 27, 15, 9, 7, 5 at M = 1..7, then 4 to M = 9, 3 to 12,
+# 2 to 22, 1 to 76, none above; on one core each takes at most about 1 s and 130 MB.
+# A call reads c + 1 <= MAX_BASIS_DIM sectors, so every cache below holds one call.
 MAX_BASIS_DIM = 4096
 
 _UNITARITY_TOL = 1e-13
@@ -112,7 +111,7 @@ def _rank(counts: np.ndarray) -> np.ndarray:
     return table[prefix, k].sum(axis=-1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_BASIS_DIM)
 def _basis(n: int, m: int) -> np.ndarray:
     """The compositions of n into m modes, (d_n, m): row r has rank r.
 
@@ -127,26 +126,23 @@ def _basis(n: int, m: int) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=None)
-def _pair_blocks(n: int, m: int, i: int, j: int) -> list[tuple[int, np.ndarray]]:
-    """Sector n's rows grouped by every occupation but those of modes i and j.
-
-    One (s, idx) per block size s = n_i + n_j; idx is (s + 1, groups), and
-    row k of it holds the states with n_i = k, n_j = s - k.
-    """
-    basis = _basis(n, m)
-    blocks = []
-    for s in range(n + 1):
-        starts = basis[(basis[:, i] == 0) & (basis[:, j] == s)]
-        if len(starts):
-            states = np.repeat(starts[None], s + 1, axis=0)
-            states[..., i] = np.arange(s + 1)[:, None]
-            states[..., j] = s - states[..., i]
-            blocks.append((s, _rank(states)))
-    return blocks
+@lru_cache(maxsize=MAX_BASIS_DIM)
+def _pair_blocks(n: int, m: int) -> dict[tuple[int, int], list[tuple[int, np.ndarray]]]:
+    """Sector n's rows grouped, for each mode pair i < j, by every occupation
+    but n_i and n_j: one (s, idx) per s = n_i + n_j, where row k of the
+    (s + 1, groups) idx holds the states with n_i = k, n_j = s - k."""
+    basis, step = _basis(n, m), np.eye(m, dtype=np.intp)
+    pairs = {}
+    for i, j in combinations(range(m), 2):
+        pairs[i, j] = []
+        for s in range(n + 1):
+            starts = basis[(basis[:, i] == 0) & (basis[:, j] == s)]
+            if len(starts):
+                pairs[i, j].append((s, _rank(starts + np.arange(s + 1)[:, None, None] * (step[i] - step[j]))))
+    return pairs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_BASIS_DIM)
 def _bs_eigen(s: int) -> tuple[np.ndarray, np.ndarray]:
     """eigh of i G_s, where G_s = A - A^T, A[k+1, k] = sqrt((k+1)(s-k)), is the
     generator a_i^dag a_j - a_i a_j^dag on the states |k, s-k>."""
@@ -207,11 +203,11 @@ def _sector_unitaries(net: Interferometer, cutoff: int) -> Iterator[np.ndarray]:
     angles = np.angle(np.diagonal(residue))
     for n in range(cutoff + 1):
         basis = _basis(n, net.m)
-        u = np.eye(len(basis), dtype=complex)
+        u, pairs = np.eye(len(basis), dtype=complex), _pair_blocks(n, net.m)
         for (i, j, _, phi), ks in zip(layers, blocks):
             if phi != 0.0:
                 u *= np.exp(1j * phi * basis[:, i])[:, None]
-            for s, idx in _pair_blocks(n, net.m, i, j) if ks else ():
+            for s, idx in pairs[i, j] if ks else ():
                 rows = u[idx]
                 u[idx] = (ks[s] @ rows.reshape(s + 1, -1)).reshape(rows.shape)
         u = u * np.exp(1j * (basis @ angles))[:, None]
@@ -235,15 +231,16 @@ def prepare_input(states: list[GaussianModeState], cutoff: int) -> FockState:
 
     `cutoff` is the largest total photon number the caller will ask about;
     the input mass above it is reported as `tail_bound`.  Raises CutoffError
-    if the basis exceeds MAX_BASIS_DIM.
+    if the basis or the layers' passes exceed the cap at MAX_BASIS_DIM.
     """
-    m = len(states)
-    if m < 1 or m > MAX_MODES:
-        raise ValidationError(f"the Fock oracle handles 1..{MAX_MODES} modes, got {m}")
+    if (m := len(states)) < 1:
+        raise ValidationError("the Fock oracle needs at least one mode")
     if (cutoff := integer(cutoff, "cutoff")) < 0:
         raise ValidationError("cutoff must be non-negative")
-    if math.comb(cutoff + m, m) > MAX_BASIS_DIM:
-        raise CutoffError(f"cutoff {cutoff} needs {math.comb(cutoff + m, m)} basis states, above the cap {MAX_BASIS_DIM}")
+    if (dim := math.comb(cutoff + m, m)) > MAX_BASIS_DIM:
+        raise CutoffError(f"cutoff {cutoff} needs {dim} basis states, above the cap {MAX_BASIS_DIM}")
+    if (passes := m * (m - 1) // 2 * sum(math.comb(n + m - 1, m - 1) ** 2 for n in range(max(cutoff, 1) + 1))) > MAX_BASIS_DIM**2:
+        raise CutoffError(f"cutoff {cutoff} at {m} modes needs {passes} layer passes over sector entries, above the cap {MAX_BASIS_DIM}^2")
     amps = [_amplitudes(s, cutoff + 1) for s in states]
     mixed = [k for k, s in enumerate(states) if _classify(s)[0] != "squeezed"]
     sectors = []

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .interferometer import Interferometer, _readonly
+from .interferometer import DEFAULT_UNITARITY_TOL, Interferometer, _readonly
 from .states import GaussianModeState, derive_q_params
 
 _SYM_TOL = 1e-12
-_PSD_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,8 @@ def build_qform(states: list[GaussianModeState], net: Interferometer) -> OutputQ
     dt = np.eye(net.m) - d
     dt = (dt + dt.conj().T) * 0.5
     w, v = np.linalg.eigh(dt)
-    if w.min() < _PSD_FLOOR:
+    # an accepted U has |U^dag U - 1| <= tol entrywise, so <= M tol spectrally: D-tilde dips no lower, up to roundoff
+    if w.min() < -(net.m * DEFAULT_UNITARITY_TOL + _SYM_TOL):
         raise ValidationError(f"D-tilde has eigenvalue {w.min():.3e} below the PSD floor")
     if w.min() < 0.0:
         # clamp roundoff-negative eigenvalues so downstream permanents stay PSD

@@ -311,6 +311,30 @@ class TestValidate:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert len(rows) == 16 and max(row["delta"] for row in rows) <= 1e-6
 
+    @staticmethod
+    def _config(tmp_path, m, **fields):
+        # alternating squeezed and thermal modes behind a Haar network, in a file of its own
+        (tmp_path / "u.txt").write_text(dump_complex_matrix(gbsim.haar_random(m, m).u))
+        states = [{"type": "squeezed", "r": 0.2} if k % 2 else {"type": "thermal", "v": 1.3} for k in range(m)]
+        path = tmp_path / f"modes-{m}.json"
+        path.write_text(json.dumps({"schema": 1, "modes": m, "states": states, "unitary": {"file": "u.txt"}, **fields}))
+        return path
+
+    @pytest.mark.parametrize("m, fields, rows", [(6, {}, 64), (12, {"n_max": 3}, 299)])
+    def test_above_four_modes(self, tmp_path, capsys, m, fields, rows):
+        # every 0/1 pattern up to six modes; above, whatever n_max the oracle's cap admits
+        assert main(["validate", "--config", str(self._config(tmp_path, m, **fields)), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["rows"]
+        assert len(report) == rows and max(row["delta"] for row in report) <= 1e-14
+
+    def test_default_patterns_beyond_the_cap_exit_1(self, tmp_path, capsys):
+        # seven modes' default patterns need cutoff 7, above the cap on the Givens layers' passes
+        assert main(["validate", "--config", str(self._config(tmp_path, 7))]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gbsim: error: cutoff 7 at 7 modes needs ") and "layer passes" in err
+        assert err.endswith("; give the config 'patterns' or a smaller 'n_max'\n")
+
     def test_engine_oracle_disagreement_exits_1(self, tmsv_config, monkeypatch, capsys):
         oracle = gbsim.cli.pattern_probability
         monkeypatch.setattr(gbsim.cli, "pattern_probability", lambda fock, pat: oracle(fock, pat) + 1e-5)

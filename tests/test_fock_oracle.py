@@ -21,8 +21,9 @@ from gbsim import (
     validate_unitary,
 )
 from gbsim import fock_oracle
-from gbsim.fock_oracle import FockState, apply_network, pattern_probability, prepare_input
-from statutil import photon_number_distribution
+from gbsim.engines import applicable, probabilities
+from gbsim.fock_oracle import FockState, _row_mass, apply_network, pattern_probability, prepare_input
+from statutil import photon_number_distribution, photon_number_law
 
 
 def bs_kernel(dim: int, theta: float) -> np.ndarray:
@@ -65,12 +66,8 @@ class TestBasis:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 64, 70])
     def test_rank_numbers_every_sector(self, m):
-        # every sector the caps admit at m <= 4; n = 1 and 2 where the old binomial loop overflowed
-        if m <= fock_oracle.MAX_MODES:
-            sizes = [n for n in range(fock_oracle.MAX_BASIS_DIM) if math.comb(n + m, m) <= fock_oracle.MAX_BASIS_DIM]
-        else:
-            sizes = [1, 2]
-        for n in sizes:
+        # every sector the basis cap admits: n = 1 and 2 at m = 64 and 70, where the old binomial loop overflowed
+        for n in (n for n in range(fock_oracle.MAX_BASIS_DIM) if math.comb(n + m, m) <= fock_oracle.MAX_BASIS_DIM):
             basis = fock_oracle._basis(n, m)
             assert basis.shape == (math.comb(n + m - 1, m - 1), m)
             assert (basis.sum(axis=1) == n).all() and (basis >= 0).all()
@@ -87,10 +84,9 @@ class TestBasis:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_seventy_thermal_modes(self, monkeypatch):
+    def test_seventy_thermal_modes(self):
         # one ket column per configuration, however many modes; the oracle then
         # agrees with the thermal engine on vacuum and on every one-photon pattern
-        monkeypatch.setattr(fock_oracle, "MAX_MODES", 70)
         states = [thermal(v) for v in np.random.default_rng(7).uniform(1.1, 1.6, 70)]
         net = haar_random(70, 70)
         st = prepare_input(states, cutoff=1)
@@ -133,9 +129,24 @@ class TestPrepareInput:
         out = apply_network(st, haar_random(2, 4))
         assert photon_number_distribution(out).sum() == pytest.approx(captured, abs=1e-12)
 
-    def test_too_many_modes(self):
-        with pytest.raises(ValidationError):
-            prepare_input([vacuum()] * 5, cutoff=0)
+    def test_layer_passes_cap(self):
+        # M(M-1)/2 layers over the d_N^2 entries of each sector up to max(cutoff, 1), at most MAX_BASIS_DIM^2
+        assert prepare_input([vacuum()] * 5, cutoff=0).modes == 5
+        for m, cutoff in [(7, 6), (77, 0)]:
+            with pytest.raises(CutoffError, match="layer passes .* above the cap 4096\\^2"):
+                prepare_input([vacuum()] * m, cutoff)
+        with pytest.raises(ValidationError, match="at least one mode"):
+            prepare_input([], cutoff=0)
+
+    @pytest.mark.parametrize(
+        "m, largest",
+        [(1, 4095), (2, 89), (3, 27), (4, 15), (5, 9), (6, 7), (7, 5), (8, 4), (9, 4), (10, 3), (12, 3), (13, 2), (22, 2), (23, 1), (76, 1)],
+    )
+    def test_largest_cutoff(self, m, largest):
+        # the basis bound alone up to four modes, then the layer passes' bound
+        assert prepare_input([vacuum()] * m, largest).cutoff == largest
+        with pytest.raises(CutoffError, match="cap"):
+            prepare_input([vacuum()] * m, largest + 1)
 
     def test_dimension_cap(self):
         # C(15 + 4, 4) = 3876 basis states fit under the cap, C(16 + 4, 4) = 4845 do not
@@ -267,6 +278,13 @@ class TestApplyNetwork:
         with pytest.raises(ValidationError, match="sector 1"):
             apply_network(prepare_input([thermal(2.0), thermal(1.5)], cutoff=2), net)
 
+    def test_unreduced_sweep_raises(self, monkeypatch):
+        # the sweep's own check, forced by a negative tolerance
+        monkeypatch.setattr(fock_oracle, "DEFAULT_UNITARITY_TOL", -1e-13)
+        with pytest.raises(ValidationError, match="decomposition failed to reduce the matrix to diagonal phases") as exc:
+            fock_oracle._givens(haar_random(3, 4).u)
+        assert exc.type is ValidationError
+
     @pytest.mark.parametrize("case", ["scaled", "perturbed"])
     def test_accepts_every_network_validate_unitary_accepts(self, case):
         # the Givens layers are exactly unitary where U is not; sector 1 with the
@@ -360,3 +378,43 @@ class TestEngineAgreement:
             o = pattern_probability(st, pat)
             for engine in engines:
                 assert abs(engine(qf, pat) - o) < 1e-6
+
+
+class TestAboveFourModes:
+    """The oracle at the largest cutoff the cap admits at M = 6, 12, 22 and 76,
+    M(M-1)/2 Givens layers deep, on thermal, squeezed and mixed inputs."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(m, cutoff, kind) for m, cutoff in [(6, 7), (12, 3), (22, 2), (76, 1)] for kind in ["thermal", "squeezed", "mixed"]],
+        ids=lambda p: "-".join(map(str, p)),
+    )
+    def case(self, request):
+        m, cutoff, kind = request.param
+        rng = np.random.default_rng([27, m])
+        modes = zip(rng.uniform(1.1, 2.0, m), rng.uniform(0.1, 0.5, m))
+        states = [
+            {"thermal": thermal(v), "squeezed": squeezed(r), "mixed": [thermal(v), squeezed(r), vacuum()][k % 3]}[kind]
+            for k, (v, r) in enumerate(modes)
+        ]
+        net = haar_random(m, 27 + m)
+        return kind, states, net, apply_network(prepare_input(states, cutoff), net)
+
+    def test_sector_mass_is_the_photon_number_law(self, case):
+        # the network conserves N, so sector N holds the inputs' P(N) whatever U
+        kind, states, _, fock = case
+        law = photon_number_law([v for s in states for v in (s.v_x, s.v_p)], fock.cutoff)
+        for n, kets in enumerate(fock.sectors):
+            mass = float(_row_mass(kets).sum())
+            if kind == "squeezed" and n % 2:  # odd N vanishes; the law reads 0 up to its own roundoff
+                assert abs(mass - law[n]) <= 1e-14, n
+            else:
+                assert abs(mass - law[n]) <= 1e-13 * law[n], n
+
+    def test_agrees_with_every_applicable_engine(self, case):
+        _, states, net, fock = case
+        patterns = np.array(list(enumerate_patterns(net.m, min(net.m, fock.cutoff))), dtype=bool)
+        oracle = np.array([pattern_probability(fock, pat) for pat in patterns.view(np.uint8).tolist()])
+        qf = build_qform(states, net)
+        for name in applicable(qf):
+            assert np.abs(probabilities(qf, name, patterns) - oracle).max() <= 4e-15, name

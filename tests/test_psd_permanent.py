@@ -65,6 +65,13 @@ class TestEmbed:
         with pytest.raises(ValidationError):
             embed(np.diag([1.0, -0.5]))
 
+    def test_reconstruction_error_raises(self, monkeypatch):
+        # an integrity check no accepted input trips: forced by a negative tolerance
+        monkeypatch.setattr(psd_permanent, "_RECON_TOL", -1.0)
+        with pytest.raises(ValidationError, match="eigendecomposition reconstruction error .* too large") as exc:
+            embed(random_psd(3, 2))
+        assert exc.type is ValidationError
+
 
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "-inf-j"])

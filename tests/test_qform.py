@@ -7,13 +7,18 @@ from gbsim import (
     ValidationError,
     build_qform,
     derive_q_params,
+    enumerate_patterns,
     haar_random,
+    prob_general,
+    prob_squeezed,
     squeezed,
     squeezed_thermal,
     thermal,
     vacuum,
     validate_unitary,
 )
+from gbsim import qform
+from gbsim.states import QFunctionParams
 
 
 def random_orthogonal(m, seed):
@@ -89,3 +94,33 @@ def test_k_in_unit_interval():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValidationError):
         build_qform([vacuum()] * 3, haar_random(4, 1))
+
+
+def test_builds_every_network_validate_unitary_accepts():
+    # U^dag U = 1 + eps J (J all ones): entrywise defect eps, within the 1e-10 tolerance,
+    # but D-tilde = 1 - U^dag U on pure inputs has eigenvalue -4 eps, below -1e-10
+    eps = 0.99e-10
+    root = np.eye(4) + math.expm1(0.5 * math.log1p(4 * eps)) / 4 * np.ones((4, 4))  # (1 + eps J)^(1/2)
+    net = validate_unitary(haar_random(4, 3).u @ root)
+    assert 0.98e-10 < net.unitarity_defect <= 1e-10
+    for states in ([vacuum()] * 4, [squeezed(0.3), squeezed(0.2), squeezed(0.45), squeezed(0.1)]):
+        qf = build_qform(states, net)
+        for pat in enumerate_patterns(4, 4):
+            assert abs(prob_general(qf, pat) - prob_squeezed(qf, pat)) <= 1e-15, pat
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("_SYM_TOL", -1.0, "C asymmetry .* exceeds"),
+        ("DEFAULT_UNITARITY_TOL", -1.0, "D-tilde has eigenvalue .* below the PSD floor"),
+        ("derive_q_params", lambda s: QFunctionParams(0.0, 2.0), "normalization K = 8.0 outside \\(0, 1\\]"),
+    ],
+    ids=["asymmetry", "psd-floor", "normalization"],
+)
+def test_integrity_checks_raise(monkeypatch, name, value, message):
+    # checks no accepted input trips, each forced by a patched tolerance or helper
+    monkeypatch.setattr(qform, name, value)
+    with pytest.raises(ValidationError, match=message) as exc:
+        build_qform([thermal(1.5), squeezed(0.3), vacuum()], haar_random(3, 7))
+    assert exc.type is ValidationError
