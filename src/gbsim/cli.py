@@ -12,8 +12,7 @@ an --out that cannot be written, or an --engine whose precondition fails.
 A config is read once into its states and network, and a bad pattern is
 named by its index, patterns[i].
 
-Environment overrides: GBSIM_WORKERS (default worker count for sampling),
-GBSIM_OUT_DIR (directory prepended to relative --out paths).
+Environment override: GBSIM_OUT_DIR (directory prepended to relative --out paths).
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def _load_run(path: str) -> tuple[dict, list, Interferometer]:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config root must be an object")
-    if cfg.get("schema") != 1:
+    if "schema" not in cfg or _config_integer(cfg, "schema") != 1:
         raise ValidationError("config field 'schema' must be 1")
     for field in ("modes", "states", "unitary"):
         if field not in cfg:
@@ -108,6 +107,8 @@ def _load_run(path: str) -> tuple[dict, list, Interferometer]:
 
 def _config_patterns(cfg: dict, m: int) -> np.ndarray:
     """The config's patterns as a (P, m) bool table; a bad pattern is named by its index."""
+    if "patterns" in cfg and "n_max" in cfg:
+        raise ValidationError("config needs either 'patterns' or 'n_max', not both")
     if "patterns" in cfg:
         if not isinstance(cfg["patterns"], list):
             raise ValidationError("config field 'patterns' must be an array")
@@ -223,14 +224,7 @@ def cmd_prob(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg, states, net = _load_run(args.config)
-    workers = args.workers
-    if not workers:
-        env = os.environ.get("GBSIM_WORKERS", "1")
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValidationError(f"GBSIM_WORKERS must be an integer, got {env!r}") from None
-    report = sample_patterns(states, net, args.shots, args.seed, workers=workers)
+    report = sample_patterns(states, net, args.shots, args.seed, workers=args.workers)
     items = sorted(report.histogram.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     counts = [cnt for _, cnt in items]
     columns = {
@@ -261,7 +255,8 @@ def cmd_permanent_psd(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg, states, net = _load_run(args.config)
-    patterns = _config_patterns({"n_max": net.m, **cfg}, net.m)  # default: every 0/1 pattern
+    # a config with neither key checks every 0/1 pattern
+    patterns = _config_patterns(cfg if cfg.keys() & {"patterns", "n_max"} else {"n_max": net.m}, net.m)
     qform = build_qform(states, net)
     names = applicable(qform)
     counts = patterns.view(np.uint8).tolist()
@@ -328,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=0, help="0 = use GBSIM_WORKERS or 1")
+    p.add_argument("--workers", type=int, default=1)
     add_fmt(p)
 
     p = sub.add_parser("permanent-psd", help="estimate the permanent of a PSD Hermitian matrix by sampling")

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all gbsim modules, and `integer`, the one
-rule that every count, size and seed argument goes through."""
+"""Exception hierarchy shared by all gbsim modules, and the one rule for each kind
+of number a caller passes: `integer` for every count, size and seed, and `real`
+for every variance, squeezing, headroom and inline matrix entry."""
 
+import numbers
 import operator
 
 
@@ -20,6 +22,17 @@ def integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def real(value, what: str) -> float:
+    """An int, float or numpy real `value` as a float; anything else (a bool, string, None,
+    complex, array, or an int beyond float range) raises "<what> must be a number"."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
 class ContractError(ValidationError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real
 
 
 def parse_complex_token(tok: str) -> complex:
@@ -64,19 +64,12 @@ def dump_complex_matrix(m) -> str:
     return "\n".join(" ".join(format_complex(z) for z in row) for row in m) + "\n"
 
 
-def _pair(entry) -> complex:
-    """One inline entry: a two-element array of JSON numbers (not bools), re + i im."""
-    if isinstance(entry, list) and len(entry) == 2 and all(type(x) in (int, float) for x in entry):
-        return complex(float(entry[0]), float(entry[1]))  # an int beyond float range overflows
-    raise TypeError(entry)
-
-
 def matrix_from_json(obj) -> np.ndarray:
-    """Inline config form: nested arrays of [re, im] pairs.  Each entry must be a
-    two-element array of numbers; a string, a bool, an object or an array of
-    another length is refused, never read in part."""
+    """Inline config form: nested arrays of [re, im] pairs.  Each entry is unpacked
+    into exactly two numbers, so a JSON string, bool, object or array of another
+    length is refused, never read in part."""
     try:
-        rows = [[_pair(e) for e in row] for row in obj]
-    except (TypeError, OverflowError):
+        rows = [[complex(real(re, "re"), real(im, "im")) for re, im in row] for row in obj]
+    except (TypeError, ValueError, ValidationError):  # not iterable, or not two items, or not numbers
         raise ValidationError("inline unitary must be a nested array of [re, im] pairs") from None
     return _matrix(rows, "inline unitary")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalIntegrityError, ValidationError
+from .errors import NumericalIntegrityError, ValidationError, real
 from .interferometer import validate_unitary
 from .matrix_functions import permanent
 from .sampler import LOW_CONFIDENCE_COUNT, estimate_probabilities  # the threshold the docstrings name
@@ -87,7 +87,7 @@ def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
     The headroom keeps every mu_j >= headroom, bounding the thermal
     variances and keeping the target pattern probability away from zero.
     """
-    if not (0.0 < headroom < 1.0):
+    if not (0.0 < (margin := real(headroom, "headroom")) < 1.0):
         raise ValidationError(f"headroom must be in (0, 1), got {headroom}")
     h = _check_psd_hermitian(h)
     n = h.shape[0]
@@ -104,7 +104,7 @@ def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
     recon = float(np.abs((v * w[None, :]) @ v.conj().T - h).max())
     if recon > _RECON_TOL * scale:
         raise ValidationError(f"eigendecomposition reconstruction error {recon:.3e} too large")
-    q = float(w.max()) / (1.0 - headroom)
+    q = float(w.max()) / (1.0 - margin)
     mus = 1.0 - w / q
     states = tuple(thermal(2.0 / mu - 1.0) for mu in mus)
     return ThermalEmbedding(h, v, w, q, mus, states, False)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real
 
 # Tolerance for the purity bound v_x * v_p >= 1 and for the classicality
 # threshold v_p >= 1; absorbs exp() roundoff in the constructors.
@@ -45,7 +45,7 @@ class GaussianModeState:
     v_p: float
 
     def __post_init__(self):
-        v_x, v_p = float(self.v_x), float(self.v_p)
+        v_x, v_p = real(self.v_x, "v_x"), real(self.v_p, "v_p")
         if not (v_p > 0.0 and math.isfinite(v_x) and math.isfinite(v_p)):
             raise ValidationError(f"variances must be positive and finite, got ({v_x}, {v_p})")
         if v_x < v_p:
@@ -80,7 +80,7 @@ def vacuum() -> GaussianModeState:
 
 def thermal(v: float) -> GaussianModeState:
     """Thermal state with symmetric variance v >= 1 (mean photons (v-1)/2)."""
-    if v < 1.0:
+    if real(v, "thermal variance") < 1.0:
         raise ValidationError(f"thermal variance must be >= 1, got {v}")
     return GaussianModeState(v, v)
 
@@ -91,16 +91,15 @@ def squeezed(r: float) -> GaussianModeState:
     The sign of r is canonicalized away: squeezing along any other axis must
     be expressed through a phase in the network matrix.
     """
-    r = abs(float(r))
-    return GaussianModeState(_exp(2 * r), _exp(-2 * r))
+    return squeezed_thermal(1.0, r)
 
 
 def squeezed_thermal(v: float, r: float) -> GaussianModeState:
     """Squeezed thermal state with v_x = v e^{2r}, v_p = v e^{-2r}, v >= 1."""
-    if v < 1.0:
+    if (base := real(v, "squeezed-thermal base variance")) < 1.0:
         raise ValidationError(f"squeezed-thermal base variance must be >= 1, got {v}")
-    r = abs(float(r))
-    return GaussianModeState(v * _exp(2 * r), v * _exp(-2 * r))
+    r = abs(real(r, "squeezing r"))
+    return GaussianModeState(base * _exp(2 * r), base * _exp(-2 * r))
 
 
 def derive_q_params(state: GaussianModeState) -> QFunctionParams:
@@ -133,30 +132,28 @@ def mean_photon_number(state: GaussianModeState) -> float:
     return (state.v_x + state.v_p) / 4.0 - 0.5
 
 
-def state_from_descriptor(desc: dict) -> GaussianModeState:
-    """Build a state from a tagged config record.
+# Each config record type: its constructor, and the fields the record holds besides "type", in argument order.
+_DESCRIPTORS = {
+    "vacuum": (vacuum, ()),
+    "thermal": (thermal, ("v",)),
+    "squeezed": (squeezed, ("r",)),
+    "squeezed_thermal": (squeezed_thermal, ("v", "r")),
+}
 
-    Recognized forms: {"type": "vacuum"}, {"type": "thermal", "v": 3.0},
-    {"type": "squeezed", "r": 0.5}, {"type": "squeezed_thermal", "v": 1.2, "r": 0.3}.
-    """
+
+def state_from_descriptor(desc: dict) -> GaussianModeState:
+    """Build a state from a tagged config record that holds exactly its type's fields,
+    such as {"type": "thermal", "v": 3.0} or {"type": "squeezed_thermal", "v": 1.2, "r": 0.3}."""
     if not isinstance(desc, dict) or "type" not in desc:
         raise ValidationError(f"state descriptor must be an object with a 'type' field: {desc!r}")
     kind = desc["type"]
-
-    def field(name: str) -> float:
+    if not isinstance(kind, str) or kind not in _DESCRIPTORS:  # a list would fail the lookup
+        raise ValidationError(f"unknown state type {kind!r}")
+    make, fields = _DESCRIPTORS[kind]
+    for name in fields:
         if name not in desc:
             raise ValidationError(f"state descriptor {desc!r} is missing field {name!r}")
-        try:
-            return float(desc[name])
-        except (TypeError, ValueError):
-            raise ValidationError(f"state field {name!r} must be a number, got {desc[name]!r}") from None
-
-    if kind == "vacuum":
-        return vacuum()
-    if kind == "thermal":
-        return thermal(field("v"))
-    if kind == "squeezed":
-        return squeezed(field("r"))
-    if kind == "squeezed_thermal":
-        return squeezed_thermal(field("v"), field("r"))
-    raise ValidationError(f"unknown state type {kind!r}")
+    for name in desc:
+        if name != "type" and name not in fields:
+            raise ValidationError(f"state descriptor {desc!r} has unexpected field {name!r}")
+    return make(*(desc[name] for name in fields))

@@ -4,6 +4,7 @@ histogram and reference per-pattern weight statistics."""
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.stats import chi2
@@ -142,6 +143,29 @@ def photon_number_law(variances, n_max: int) -> np.ndarray:
         q = (v - 1.0) / (v + 1.0)
         law = np.convolve(law, central * q**k)[: n_max + 1] * math.sqrt(2.0 / (v + 1.0))
     return law
+
+
+def output_mode_variances(states, net) -> np.ndarray:
+    """Each output mode's two quadrature-covariance eigenvalues (vacuum = 1),
+    an (M, 2) array.  An entry u = a + ib of the network multiplies an input
+    amplitude x + ip into (ax - bp) + i(bx + ap), so output mode k's
+    covariance is the sum over inputs j of R(U_jk) diag(v_x, v_p) R(U_jk)^T
+    with R(u) = [[a, -b], [b, a]]."""
+    u = np.asarray(net.u)
+    a, b = u.real, u.imag
+    vx = np.array([s.v_x for s in states])[:, None]
+    vp = np.array([s.v_p for s in states])[:, None]
+    xx = (a * a * vx + b * b * vp).sum(axis=0)
+    pp = (b * b * vx + a * a * vp).sum(axis=0)
+    xp = (a * b * (vx - vp)).sum(axis=0)
+    return np.linalg.eigvalsh(np.stack([np.stack([xx, xp], -1), np.stack([xp, pp], -1)], -2))
+
+
+def law_chi2_pvalue(observed, law, shots: int, min_expected: float = 10.0) -> float:
+    """`chi2_pvalue` of one count per shot (a total, or one mode's count)
+    against its law: observed[n] shots had count n, and P(n) = law[n]."""
+    sample = SimpleNamespace(shots=shots, histogram=dict(enumerate(np.asarray(observed).tolist())))
+    return chi2_pvalue(sample, dict(enumerate(law)), min_expected)
 
 
 def geometric_chi2_pvalue(report, nbar: float, bins: int = 20) -> float:

@@ -144,7 +144,7 @@ class TestProb:
 
     @pytest.mark.parametrize("patterns", [[[0.5, 1]], [[1.9, 0]], [[2, 0]], [["1", 0]], [[1, 0, 0]]])
     def test_pattern_entries_must_be_0_or_1(self, thermal_config, patterns, capsys):
-        path = _edited_config(thermal_config, patterns=patterns)
+        path = _edited_config(thermal_config, patterns=patterns, n_max=DROP)
         assert main(["prob", "--config", str(path)]) == 1
         assert "patterns[0]" in capsys.readouterr().err
 
@@ -166,6 +166,13 @@ class TestProb:
         p.write_text(json.dumps(cfg))
         assert main(["prob", "--config", str(p)]) == 1
         assert "states[0]" in capsys.readouterr().err
+
+
+def _record_workers(monkeypatch) -> list:
+    """The worker count of each `sample_patterns` call that `gbsim.cli` makes from now on."""
+    calls, sample = [], gbsim.cli.sample_patterns
+    monkeypatch.setattr(gbsim.cli, "sample_patterns", lambda *args, workers: calls.append(workers) or sample(*args, workers=workers))
+    return calls
 
 
 class TestSample:
@@ -209,16 +216,24 @@ class TestSample:
         assert rc == 1
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("env, flag", [("abc", "0"), ("2.5", "0"), ("0", "0"), ("-2", "0"), ("1", "-3")])
-    def test_rejects_bad_worker_count(self, thermal_config, monkeypatch, capsys, env, flag):
-        monkeypatch.setenv("GBSIM_WORKERS", env)
+    @pytest.mark.parametrize("flag", ["0", "-2", "-3"])
+    def test_rejects_bad_worker_count(self, thermal_config, capsys, flag):
         rc = main(["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "0", "--workers", flag])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("gbsim: error:")
+        assert capsys.readouterr().err == f"gbsim: error: worker count must be >= 1, got {flag}\n"
 
-    def test_workers_flag_overrides_environment(self, thermal_config, monkeypatch, capsys):
+    @pytest.mark.parametrize("flag", ["2.5", "abc"])
+    def test_non_integer_worker_count_is_a_usage_error(self, thermal_config, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "0", "--workers", flag])
+        assert exc.value.code == 1
+        assert f"--workers: invalid int value: '{flag}'" in capsys.readouterr().err
+
+    def test_environment_worker_count_is_ignored(self, thermal_config, monkeypatch, capsys):
+        workers = _record_workers(monkeypatch)
         monkeypatch.setenv("GBSIM_WORKERS", "abc")
-        assert main(["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "0", "--workers", "2"]) == 0
+        assert main(["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "0"]) == 0
+        assert workers == [1]
 
     def test_rejects_inputs_too_bright_for_counts(self, thermal_config, capsys):
         path = _edited_config(thermal_config, states=[{"type": "thermal", "v": 1e19}, {"type": "vacuum"}])
@@ -392,6 +407,29 @@ def test_malformed_values_exit_1_without_traceback(thermal_config, case, capsys)
         assert f"config field '{field}' must be an integer" in err
 
 
+MISREAD_VALUES = {
+    # each of these ran before as other physics, or as schema 1, with no warning
+    "v-true": ({"states": [{"type": "thermal", "v": True}, {"type": "vacuum"}]}, "states[0]: thermal variance must be a number, got True"),
+    "v-string": ({"states": [{"type": "thermal", "v": "3"}, {"type": "vacuum"}]}, "states[0]: thermal variance must be a number, got '3'"),
+    "thermal-with-r": ({"states": [{"type": "thermal", "v": 2.0, "r": 0.5}, {"type": "vacuum"}]}, "states[0]: state descriptor {'type': 'thermal', 'v': 2.0, 'r': 0.5} has unexpected field 'r'"),
+    "vacuum-with-v": ({"states": [{"type": "thermal", "v": 2.0}, {"type": "vacuum", "v": 3.0}]}, "states[1]: state descriptor {'type': 'vacuum', 'v': 3.0} has unexpected field 'v'"),
+    "schema-true": ({"schema": True}, "config field 'schema' must be an integer, got True"),
+    "both-keys": ({"patterns": [[1, 0]], "n_max": 1}, "config needs either 'patterns' or 'n_max', not both"),
+}
+
+
+@pytest.mark.parametrize("command", ["prob", "validate"])
+@pytest.mark.parametrize("case", list(MISREAD_VALUES))
+def test_misread_values_exit_1(thermal_config, command, case, capsys):
+    fields, message = MISREAD_VALUES[case]
+    assert main([command, "--config", str(_edited_config(thermal_config, **fields))]) == 1
+    _assert_error_exit(capsys, f"gbsim: error: {message}\n")
+
+
+def test_config_schema_1_0_still_runs(thermal_config, capsys):
+    assert main(["prob", "--config", str(_edited_config(thermal_config, schema=1.0))]) == 0
+
+
 @pytest.mark.parametrize("text", [None, '{"schema": 1,', "[1, 2]"], ids=["missing", "invalid-json", "root-array"])
 def test_unreadable_configs_exit_1_without_traceback(tmp_path, text, capsys):
     path = tmp_path / "cfg.json"
@@ -490,12 +528,11 @@ class TestSharedParser:
         assert "crosscheck_delta" not in capsys.readouterr().out
 
     def test_workers_flag_does_not_carry_over(self, thermal_config, monkeypatch, capsys):
-        monkeypatch.setenv("GBSIM_WORKERS", "abc")
+        workers = _record_workers(monkeypatch)
         argv = ["sample", "--config", str(thermal_config), "--shots", "10", "--seed", "0"]
         assert main([*argv, "--workers", "2"]) == 0
-        capsys.readouterr()
-        assert main(argv) == 1  # GBSIM_WORKERS is read again
-        assert "GBSIM_WORKERS" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert workers == [2, 1]  # the second call starts from the default
 
     @pytest.mark.parametrize("argv", [["--version"], ["prob"], ["no-such-command"], ["haar", "--modes", "x", "--seed", "1"]])
     def test_normal_call_after_an_exit(self, thermal_config, argv, capsys):
@@ -603,7 +640,7 @@ def test_table_reports_equal_per_pattern_engines(tmp_path, capsys, command, kind
 
 
 def test_bad_pattern_at_a_later_position(thermal_config, capsys):
-    path = _edited_config(thermal_config, patterns=[[0, 0], [1, 0], [1, 2], [0, 1]])
+    path = _edited_config(thermal_config, patterns=[[0, 0], [1, 0], [1, 2], [0, 1]], n_max=DROP)
     assert main(["prob", "--config", str(path)]) == 1
     assert "patterns[2]" in capsys.readouterr().err
 

@@ -22,7 +22,7 @@ from gbsim import (
 )
 from gbsim import engines
 from gbsim.engines import applicable, probabilities
-from gbsim.matrix_functions import detected_modes
+from gbsim.matrix_functions import detected_modes, hafnian
 from statutil import photon_number_law
 
 # the single-pattern engines, by the names `applicable` returns
@@ -468,3 +468,33 @@ def test_vacuum_and_one_photon_match_the_law(kind, m):
             assert abs(p[1:].sum() - law[1]) <= 1e-14, name
         else:
             assert abs(p[1:].sum() - law[1]) <= 1e-13 * law[1], name
+
+
+# --- edge inputs: strong squeezing ------------------------------------------
+
+STRONG_SQUEEZING = {
+    "two-squeezed": lambda r: [squeezed(r)] * 2 + [vacuum()] * 2,  # K = sech(r)^2, 4.5e-7 at r = 8
+    "all-squeezed": lambda r: [squeezed(r)] * 4,
+    "spread": lambda r: [squeezed(r * x) for x in (0.25, 0.5, 0.75, 1.0)],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("r", [2.0, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("kind", STRONG_SQUEEZING)
+def test_general_equals_squeezed_under_strong_squeezing(kind, r, seed):
+    # Every pattern at M = 4.  An even pattern's two values agree within 1e-15 of
+    # K haf(|B|), the sum of its pairing terms' magnitudes and so the scale of the
+    # hafnians' roundoff: 1e-15 relative where the terms do not cancel.  Where they
+    # do, relative agreement is lost: all-squeezed at r = 8, seed 2 has p(1,1,1,1)
+    # = 5.5e-17 with the engines 5.7e-15 apart, nearly all of it the general
+    # engine's own roundoff against a 50-digit evaluation of the same Q form.
+    qf = build_qform(STRONG_SQUEEZING[kind](r), haar_random(4, seed))
+    patterns = np.array(list(enumerate_patterns(4, 4)))
+    general, pure = (probabilities(qf, name, patterns) for name in ("general", "squeezed"))
+    for pattern, g, s in zip(patterns, general, pure):
+        if pattern.sum() % 2:  # exactly 0 on the squeezed route, roundoff on the general one
+            assert s == 0.0 and g <= 1e-15 * qf.k
+        else:
+            terms = np.abs(engines._pairing_matrices(qf, np.flatnonzero(pattern)[None]))
+            assert abs(g - s) <= 1e-15 * qf.k * hafnian(terms)[0].real, pattern

@@ -53,6 +53,18 @@ class TestEmbed:
         with pytest.raises(ValidationError, match="headroom"):
             embed(np.eye(2), headroom=headroom)
 
+    @pytest.mark.parametrize("call", [embed, lambda h, headroom: estimate_permanent(h, 100, 1, headroom=headroom)])
+    @pytest.mark.parametrize("headroom", [True, "0.1", None])
+    def test_headroom_must_be_a_number(self, call, headroom):
+        with pytest.raises(ValidationError, match=f"^headroom must be a number, got {headroom!r}$"):
+            call(np.eye(2), headroom=headroom)
+
+    def test_numpy_headroom_is_bit_identical(self):
+        h = random_psd(3, 4)
+        want, got = embed(h, 0.1), embed(h, np.float64(0.1))
+        assert got.q == want.q and np.array_equal(got.mus, want.mus) and got.states == want.states
+        assert estimate_permanent(h, 4096, 3, headroom=np.float64(0.1)) == estimate_permanent(h, 4096, 3)
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             embed(np.zeros((0, 0)))

@@ -32,6 +32,9 @@ from statutil import (
     counter_histogram,
     fock_chi2_pvalue,
     geometric_chi2_pvalue,
+    law_chi2_pvalue,
+    output_mode_variances,
+    photon_number_law,
     thermal_chi2_pvalue,
     total_photon_moments,
     weights_oracle,
@@ -216,6 +219,62 @@ class TestSamplePatterns:
         assert started_during_stall[0] < 4 * 2
 
 
+def classical_mixed_inputs(m: int) -> list:
+    """M classical squeezed thermal modes (v_p = v e^-2r >= 1), so the output
+    covariance depends on U's phases and not only on |U_jk|^2."""
+    rng = np.random.default_rng(m)
+    v = rng.uniform(1.5, 2.5, m)
+    return [squeezed_thermal(vj, rj) for vj, rj in zip(v, rng.uniform(0.0, 0.5, m) * np.log(v))]
+
+
+class TestPhotonNumberLaw:
+    """The sampler's counts against `photon_number_law`: the total count's law,
+    which a passive network conserves, and each output mode's marginal, which
+    has the same product form over that mode's two quadrature-covariance
+    eigenvalues.  Each test's family of M + 1 chi-squared tests is held at
+    level ALPHA: the total at ALPHA, each marginal at ALPHA / M (Bonferroni)."""
+
+    ALPHA = 1e-3
+    N_MAX = 150  # P(N > 150) < 1e-13 for these inputs at M = 64; the catch-all bin holds the rest
+
+    def _pvalues(self, states, net, shots, seed):
+        rep = sample_patterns(states, net, shots, seed=seed)
+        counts = np.array(list(rep.histogram.values()))
+        pats = np.array(list(rep.histogram), dtype=np.int32)
+        total = np.bincount(pats.sum(axis=1), weights=counts)
+        law = photon_number_law([v for s in states for v in (s.v_x, s.v_p)], self.N_MAX)
+        p_total = law_chi2_pvalue(total, law, shots)
+        p_modes = [
+            law_chi2_pvalue(np.bincount(pats[:, k], weights=counts), photon_number_law(vs, self.N_MAX), shots)
+            for k, vs in enumerate(output_mode_variances(states, net))
+        ]
+        return p_total, p_modes
+
+    @pytest.mark.parametrize("m, shots", [(16, 2**17), (64, 2**16)])
+    def test_total_and_marginals(self, m, shots):
+        p_total, p_modes = self._pvalues(classical_mixed_inputs(m), haar_random(m, 70 + m), shots, seed=m)
+        assert p_total > self.ALPHA
+        assert min(p_modes) > self.ALPHA / m, f"smallest marginal p {min(p_modes):.2e}"
+
+    def test_transposed_network_fails_the_marginals(self, monkeypatch):
+        # the totals cannot tell U from U^T, but the marginals do
+        inner = sampler_module._block_counts
+        monkeypatch.setattr(sampler_module, "_block_counts", lambda u_mat, *args: inner(u_mat.T, *args))
+        p_total, p_modes = self._pvalues(classical_mixed_inputs(16), haar_random(16, 86), 2**17, seed=16)
+        assert p_total > self.ALPHA
+        assert min(p_modes) < 1e-12
+
+    def test_estimator_one_photon_sum(self):
+        # the one-photon patterns' hits are disjoint, so their sum is Binomial(shots, P(N = 1))
+        m, shots = 16, 2**17
+        states, net = classical_mixed_inputs(m), haar_random(m, 86)
+        p1 = photon_number_law([v for s in states for v in (s.v_x, s.v_p)], 1)[1]
+        est = estimate_probabilities(states, net, np.eye(m, dtype=int), shots, seed=87)
+        # the stderr of a sum is at most the sum of the stderrs
+        assert abs(est.estimate.sum() - p1) < 5 * est.stderr.sum()
+        assert abs(est.count.sum() - shots * p1) < 5 * math.sqrt(shots * p1 * (1 - p1))
+
+
 # (states, network, shots): each exercises one part of the packed-key reduce
 REDUCE_CASES = {
     # a v = 4001 mode at 10-bit fields: rows beyond a field take the exact path
@@ -336,6 +395,17 @@ class TestEstimateProbabilities:
         nbar = (v - 1.0) / 2.0
         est = estimate_probabilities([thermal(v)], validate_unitary(np.eye(1)), [(n,) for n in counts], 2**16, seed=63)
         assert_within_5_sigma(est, [math.exp(n * math.log(nbar) - (n + 1) * math.log1p(nbar)) for n in counts])
+
+    def test_classical_boundary(self):
+        # v_p = 1 exactly: the P function has zero width along p, so the
+        # sampler's draw degenerates to one quadrature per mode
+        states = [squeezed_thermal(math.exp(2 * r), r) for r in (0.2, 0.4, 0.6)]
+        assert [s.v_p for s in states] == [1.0] * 3 and all(map(is_classical, states))
+        net = haar_random(3, 90)
+        patterns = list(enumerate_patterns(3, 3))
+        est = estimate_probabilities(states, net, patterns, 2**17, seed=90)
+        assert not est.low_confidence.any()
+        assert_within_5_sigma(est, probabilities(build_qform(states, net), "general", patterns))
 
     def test_equal_for_every_worker_count(self):
         states = [thermal(2.0), squeezed_thermal(2.5, 0.3)]

@@ -1,5 +1,8 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +18,7 @@ from gbsim import (
     thermal,
     vacuum,
 )
+from gbsim.errors import real
 
 
 def valid_states():
@@ -145,3 +149,70 @@ class TestDescriptors:
     def test_bad_descriptor(self, desc):
         with pytest.raises(ValidationError):
             state_from_descriptor(desc)
+
+    @pytest.mark.parametrize(
+        "desc, match",
+        [
+            ({"type": "thermal", "v": 2.0, "r": 0.5}, "unexpected field 'r'"),
+            ({"type": "vacuum", "v": 1.0}, "unexpected field 'v'"),
+            ({"type": "squeezed", "r": 0.5, "V": 2.0}, "unexpected field 'V'"),
+            ({"type": "squeezed_thermal", "v": 2.0}, "missing field 'r'"),
+            ({"type": ["thermal"], "v": 2.0}, "unknown state type"),
+            ({"type": {"t": 1}}, "unknown state type"),
+            ({"type": "thermal", "v": True}, "thermal variance must be a number, got True"),
+            ({"type": "thermal", "v": "3"}, "thermal variance must be a number, got '3'"),
+            ({"type": "squeezed", "r": None}, "squeezing r must be a number, got None"),
+        ],
+    )
+    def test_record_holds_exactly_its_fields(self, desc, match):
+        # an extra field would otherwise be dropped, and a bool or string read as a number
+        with pytest.raises(ValidationError, match=match):
+            state_from_descriptor(desc)
+
+
+class TestRealRule:
+    """Every variance and squeezing a caller passes goes through `errors.real`."""
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.float64(3.0), np.int64(3), np.float32(3.0), Fraction(3)])
+    def test_reals_accepted(self, value):
+        out = real(value, "x")
+        assert type(out) is float and out == 3.0
+
+    @pytest.mark.parametrize("value", [True, np.True_, "3", None, 3j, np.array(3.0), Decimal("3"), [3.0], 10**400])
+    def test_others_refused(self, value):
+        with pytest.raises(ValidationError, match=r"^x must be a number, got "):
+            real(value, "x")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_range_is_left_to_the_argument(self, value):
+        assert repr(real(value, "x")) == repr(value)
+
+    @pytest.mark.parametrize(
+        "make, what",
+        [
+            (lambda x: GaussianModeState(x, 2.0), "v_x"),
+            (lambda x: GaussianModeState(2.0, x), "v_p"),
+            (thermal, "thermal variance"),
+            (squeezed, "squeezing r"),
+            (lambda x: squeezed_thermal(x, 0.3), "squeezed-thermal base variance"),
+            (lambda x: squeezed_thermal(1.2, x), "squeezing r"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, "3", None])
+    def test_constructors_refuse_non_numbers(self, make, what, value):
+        with pytest.raises(ValidationError, match=f"^{what} must be a number, got {value!r}$"):
+            make(value)
+
+    @pytest.mark.parametrize("v, r", [(3, 0), (np.int64(3), np.float64(0.0)), (np.float64(3.0), np.int64(0))])
+    def test_ints_and_numpy_reals_are_bit_identical(self, v, r):
+        assert GaussianModeState(v, 1) == GaussianModeState(3.0, 1.0)
+        assert thermal(v) == thermal(3.0)
+        assert squeezed(r) == squeezed(0.0) and squeezed(np.float64(0.7)) == squeezed(0.7)
+        assert squeezed_thermal(v, r) == squeezed_thermal(3.0, 0.0)
+        assert squeezed_thermal(v, np.float64(0.3)) == squeezed_thermal(3.0, 0.3)
+        assert all(type(x) is float for s in (thermal(v), squeezed_thermal(v, r)) for x in (s.v_x, s.v_p))
+
+    @pytest.mark.parametrize("make, args", [(thermal, (0,)), (squeezed_thermal, (0, 0.3))])
+    def test_out_of_range_messages_print_the_value_as_given(self, make, args):
+        with pytest.raises(ValidationError, match="must be >= 1, got 0$"):
+            make(*args)
