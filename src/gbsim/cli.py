@@ -36,7 +36,7 @@ from .errors import CostLimitError, CutoffError, GbsimError, ValidationError, in
 from .fock_oracle import apply_network, pattern_probability, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
 from .matrix_functions import detection_table, hafnian, permanent
-from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json, read_text
+from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json, matrix_to_json, read_text
 from .psd_permanent import DEFAULT_HEADROOM, estimate_permanent, exact_permanent_psd
 from .qform import build_qform
 from .sampler import sample_patterns
@@ -71,7 +71,7 @@ def _load_run(path: str) -> tuple[dict, list, Interferometer]:
     states and network; every check and message uses the parsed mode count."""
     try:
         cfg = json.loads(read_text(path, "config"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ValidationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config root must be an object")
@@ -138,11 +138,12 @@ def _emit(text: str, out: str | None) -> None:
             os.unlink(tmp)
 
 
-def _render(meta: dict, columns: dict[str, list], fmt: str) -> str:
-    """The report of `columns`, which maps each column's name to its values, one per row."""
+def _render(meta: dict, columns: dict[str, list], fmt: str, extra: dict | None = None) -> str:
+    """The report of `columns`, which maps each column's name to its values, one per row;
+    a json report holds the fields of `extra` after its rows."""
     if fmt == "json":
         rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-        return json.dumps({"tool": "gbsim", **meta, "rows": rows}, indent=2, sort_keys=False) + "\n"
+        return json.dumps({"tool": "gbsim", **meta, "rows": rows, **(extra or {})}, indent=2, sort_keys=False) + "\n"
     cells = [list(map(_cell, values)) for values in columns.values()]
     head = [f"# gbsim {meta.get('version', __version__)}"]
     for k, v in meta.items():
@@ -213,10 +214,14 @@ def cmd_prob(args) -> int:
     if args.validate:
         columns["crosscheck_delta"] = (table.max(axis=0) - table.min(axis=0)).tolist()
     meta = {"version": __version__, "config_hash": _config_hash(cfg)}
-    text = _render(meta, columns, args.format)
-    if args.dump_qform:
+    matrices = {"C": qform.c, "D-tilde": qform.d_tilde}
+    extra = None
+    if args.dump_qform and args.format == "json":  # in the document, the matrices in the config's inline form
+        extra = {"qform": {"K": qform.k, **{name: matrix_to_json(mat) for name, mat in matrices.items()}}}
+    text = _render(meta, columns, args.format, extra)
+    if args.dump_qform and args.format != "json":  # a trailing comment block
         text += f"# K = {_fmt(qform.k)}\n"
-        for name, mat in (("C", qform.c), ("D-tilde", qform.d_tilde)):
+        for name, mat in matrices.items():
             text += f"# {name}:\n" + "".join(f"#   {row}\n" for row in dump_complex_matrix(mat).splitlines())
     _emit(text, args.out)
     return EXIT_OK
@@ -316,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--engine", choices=["auto", "general", "thermal", "squeezed"], default="auto")
     p.add_argument("--validate", action="store_true", help="cross-check all applicable engines")
-    p.add_argument("--dump-qform", action="store_true", help="append the (K, C, D-tilde) report")
+    p.add_argument("--dump-qform", action="store_true", help="add the (K, C, D-tilde) report: a qform object in json, trailing comment lines otherwise")
     add_fmt(p)
 
     p = sub.add_parser("sample", help="sample photon-count patterns (classical inputs)")

@@ -78,15 +78,15 @@ def _classify(state: GaussianModeState) -> tuple[str, float]:
     )
 
 
-def _amplitudes(state: GaussianModeState, length: int) -> np.ndarray:
-    """Per-mode amplitudes a_0 .. a_{length-1}; the photon-number law is a**2.
+def _amplitudes(kind: str, x: float, length: int) -> np.ndarray:
+    """Amplitudes a_0 .. a_{length-1}, whose squares are the photon-number law,
+    of a mode that `_classify` reads as (kind, x).
 
     Thermal (and vacuum, nbar = 0): the root of the geometric law.  Squeezed:
     a_{2n} = (tanh r)^n sqrt((2n)!)/(2^n n!) / sqrt(cosh r), odd terms 0; the
     + sign on tanh r is antisqueezing along x (v_x = e^{2r}), the sign that
     reproduces the two-mode-squeezed-vacuum fixture.
     """
-    kind, x = _classify(state)
     if kind != "squeezed":
         return math.sqrt(x / (x + 1.0)) ** np.arange(length) / math.sqrt(x + 1.0)
     a = np.zeros(length)
@@ -130,15 +130,16 @@ def _basis(n: int, m: int) -> np.ndarray:
 def _pair_blocks(n: int, m: int) -> dict[tuple[int, int], list[tuple[int, np.ndarray]]]:
     """Sector n's rows grouped, for each mode pair i < j, by every occupation
     but n_i and n_j: one (s, idx) per s = n_i + n_j, where row k of the
-    (s + 1, groups) idx holds the states with n_i = k, n_j = s - k."""
-    basis, step = _basis(n, m), np.eye(m, dtype=np.intp)
+    (s + 1, groups) idx holds the states with n_i = k, n_j = s - k.
+
+    Rows that share n_i and n_j rank in the order of their other occupations,
+    so one stable sort by (s, n_i) lays each s out as its idx, row by row."""
+    basis = _basis(n, m)
     pairs = {}
     for i, j in combinations(range(m), 2):
-        pairs[i, j] = []
-        for s in range(n + 1):
-            starts = basis[(basis[:, i] == 0) & (basis[:, j] == s)]
-            if len(starts):
-                pairs[i, j].append((s, _rank(starts + np.arange(s + 1)[:, None, None] * (step[i] - step[j]))))
+        s = basis[:, i] + basis[:, j]
+        runs = np.split(np.lexsort((basis[:, i], s)), np.cumsum(np.bincount(s, minlength=n + 1))[:-1])
+        pairs[i, j] = [(t, run.reshape(t + 1, -1)) for t, run in enumerate(runs) if len(run)]
     return pairs
 
 
@@ -241,17 +242,16 @@ def prepare_input(states: list[GaussianModeState], cutoff: int) -> FockState:
         raise CutoffError(f"cutoff {cutoff} needs {dim} basis states, above the cap {MAX_BASIS_DIM}")
     if (passes := m * (m - 1) // 2 * sum(math.comb(n + m - 1, m - 1) ** 2 for n in range(max(cutoff, 1) + 1))) > MAX_BASIS_DIM**2:
         raise CutoffError(f"cutoff {cutoff} at {m} modes needs {passes} layer passes over sector entries, above the cap {MAX_BASIS_DIM}^2")
-    amps = [_amplitudes(s, cutoff + 1) for s in states]
-    mixed = [k for k, s in enumerate(states) if _classify(s)[0] != "squeezed"]
+    kinds = [_classify(s) for s in states]
+    amps = [_amplitudes(kind, x, cutoff + 1) for kind, x in kinds]
+    mixed = [k for k, (kind, _) in enumerate(kinds) if kind != "squeezed"]
     sectors = []
     for n in range(cutoff + 1):
         basis = _basis(n, m)
-        # one column per configuration of the mixed modes, in order with the last mode first
-        configs = list(map(tuple, basis[:, mixed[::-1]].tolist()))
-        column = {t: j for j, t in enumerate(sorted(set(configs)))}
-        kets = np.zeros((len(basis), len(column)))
-        amp = np.prod([a[col] for a, col in zip(amps, basis.T)], axis=0)
-        kets[np.arange(len(basis)), [column[t] for t in configs]] = amp
+        # one column per configuration of the mixed modes, in row-lex order with the last mode first
+        column = np.unique(basis[:, mixed[::-1]], axis=0, return_inverse=True)[1]
+        kets = np.zeros((len(basis), column.max() + 1))
+        kets[np.arange(len(basis)), column] = np.prod([a[col] for a, col in zip(amps, basis.T)], axis=0)
         sectors.append(kets)
     captured = sum(float(np.sum(kets**2)) for kets in sectors)
     return FockState(cutoff=cutoff, modes=m, sectors=sectors, tail_bound=max(1.0 - captured, 0.0))

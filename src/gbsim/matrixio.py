@@ -64,6 +64,12 @@ def dump_complex_matrix(m) -> str:
     return "\n".join(" ".join(format_complex(z) for z in row) for row in m) + "\n"
 
 
+def matrix_to_json(m) -> list:
+    """The inline config form of `m`, which `matrix_from_json` reads back bit for bit."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Inline config form: nested arrays of [re, im] pairs.  Each entry is unpacked
     into exactly two numbers, so a JSON string, bool, object or array of another

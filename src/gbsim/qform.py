@@ -4,7 +4,7 @@ For input modes with Q parameters (lam_s, mu_s) behind a network U (amplitude
 convention beta = alpha @ U), the output Q function is a Gaussian determined
 by
 
-    K       = prod_s sqrt(mu_s^2 - 4 lam_s^2)
+    K       = prod_s sqrt(mu_s^2 - 4 lam_s^2) = prod_s 2/sqrt((v_x + 1)(v_p + 1))
     C       = U^dag diag(lam) conj(U)          (complex symmetric)
     D       = U^dag diag(mu) U                 (Hermitian)
     D-tilde = 1 - D                            (Hermitian, PSD)
@@ -55,7 +55,7 @@ def build_qform(states: list[GaussianModeState], net: Interferometer) -> OutputQ
     params = [derive_q_params(s) for s in states]
     lams = np.array([p.lam for p in params])
     mus = np.array([p.mu for p in params])
-    k = float(np.prod(np.sqrt(mus * mus - 4.0 * lams * lams)))
+    k = float(np.prod([p.norm for p in params]))
     if not (0.0 < k <= 1.0 + 1e-12):
         raise ValidationError(f"normalization K = {k} outside (0, 1]")
 

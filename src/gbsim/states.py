@@ -14,7 +14,11 @@ with
     lam = 1/(2 v_p + 2) - 1/(2 v_x + 2)
     mu  = 1/(v_x + 1) + 1/(v_p + 1)
 
-lam = 0 iff v_x = v_p (no squeezing), mu = 1 iff the state is pure.
+lam = 0 iff v_x = v_p (no squeezing), mu = 1 iff the state is pure.  Since
+mu -+ 2 lam = 2/(v_x + 1), 2/(v_p + 1), the normalization is taken as
+2/sqrt((v_x + 1)(v_p + 1)), which does not cancel under strong squeezing
+(mu -> 1, 2 lam -> 1) as mu^2 - 4 lam^2 does; it reads 0 where the product
+overflows (above about 1.8e308), never an imprecise value.
 """
 
 from __future__ import annotations
@@ -60,10 +64,12 @@ class GaussianModeState:
 
 @dataclass(frozen=True)
 class QFunctionParams:
-    """(lam, mu) pair of the Gaussian Q function, with mu^2 > 4 lam^2."""
+    """(lam, mu) pair of the Gaussian Q function, with mu^2 > 4 lam^2, and its
+    normalization norm = sqrt(mu^2 - 4 lam^2)."""
 
     lam: float
     mu: float
+    norm: float
 
 
 def _exp(x: float) -> float:
@@ -103,10 +109,10 @@ def squeezed_thermal(v: float, r: float) -> GaussianModeState:
 
 
 def derive_q_params(state: GaussianModeState) -> QFunctionParams:
-    """Map (v_x, v_p) to the (lam, mu) parameters of the input Q function."""
+    """Map (v_x, v_p) to the (lam, mu, norm) parameters of the input Q function."""
     lam = 1.0 / (2 * state.v_p + 2) - 1.0 / (2 * state.v_x + 2)
     mu = 1.0 / (state.v_x + 1) + 1.0 / (state.v_p + 1)
-    return QFunctionParams(lam, mu)
+    return QFunctionParams(lam, mu, 2.0 / math.sqrt((state.v_x + 1) * (state.v_p + 1)))
 
 
 def input_kinds(lam, mu) -> list[str]:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import gbsim
-from gbsim.cli import main
-from gbsim.matrixio import dump_complex_matrix, load_complex_matrix
+from gbsim.cli import _load_run, main
+from gbsim.matrixio import dump_complex_matrix, load_complex_matrix, matrix_from_json
 
 
 @pytest.fixture
@@ -123,6 +123,33 @@ class TestProb:
         assert main(["prob", "--config", str(thermal_config), "--dump-qform"]) == 0
         out = capsys.readouterr().out
         assert "# K = " in out and "# D-tilde:" in out
+
+    @pytest.mark.parametrize("config", ["thermal_config", "tmsv_config"])
+    def test_dump_qform_json_is_one_document(self, request, config, capsys):
+        # the Q form is a `qform` object after the rows, not comment lines after the closing brace
+        path = _edited_config(request.getfixturevalue(config), n_max=2)
+        assert main(["prob", "--config", str(path), "--format", "json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["prob", "--config", str(path), "--format", "json", "--dump-qform"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == [*plain, "qform"] and {k: report[k] for k in plain} == plain
+        qf = gbsim.build_qform(*_load_run(str(path))[1:])
+        assert list(report["qform"]) == ["K", "C", "D-tilde"]
+        assert report["qform"]["K"] == qf.k
+        for name, mat in (("C", qf.c), ("D-tilde", qf.d_tilde)):
+            assert np.array_equal(matrix_from_json(report["qform"][name]), mat), name
+
+    def test_dump_qform_trailer_keeps_its_layout(self, thermal_config, capsys):
+        # table and csv: the report, then K, C and D-tilde as comment lines
+        qf = gbsim.build_qform(*_load_run(str(thermal_config))[1:])
+        trailer = f"# K = {qf.k:.17g}\n"
+        for name, mat in (("C", qf.c), ("D-tilde", qf.d_tilde)):
+            trailer += f"# {name}:\n" + "".join(f"#   {row}\n" for row in dump_complex_matrix(mat).splitlines())
+        for fmt in ("table", "csv"):
+            assert main(["prob", "--config", str(thermal_config), "--format", fmt]) == 0
+            plain = capsys.readouterr().out
+            assert main(["prob", "--config", str(thermal_config), "--format", fmt, "--dump-qform"]) == 0
+            assert capsys.readouterr().out == plain + trailer, fmt
 
     @pytest.mark.parametrize(
         "config, engine, rc",
@@ -438,6 +465,16 @@ def test_unreadable_configs_exit_1_without_traceback(tmp_path, text, capsys):
     assert main(["prob", "--config", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("gbsim: error:") and "Traceback" not in err
+
+
+def test_integer_past_the_digit_limit_exits_1(thermal_config, capsys):
+    # json raises a plain ValueError, not a JSONDecodeError, for an integer literal of more than 4300 digits
+    path = thermal_config.with_name("long-integer.json")
+    text = thermal_config.read_text()
+    assert '"v": 2.0' in text
+    path.write_text(text.replace('"v": 2.0', '"v": ' + "9" * 5000))
+    assert main(["prob", "--config", str(path)]) == 1
+    _assert_error_exit(capsys, "gbsim: error: config is not valid JSON: Exceeds the limit (4300 digits)")
 
 
 def test_integer_values_still_run(thermal_config, capsys):

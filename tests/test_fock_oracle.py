@@ -379,6 +379,18 @@ class TestEngineAgreement:
             for engine in engines:
                 assert abs(engine(qf, pat) - o) < 1e-6
 
+    def test_strong_squeezing_relative(self):
+        # the oracle's amplitudes carry 1/sqrt(cosh r) per mode, so it checks K itself;
+        # a K taken as sqrt(mu^2 - 4 lam^2) cancels and missed by 1.6e-7 relative here
+        states = [squeezed(8.0), squeezed(12.0)]
+        net = haar_random(2, 6)
+        st = apply_network(prepare_input(states, cutoff=2), net)
+        qf = build_qform(states, net)
+        for pat in [(0, 0), (1, 1)]:
+            o = pattern_probability(st, pat)
+            for engine in (prob_squeezed, prob_general):
+                assert engine(qf, pat) == pytest.approx(o, rel=1e-14, abs=0.0), (pat, engine.__name__)
+
 
 class TestAboveFourModes:
     """The oracle at the largest cutoff the cap admits at M = 6, 12, 22 and 76,

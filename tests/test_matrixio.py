@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from gbsim import ValidationError
-from gbsim.matrixio import dump_complex_matrix, load_complex_matrix, matrix_from_json, parse_complex_token, read_text
+from gbsim.matrixio import dump_complex_matrix, load_complex_matrix, matrix_from_json, matrix_to_json, parse_complex_token, read_text
 
 
 @pytest.mark.parametrize("tok, value", [("1.5", 1.5), ("2j", 2j), ("0.5-0.25j", 0.5 - 0.25j), ("0.5,-0.25", 0.5 - 0.25j), (" 3,0 ", 3)])
@@ -27,6 +29,15 @@ def test_round_trip_bit_exact(tmp_path):
     f = tmp_path / "m.txt"
     f.write_text(dump_complex_matrix(m))
     assert np.array_equal(load_complex_matrix(f), m)
+
+
+def test_inline_round_trip_bit_exact():
+    # through JSON text, as a report's qform object is read back
+    m = np.random.default_rng(2).standard_normal((3, 3)) / 7 + 1j / 3
+    m[0, 0], m[1, 1] = complex(-0.0, 5e-324), complex(1e300, -0.0)
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert np.array_equal(back, m) and np.array_equal(np.signbit(back.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
 
 
 @pytest.mark.parametrize("text, match", [("", "is empty"), ("\n \n", "is empty"), ("1 2\n3\n", "has ragged rows"), ("1 x\n", "cannot parse")])

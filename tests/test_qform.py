@@ -55,6 +55,31 @@ def test_equal_squeezed_through_orthogonal_network():
     assert np.abs(qf.d_tilde).max() < 1e-12
 
 
+@pytest.mark.parametrize("r", [2.0, 8.0, 12.0, 15.0, 17.0])
+def test_k_under_strong_squeezing(r):
+    # K of one squeezed mode is sech r; sqrt(mu^2 - 4 lam^2) taken as written cancels
+    # (mu -> 1, 2 lam -> 1) and was off by 1.4e-10 relative at r = 8 and 1.4e-2 at r = 17
+    qf = build_qform([squeezed(r)], validate_unitary(np.eye(1)))
+    assert qf.k == pytest.approx(1.0 / math.cosh(r), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("v", [1.35e154, 1e160, 1e300])
+def test_k_beyond_float_range_raises(v):
+    # (v + 1)^2 overflows, so K reads 0 and is refused; mu^2 - 4 lam^2 went subnormal
+    # instead, and K came out 5.6e-6 relative off 2/(v + 1) at v = 1e160 with no error
+    with pytest.raises(ValidationError, match="normalization K = 0.0 outside"):
+        build_qform([thermal(v)], validate_unitary(np.eye(1)))
+
+
+def test_k_of_thermal_inputs_is_prod_mu():
+    # lam = 0, so each mode's norm is its mu, and K is prod(mu) bit for bit
+    rng = np.random.default_rng(11)
+    for m in range(1, 9):
+        states = [thermal(v) if v > 1.1 else vacuum() for v in 1.0 + 10.0 ** rng.uniform(-2, 4, m)]
+        qf = build_qform(states, haar_random(m, m))
+        assert qf.k == float(np.prod(qf.mus)), m
+
+
 def test_trace_preserved_under_conjugation():
     states = [thermal(1.5), squeezed(0.3), squeezed_thermal(1.2, 0.2), vacuum()]
     mus = [derive_q_params(s).mu for s in states]
@@ -114,7 +139,7 @@ def test_builds_every_network_validate_unitary_accepts():
     [
         ("_SYM_TOL", -1.0, "C asymmetry .* exceeds"),
         ("DEFAULT_UNITARITY_TOL", -1.0, "D-tilde has eigenvalue .* below the PSD floor"),
-        ("derive_q_params", lambda s: QFunctionParams(0.0, 2.0), "normalization K = 8.0 outside \\(0, 1\\]"),
+        ("derive_q_params", lambda s: QFunctionParams(0.0, 2.0, 2.0), "normalization K = 8.0 outside \\(0, 1\\]"),
     ],
     ids=["asymmetry", "psd-floor", "normalization"],
 )

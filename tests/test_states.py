@@ -55,6 +55,14 @@ class TestDeriveQParams:
         assert p.mu**2 - 4 * p.lam**2 > 0
 
     @given(valid_states())
+    def test_norm_is_the_q_normalization(self, s):
+        # norm = sqrt(mu^2 - 4 lam^2) = sqrt((mu - 2 lam)(mu + 2 lam)), in (0, 1]
+        p = derive_q_params(s)
+        assert 0.0 < p.norm <= 1.0
+        assert p.norm == pytest.approx(math.sqrt(2.0 / (s.v_x + 1) * (2.0 / (s.v_p + 1))), rel=2e-15)
+        assert p.norm == pytest.approx(math.sqrt(p.mu**2 - 4 * p.lam**2), rel=1e-6)
+
+    @given(valid_states())
     def test_lam_zero_iff_symmetric(self, s):
         # lam = (v_x - v_p) / (2 (v_x + 1)(v_p + 1)): zero iff no squeezing
         p = derive_q_params(s)
