@@ -20,7 +20,7 @@ from gbsim import (
     prob_thermal,
     thermal,
 )
-from gbsim.fock_oracle import apply_network, pattern_probability, prepare_input
+from gbsim.fock_oracle import apply_network, pattern_probabilities, prepare_input
 
 states = [thermal(1.3), thermal(1.2), thermal(1.4)]
 net = haar_random(3, 21)
@@ -36,13 +36,13 @@ state = apply_network(prepare_input(states, cutoff=c), net)
 t1 = time.perf_counter()
 # the evolved probabilities of all patterns inside the cutoff, plus the input
 # mass beyond it, sum to 1: each sector evolves by a unitary
-captured = math.fsum(pattern_probability(state, p) for p in itertools.product(range(c + 1), repeat=3) if sum(p) <= c)
+captured = math.fsum(pattern_probabilities(state, [p for p in itertools.product(range(c + 1), repeat=3) if sum(p) <= c]))
 print(f"network applied in {t1 - t0:.3f} s; captured mass = {captured:.12f}, "
       f"input tail beyond the cutoff {state.tail_bound:.2e}, sum {captured + state.tail_bound:.15f}")
 print()
 
 qf = build_qform(states, net)
 print("pattern      oracle             thermal engine     general engine")
-for pat in enumerate_patterns(3, 3):
-    o = pattern_probability(state, pat)
+patterns = list(enumerate_patterns(3, 3))
+for pat, o in zip(patterns, pattern_probabilities(state, patterns)):
     print(f"{str(pat):<11}  {o:.15f}  {prob_thermal(qf, pat):.15f}  {prob_general(qf, pat):.15f}")

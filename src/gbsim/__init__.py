@@ -34,7 +34,6 @@ from .interferometer import (
 from .matrix_functions import (
     HAFNIAN_LIMIT,
     PERMANENT_LIMIT,
-    detected_modes,
     hafnian,
     permanent,
 )
@@ -72,7 +71,7 @@ __all__ = [
     "state_from_descriptor",
     "Interferometer", "validate_unitary", "haar_random", "tmsv_network",
     "OutputQForm", "build_qform",
-    "permanent", "hafnian", "detected_modes",
+    "permanent", "hafnian",
     "PERMANENT_LIMIT", "HAFNIAN_LIMIT",
     "enumerate_patterns", "prob_general", "prob_thermal", "prob_squeezed",
     "SampleReport", "sample_patterns", "PatternEstimate", "estimate_probabilities",

@@ -33,9 +33,9 @@ import numpy as np
 from . import __version__
 from .engines import applicable, enumerate_patterns, probabilities
 from .errors import CostLimitError, CutoffError, GbsimError, ValidationError, integer
-from .fock_oracle import apply_network, pattern_probability, prepare_input
+from .fock_oracle import apply_network, pattern_probabilities, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
-from .matrix_functions import detection_table, hafnian, permanent
+from .matrix_functions import count_table, hafnian, permanent
 from .matrixio import dump_complex_matrix, format_complex, load_complex_matrix, matrix_from_json, matrix_to_json, read_text
 from .psd_permanent import DEFAULT_HEADROOM, estimate_permanent, exact_permanent_psd
 from .qform import build_qform
@@ -106,15 +106,15 @@ def _load_run(path: str) -> tuple[dict, list, Interferometer]:
 
 
 def _config_patterns(cfg: dict, m: int) -> np.ndarray:
-    """The config's patterns as a (P, m) bool table; a bad pattern is named by its index."""
+    """The config's patterns as a (P, m) 0/1 count table; a bad pattern is named by its index."""
     if "patterns" in cfg and "n_max" in cfg:
         raise ValidationError("config needs either 'patterns' or 'n_max', not both")
     if "patterns" in cfg:
         if not isinstance(cfg["patterns"], list):
             raise ValidationError("config field 'patterns' must be an array")
-        return detection_table(cfg["patterns"], m)
+        return count_table(cfg["patterns"], m, clicks=True)
     if "n_max" in cfg:
-        return detection_table(enumerate_patterns(m, _config_integer(cfg, "n_max")), m)
+        return count_table(enumerate_patterns(m, _config_integer(cfg, "n_max")), m, clicks=True)
     raise ValidationError("config needs either 'patterns' or 'n_max'")
 
 
@@ -206,7 +206,7 @@ def cmd_prob(args) -> int:
     run = [engine, *(n for n in names if n != engine)] if args.validate else [engine]
     table = np.array([probabilities(qform, name, patterns) for name in run])
     columns = {
-        "pattern": _pattern_strs(patterns.view(np.uint8).tolist()),
+        "pattern": _pattern_strs(patterns.tolist()),
         "N": patterns.sum(axis=1).tolist(),
         "probability": table[0].tolist(),
         "engine": [engine] * len(patterns),
@@ -264,16 +264,15 @@ def cmd_validate(args) -> int:
     patterns = _config_patterns(cfg if cfg.keys() & {"patterns", "n_max"} else {"n_max": net.m}, net.m)
     qform = build_qform(states, net)
     names = applicable(qform)
-    counts = patterns.view(np.uint8).tolist()
     weights = patterns.sum(axis=1)
     try:
         fock = apply_network(prepare_input(states, int(weights.max(initial=0))), net)
     except CutoffError as exc:
         raise CutoffError(f"{exc}; give the config 'patterns' or a smaller 'n_max'") from None
     table = np.array([probabilities(qform, name, patterns) for name in names])
-    oracle = np.array([pattern_probability(fock, c) for c in counts])
+    oracle = pattern_probabilities(fock, patterns)
     deltas = np.abs(table - oracle).max(axis=0)
-    columns = {"pattern": _pattern_strs(counts), "N": weights.tolist(), **dict(zip(names, table.tolist()))}
+    columns = {"pattern": _pattern_strs(patterns.tolist()), "N": weights.tolist(), **dict(zip(names, table.tolist()))}
     if args.oracle:
         columns["oracle"] = oracle.tolist()
     columns["delta"] = deltas.tolist()

@@ -1,8 +1,9 @@
 """The three exact single-photon-detection probability engines.
 
-All engines return p(n) for a detection pattern n with entries in {0, 1}.
-Mutual agreement between them on overlapping domains is the core test
-surface of the package:
+All engines return p(n) for a detection pattern n: a row of the package's one
+pattern type, the (P, M) table of `count_table`, with every entry 0 or 1.  Mutual
+agreement between them on overlapping domains is the core test surface of
+the package:
 
   prob_general   pairing sum over (2N-1)!! matchings = K * haf(B) where B is
                  the 2N x 2N second-derivative (pairing) matrix
@@ -22,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ContractError, NumericalIntegrityError, ValidationError, integer
-from .matrix_functions import detection_table, hafnian, permanent, submatrices
+from .matrix_functions import count_table, hafnian, permanent, submatrices
 from .qform import OutputQForm
 from .states import input_kinds
 
@@ -101,9 +102,9 @@ def probabilities(qform: OutputQForm, name: str, patterns) -> np.ndarray:
     input order: one submatrix gather and batched kernel call per weight N and chunk.
 
     `patterns` is any iterable of patterns or a (P, M) array, checked as by
-    `detection_table`."""
+    `count_table` with clicks."""
     engine, what, contract = _TABLES[name]
-    table = detection_table(patterns, qform.m)
+    table = count_table(patterns, qform.m, clicks=True)
     if name not in applicable(qform):
         raise ContractError(contract)
     weights = table.sum(axis=1)

@@ -48,8 +48,8 @@ class CostLimitError(GbsimError):
 
 
 class NumericalIntegrityError(GbsimError):
-    """A value that must be real (up to roundoff) came out complex or negative.
+    """A value that must be real (up to roundoff) came out complex or negative,
+    or a result left the float range (a kernel value, the PSD estimator's rescale).
 
-    This signals an implementation bug, not a user error, and is never
-    downgraded to a warning.
+    Never downgraded to a warning, nor returned as nan or inf.
     """

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CutoffError, ValidationError, integer
 from .interferometer import DEFAULT_UNITARITY_TOL, Interferometer
-from .matrix_functions import photon_counts
+from .matrix_functions import count_table
 from .states import GaussianModeState, derive_q_params, input_kinds, mean_photon_number
 
 # One cap, checked before any work, bounds the basis and the work.  Basis: the
@@ -274,12 +274,16 @@ def apply_network(state: FockState, net: Interferometer) -> FockState:
     return FockState(cutoff=state.cutoff, modes=state.modes, sectors=sectors, tail_bound=state.tail_bound)
 
 
-def pattern_probability(state: FockState, pattern) -> float:
-    """Exact probability of a pattern with at most `cutoff` photons in total."""
-    counts = photon_counts(pattern, state.modes)
-    n = sum(counts)
-    if n > state.cutoff:
-        raise ValidationError(f"pattern {counts} has {n} photons, outside the truncated basis (at most {state.cutoff})")
-    r = int(_rank(np.array(counts)))
-    return float(_row_mass(state.sectors[n][r : r + 1])[0])
-
+def pattern_probabilities(state: FockState, patterns) -> np.ndarray:
+    """Exact probability of each pattern of a `count_table`, in input order, each
+    with at most `cutoff` photons in total: one rank gather per sector."""
+    table = count_table(patterns, state.modes)
+    totals = np.minimum(table, state.cutoff + 1).sum(axis=1)  # capped, so no count wraps the sum
+    if len(over := np.flatnonzero(totals > state.cutoff)):
+        counts = tuple(table[over[0]].tolist())
+        raise ValidationError(f"patterns[{over[0]}]: pattern {counts} has {sum(counts)} photons, outside the truncated basis (at most {state.cutoff})")
+    probs = np.empty(len(table))
+    for n in set(totals.tolist()):
+        at = np.flatnonzero(totals == n)
+        probs[at] = _row_mass(state.sectors[n][_rank(table[at])])
+    return probs

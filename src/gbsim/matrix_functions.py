@@ -7,14 +7,15 @@ built row by row into one accumulator.  The hafnian matches the
 lowest index first, one gather-multiply-sum per subset size: power-trace
 (inclusion-exclusion) hafnians cancel badly on the engines' pairing matrices.
 Both take one matrix, returning a complex, or a (P, n, n) stack, returning P
-values that each equal that matrix's own value bit for bit.
+values that each equal that matrix's own value bit for bit; a value outside
+the float range raises NumericalIntegrityError.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CostLimitError, ValidationError
+from .errors import CostLimitError, NumericalIntegrityError, ValidationError
 
 PERMANENT_LIMIT = 24
 HAFNIAN_LIMIT = 20
@@ -72,6 +73,8 @@ def permanent(a) -> complex | np.ndarray:
             # w @ x[..., None] is one dot product per matrix and sign vector, as for one matrix alone
             parts[:, h : h + k] = (low_prods @ prod[..., None])[..., 0]
         per = (high_prods @ parts[..., None])[:, 0] / 2.0 ** (n - 1)
+    if not np.isfinite(per).all():
+        raise NumericalIntegrityError(f"permanent of {n}x{n} is not finite: {per[~np.isfinite(per)][0]}")
     return per if a.ndim == 3 else complex(per[0])
 
 
@@ -115,6 +118,8 @@ def hafnian(b) -> complex | np.ndarray:
     for pair, sub in _matching_schedule(n):
         # take keeps each row's terms contiguous, so a row sums as it would alone
         haf = (entries.take(pair, axis=1) * haf.take(sub, axis=1)).sum(axis=2)
+    if not np.isfinite(haf).all():
+        raise NumericalIntegrityError(f"hafnian of {n}x{n} is not finite: {haf[~np.isfinite(haf)][0]}")
     return haf[:, 0] if b.ndim == 3 else complex(haf[0, 0])
 
 
@@ -122,8 +127,8 @@ def photon_counts(pattern, m: int) -> tuple[int, ...]:
     """Validate a photon-count pattern over m modes; return it as a tuple of ints.
 
     m entries, each equal to a non-negative integer (2, 2.0, np.int64(2)); 1.9
-    or "1" are rejected, never truncated.  The sampler's lookups, the Fock
-    oracle and `detected_modes` check patterns here.
+    or "1" are rejected, never truncated.  The one rule for a pattern:
+    `count_table` checks each row and `SampleReport.frequency` its pattern here.
     """
     try:
         pattern = tuple(pattern)
@@ -136,41 +141,35 @@ def photon_counts(pattern, m: int) -> tuple[int, ...]:
     return counts
 
 
-def detected_modes(pattern, m: int) -> list[int]:
-    """Validate a detection pattern over m modes; return its detected modes, ascending.
-
-    The engines and the CLI check patterns here: photon counts that are all 0
-    or 1, so 1.0, True and np.int64(1) are clicks.
-    """
-    counts = photon_counts(pattern, m)
-    if max(counts, default=0) > 1:
-        raise ValidationError(f"detection pattern entries must be 0 or 1, got {pattern!r}")
-    return [i for i, c in enumerate(counts) if c]
-
-
-def detection_table(patterns, m: int) -> np.ndarray:
-    """Validate a table of detection patterns over m modes; return it as a (P, m) bool array.
-
-    A real (P, m) numeric table whose entries all equal 0 or 1 passes in one
-    numpy check.  Anything else (ragged rows, object or string entries, NaN)
-    is checked pattern by pattern with `detected_modes`, so the first bad
-    pattern i raises its error prefixed "patterns[i]: ": the fast check accepts
-    a subset of what `detected_modes` does.
-    """
+def count_table(patterns, m: int, *, clicks: bool = False) -> np.ndarray:
+    """Validate a table of photon-count patterns over m modes, with `clicks` (the
+    engines' detection patterns) each count also 0 or 1; return it as a (P, m)
+    int64 array: the one pattern type of the engines, the estimator and the Fock
+    oracle.  A real (P, m) numeric array passes in one numpy check, compared as
+    float64 so nan, inf or 1e300 raise no warning.  Anything else is checked row
+    by row with `photon_counts`, and the first bad row i raises the first rule
+    it breaks, prefixed "patterns[i]: ": the one check accepts a subset of what
+    the rows do."""
     if not isinstance(patterns, np.ndarray):
         patterns = list(patterns)  # a generator is read once
     try:
         a = np.asarray(patterns)
     except ValueError:  # ragged rows
         a = None
-    if a is not None and a.dtype.kind in "biuf" and a.ndim == 2 and a.shape[1] == m and ((a == 0) | (a == 1)).all():
-        return a == 1
-    table = np.zeros((len(patterns), m), dtype=bool)
+    if a is not None and a.dtype.kind in "biuf" and a.ndim == 2 and a.shape[1] == m:
+        if ((a >= 0) & (a < np.float64(2 if clicks else 1 << 63)) & (np.floor(a) == a)).all():
+            return a.astype(np.int64)
+    table = np.empty((len(patterns), m), dtype=np.int64)
     for i, p in enumerate(patterns):
         try:
-            table[i, detected_modes(p, m)] = True
+            counts = photon_counts(p, m)
+            if clicks and max(counts, default=0) > 1:
+                raise ValidationError(f"detection pattern entries must be 0 or 1, got {p!r}")
+            table[i] = counts
         except ValidationError as exc:
             raise ValidationError(f"patterns[{i}]: {exc}") from None
+        except OverflowError:  # from the int64 row alone
+            raise ValidationError(f"patterns[{i}]: pattern {counts} has a count above 2^63 - 1") from None
     return table
 
 

@@ -139,7 +139,8 @@ def estimate_permanent(
     `stderr` is the rescaled standard error, `count` the all-ones hits drawn
     as one Bernoulli per shot, and `low_confidence` marks an effective sample
     size below LOW_CONFIDENCE_COUNT; a zero matrix reads exactly 0 and is
-    never flagged.  For n <= 12 the exact permanent is computed alongside.
+    never flagged.  For n <= 12 the exact permanent is computed alongside.  A
+    rescale outside the float range raises NumericalIntegrityError.
     """
     shape = np.shape(h)  # checked before embed's eigendecomposition
     if len(shape) == 2 and shape[0] == shape[1] > SAMPLING_SIZE_LIMIT:
@@ -150,7 +151,10 @@ def estimate_permanent(
     # a zero matrix embeds as vacuum, whose all-ones weights are exactly 0
     net = validate_unitary(emb.u.conj().T)
     est = estimate_probabilities(list(emb.states), net, [(1,) * n], shots, seed, workers)
-    factor = emb.q**n / float(np.prod(emb.mus))
+    with np.errstate(over="ignore", divide="ignore"):  # q^n above the float range, or prod(mu) below it
+        factor = np.float64(emb.q) ** n / np.prod(emb.mus)
+    if not np.isfinite(factor):  # the mean and its error bar, at most 1, rescale finite when factor is
+        raise NumericalIntegrityError(f"rescale q^n / prod(mu) at n = {n}, q = {emb.q:.3e} is outside the float range")
     return PermanentEstimate(
         estimate=float(est.estimate[0] * factor),
         stderr=float(est.stderr[0] * factor),

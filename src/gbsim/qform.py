@@ -58,6 +58,8 @@ def build_qform(states: list[GaussianModeState], net: Interferometer) -> OutputQ
     k = float(np.prod([p.norm for p in params]))
     if not (0.0 < k <= 1.0 + 1e-12):
         raise ValidationError(f"normalization K = {k} outside (0, 1]")
+    if k < np.finfo(float).tiny:  # a subnormal K has lost its leading digits
+        raise ValidationError(f"normalization K = {k} is below the smallest normal float; the inputs are too bright")
 
     ud = net.u.conj().T
     c = ud @ (lams[:, None] * net.u.conj())

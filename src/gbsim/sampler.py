@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ValidationError, integer
 from .interferometer import Interferometer
-from .matrix_functions import photon_counts
+from .matrix_functions import count_table, photon_counts
 from .states import GaussianModeState, is_classical, mean_photon_number
 
 BLOCK_SHOTS = 4096  # fixed: part of the deterministic stream-derivation policy
@@ -249,17 +249,18 @@ def estimate_probabilities(
 ) -> PatternEstimate:
     """Estimate each pattern's probability as the mean over shots of its exact
     probability given the shot's output amplitudes; deterministic for a given
-    seed and identical for every worker count.  The patterns must be distinct.
+    seed and identical for every worker count.  The patterns, a `count_table`,
+    must be distinct.
 
     Unlike a hit frequency this reaches patterns far rarer than 1/shots, but
     only as well as its effective sample size: a mean carried by a few shots
     understates both itself and its error bar.
     """
-    patterns = [photon_counts(p, net.m) for p in patterns]
-    if len(set(patterns)) != len(patterns):
+    patterns = count_table(patterns, net.m)
+    if len(set(map(tuple, patterns.tolist()))) != len(patterns):
         raise ValidationError("patterns must be distinct")
     total = np.zeros((3, len(patterns)))  # summed in block order, so equal for every worker count
-    levels = sorted({0, 1}.union(*patterns))
+    levels = sorted({0, 1, *patterns.ravel().tolist()})  # np.unique would import numpy.ma
     draw = partial(_block_weights, levels=levels, index=np.searchsorted(levels, patterns))
     _run_blocks(states, net, shots, seed, workers, draw, partial(np.add, total, out=total))
     hits, w_sum, w2_sum = total

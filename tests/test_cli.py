@@ -378,8 +378,8 @@ class TestValidate:
         assert err.endswith("; give the config 'patterns' or a smaller 'n_max'\n")
 
     def test_engine_oracle_disagreement_exits_1(self, tmsv_config, monkeypatch, capsys):
-        oracle = gbsim.cli.pattern_probability
-        monkeypatch.setattr(gbsim.cli, "pattern_probability", lambda fock, pat: oracle(fock, pat) + 1e-5)
+        oracle = gbsim.cli.pattern_probabilities
+        monkeypatch.setattr(gbsim.cli, "pattern_probabilities", lambda fock, pats: oracle(fock, pats) + 1e-5)
         assert main(["validate", "--config", str(tmsv_config)]) == 1
         out, err = capsys.readouterr()
         assert out.startswith("# gbsim")  # the report is still written
@@ -625,7 +625,7 @@ def _parse_report(text, fmt):
 def _per_pattern_rows(cfg_path, command):
     """The rows of `prob --validate` or `validate --oracle`, one engine call per pattern."""
     from gbsim.engines import applicable
-    from gbsim.fock_oracle import apply_network, pattern_probability, prepare_input
+    from gbsim.fock_oracle import apply_network, pattern_probabilities, prepare_input
 
     cfg = json.loads(cfg_path.read_text())
     states = [gbsim.state_from_descriptor(d) for d in cfg["states"]]
@@ -642,7 +642,7 @@ def _per_pattern_rows(cfg_path, command):
         if command == "prob":
             row.update(probability=vals[names[-1]], engine=names[-1], crosscheck_delta=max(vals.values()) - min(vals.values()))
         else:
-            oracle = pattern_probability(fock, pat)
+            oracle = pattern_probabilities(fock, [pat])[0]
             row.update(vals, oracle=oracle, delta=max(abs(p - oracle) for p in vals.values()))
         rows.append(row)
     return rows
@@ -753,6 +753,28 @@ def test_non_finite_matrix_file_exits_1(tmp_path, argv, entry, capsys):
     path.write_text(f"1 {entry}\n{entry} 1\n")
     assert main([a.format(path) for a in argv]) == 1
     _assert_error_exit(capsys, f"matrix file {path} has a non-finite entry")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")  # numpy's, on the way
+@pytest.mark.parametrize(
+    "argv, matrix, fragment",
+    [
+        (["permanent", "{}"], 1e40 * np.eye(8), "permanent of 8x8 is not finite"),
+        (["permanent-psd", "--matrix", "{}", "--shots", "100", "--seed", "0"], 1e200 * np.eye(2), "outside the float range"),
+    ],
+    ids=["permanent", "permanent-psd"],
+)
+def test_results_outside_the_float_range_exit_1(tmp_path, argv, matrix, fragment, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(dump_complex_matrix(matrix))
+    assert main([a.format(path) for a in argv]) == 1
+    _assert_error_exit(capsys, fragment)
+
+
+def test_subnormal_k_exits_1(thermal_config, capsys):
+    path = _edited_config(thermal_config, modes=4, states=[{"type": "thermal", "v": 1e80}] * 4, unitary=[[[float(i == j), 0] for j in range(4)] for i in range(4)])
+    assert main(["prob", "--config", str(path)]) == 1
+    _assert_error_exit(capsys, "below the smallest normal float")
 
 
 class TestOut:

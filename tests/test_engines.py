@@ -9,6 +9,7 @@ from gbsim import (
     ValidationError,
     build_qform,
     enumerate_patterns,
+    estimate_probabilities,
     haar_random,
     prob_general,
     prob_squeezed,
@@ -22,7 +23,8 @@ from gbsim import (
 )
 from gbsim import engines
 from gbsim.engines import applicable, probabilities
-from gbsim.matrix_functions import detected_modes, hafnian
+from gbsim.fock_oracle import apply_network, pattern_probabilities, prepare_input
+from gbsim.matrix_functions import count_table, hafnian, photon_counts
 from statutil import photon_number_law
 
 # the single-pattern engines, by the names `applicable` returns
@@ -296,17 +298,33 @@ def _edited_table(pats, entry):
     return rows
 
 
-def _per_pattern_rule(qf, name, patterns):
-    """The table by the indexed one-pattern rule: `detected_modes` on each pattern
-    in order (the first bad one, i, raising its error prefixed "patterns[i]: "),
-    then the table of int tuples."""
-    pats = list(patterns)
-    for i, p in enumerate(pats):
+def _clicks(pattern, m):
+    """The one-pattern 0/1 rule: photon counts that are all 0 or 1, so 1.0, True
+    and np.int64(1) are clicks."""
+    counts = photon_counts(pattern, m)
+    if max(counts, default=0) > 1:
+        raise ValidationError(f"detection pattern entries must be 0 or 1, got {pattern!r}")
+    return counts
+
+
+def _int64_counts(pattern, m):
+    """The one-pattern count rule of a table row: photon counts that fit an int64."""
+    counts = photon_counts(pattern, m)
+    if max(counts, default=0) >= 1 << 63:
+        raise ValidationError(f"pattern {counts} has a count above 2^63 - 1")
+    return counts
+
+
+def _per_pattern_rule(rule, m, patterns):
+    """The rows by an indexed one-pattern rule, each pattern in order (the first
+    bad one, i, raising its error prefixed "patterns[i]: "), as a (P, m) int64 table."""
+    rows = []
+    for i, p in enumerate(patterns):
         try:
-            detected_modes(p, qf.m)
+            rows.append(rule(p, m))
         except ValidationError as exc:
             raise ValidationError(f"patterns[{i}]: {exc}") from None
-    return probabilities(qf, name, [tuple(int(x) for x in p) for p in pats])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), m)
 
 
 def _outcome(fn):
@@ -381,7 +399,11 @@ class TestProbabilities:
         rows = _edited_table(pats, entry)
         for name in applicable(qf):
             got = _outcome(lambda: probabilities(qf, name, CONTAINERS[container](rows)))
-            assert got == _outcome(lambda: _per_pattern_rule(qf, name, CONTAINERS[container](rows)))
+            assert got == _outcome(lambda: probabilities(qf, name, _per_pattern_rule(_clicks, qf.m, CONTAINERS[container](rows))))
+        # the count table by the same rows, each by the count rule alone
+        assert _outcome(lambda: count_table(CONTAINERS[container](rows), qf.m)) == _outcome(
+            lambda: _per_pattern_rule(_int64_counts, qf.m, CONTAINERS[container](rows))
+        )
         if container == "tuples":
             reads_as = ENTRIES[entry][1]
             assert isinstance(got, bytes) == (reads_as is not None)
@@ -405,6 +427,48 @@ class TestProbabilities:
         qf, _ = _table_case("squeezed", 6)
         pats = list(enumerate_patterns(6, 4))
         assert probabilities(qf, "squeezed", enumerate_patterns(6, 4)).tolist() == [prob_squeezed(qf, p) for p in pats]
+
+
+class TestCountTable:
+    """`count_table`, the one pattern type, beyond the 0/1 rows of the engines."""
+
+    MULTI = [(0, 3, 1), (2, 0, 0), (5, 5, 5), (0, 0, 0), (1, 1, 2)]
+
+    @pytest.mark.parametrize("container", sorted(CONTAINERS))
+    def test_multi_photon_rows(self, container):
+        rows = self.MULTI if container != "bool-array" else [(0, 1, 1), (1, 0, 0)]
+        table = count_table(CONTAINERS[container](rows), 3)
+        assert table.dtype == np.int64 and table.tolist() == [list(r) for r in rows]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1, 0), (2**63, 0)], [(1, 0), (2.0**63, 0)], np.array([[1, 0], [2**63, 0]], dtype=np.uint64), [(1, 0), (1e300, 0)]],
+        ids=["int", "float", "uint64-array", "1e300"],
+    )
+    def test_count_beyond_int64_names_its_row(self, rows):
+        # an int64 table cannot hold it: a ValidationError naming the row, never an OverflowError
+        with pytest.raises(ValidationError, match=r"^patterns\[1\]: pattern \(\d+, 0\) has a count above 2\^63 - 1$"):
+            count_table(rows, 2)
+        with pytest.raises(ValidationError, match=r"^patterns\[1\]: "):
+            estimate_probabilities([thermal(2.0)] * 2, haar_random(2, 1), rows, 1, 1)
+        with pytest.raises(ValidationError, match=r"^patterns\[1\]: "):
+            pattern_probabilities(apply_network(prepare_input([thermal(2.0)] * 2, 1), haar_random(2, 1)), rows)
+
+    @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300])
+    @pytest.mark.parametrize("clicks", [False, True])
+    def test_nonfinite_entries_are_named_without_a_warning(self, value, clicks):
+        with pytest.raises(ValidationError, match=r"^patterns\[1\]: "):
+            count_table(np.array([[0.0, 1.0], [value, 0.0]]), 2, clicks=clicks)
+
+    @pytest.mark.parametrize("container", ["tuples", "float-array", "generator"])
+    def test_first_rule_broken_names_the_row(self, container):
+        # a 2 in row 0 breaks only the 0/1 rule, a 1.5 in row 1 the count rule
+        rows = [(2, 0), (1.5, 0)]
+        with pytest.raises(ValidationError, match=r"^patterns\[0\]: detection pattern entries must be 0 or 1"):
+            count_table(CONTAINERS[container](rows), 2, clicks=True)
+        with pytest.raises(ValidationError, match=r"^patterns\[1\]: pattern .* is not 2 non-negative integer photon counts$"):
+            count_table(CONTAINERS[container](rows), 2)
 
 
 class TestClamp:

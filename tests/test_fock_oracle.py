@@ -22,7 +22,7 @@ from gbsim import (
 )
 from gbsim import fock_oracle
 from gbsim.engines import applicable, probabilities
-from gbsim.fock_oracle import FockState, _row_mass, apply_network, pattern_probability, prepare_input
+from gbsim.fock_oracle import FockState, _row_mass, apply_network, pattern_probabilities, prepare_input
 from statutil import photon_number_distribution, photon_number_law
 
 
@@ -93,8 +93,8 @@ class TestBasis:
         assert [kets.shape for kets in st.sectors] == [(1, 1), (70, 70)]
         out = apply_network(st, net)
         qf = build_qform(states, net)
-        for pat in [np.zeros(70, dtype=int), *np.eye(70, dtype=int)]:
-            assert abs(pattern_probability(out, pat) - prob_thermal(qf, pat)) <= 1e-15
+        patterns = np.vstack([np.zeros(70, dtype=int), np.eye(70, dtype=int)])
+        assert np.abs(pattern_probabilities(out, patterns) - probabilities(qf, "thermal", patterns)).max() <= 1e-15
 
 
 class TestPrepareInput:
@@ -107,15 +107,14 @@ class TestPrepareInput:
     def test_thermal_geometric_law(self):
         st = prepare_input([thermal(3.0)], cutoff=2)
         assert st.tail_bound == pytest.approx(0.125, abs=1e-15)
-        for k, expect in enumerate([0.5, 0.25, 0.125]):
-            assert pattern_probability(st, (k,)) == pytest.approx(expect, abs=1e-15)
+        assert pattern_probabilities(st, [(0,), (1,), (2,)]).tolist() == pytest.approx([0.5, 0.25, 0.125], abs=1e-15)
 
     def test_squeezed_even_structure(self):
         r = 0.5
         st = prepare_input([squeezed(r)], cutoff=3)
-        assert pattern_probability(st, (0,)) == pytest.approx(1 / math.cosh(r), rel=1e-13)
-        assert pattern_probability(st, (1,)) == 0.0
-        assert pattern_probability(st, (3,)) == 0.0
+        p0, p1, p3 = pattern_probabilities(st, [(0,), (1,), (3,)])
+        assert p0 == pytest.approx(1 / math.cosh(r), rel=1e-13)
+        assert p1 == p3 == 0.0
 
     def test_captured_mass_plus_tail_is_one(self):
         # the mass beyond the cutoff is the convolution of the per-mode laws
@@ -189,19 +188,17 @@ class TestApplyNetwork:
         st = FockState(cutoff=1, modes=2, sectors=[np.zeros((1, 1)), one], tail_bound=0.0)
         bs = validate_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
         out = apply_network(st, bs)
-        assert pattern_probability(out, (1, 0)) == pytest.approx(0.5, abs=1e-13)
-        assert pattern_probability(out, (0, 1)) == pytest.approx(0.5, abs=1e-13)
+        assert pattern_probabilities(out, [(1, 0), (0, 1)]).tolist() == pytest.approx([0.5, 0.5], abs=1e-13)
 
     def test_tmsv_exact_up_to_cutoff(self):
         # P(n, n) = tanh^2n r / cosh^2 r for every pattern inside the cutoff;
         # (16, 16) has 32 photons, outside it, and is refused, not approximated
         r = 0.5
         st = apply_network(prepare_input([squeezed(r)] * 2, cutoff=30), tmsv_network())
-        for n in range(16):
-            expect = math.tanh(r) ** (2 * n) / math.cosh(r) ** 2
-            assert pattern_probability(st, (n, n)) == pytest.approx(expect, rel=1e-12)
+        expect = [math.tanh(r) ** (2 * n) / math.cosh(r) ** 2 for n in range(16)]
+        assert pattern_probabilities(st, [(n, n) for n in range(16)]).tolist() == pytest.approx(expect, rel=1e-12)
         with pytest.raises(ValidationError, match="truncated basis"):
-            pattern_probability(st, (16, 16))
+            pattern_probabilities(st, [(16, 16)])
 
     def test_tmsv_joint_distribution(self):
         r = 0.5
@@ -224,9 +221,9 @@ class TestApplyNetwork:
         st = apply_network(prepare_input([thermal(3.0), thermal(3.0)], cutoff=8), haar_random(2, 3))
         assert st.tail_bound == pytest.approx(11 / 1024, abs=1e-12)
         law = thermal_law(1.0, 9)
-        for n1 in range(9):
-            for n2 in range(9 - n1):
-                assert pattern_probability(st, (n1, n2)) == pytest.approx(law[n1] * law[n2], rel=1e-12)
+        patterns = [(n1, n2) for n1 in range(9) for n2 in range(9 - n1)]
+        expect = [law[n1] * law[n2] for n1, n2 in patterns]
+        assert pattern_probabilities(st, patterns).tolist() == pytest.approx(expect, rel=1e-12)
         assert st.leakage == 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -246,8 +243,8 @@ class TestApplyNetwork:
         wide = apply_network(prepare_input(states, cutoff=9), net)
         for c in range(4):
             st = apply_network(prepare_input(states, cutoff=c), net)
-            for pat in (p for p in np.ndindex(*(c + 1,) * m) if sum(p) <= c):
-                assert pattern_probability(st, pat) == pattern_probability(wide, pat), (c, pat)
+            patterns = [p for p in np.ndindex(*(c + 1,) * m) if sum(p) <= c]
+            assert pattern_probabilities(st, patterns).tolist() == pattern_probabilities(wide, patterns).tolist(), c
 
     @pytest.mark.parametrize("m, cutoff", [(2, 40), (3, 20), (4, 12)])
     def test_sector_unitaries(self, m, cutoff):
@@ -300,8 +297,8 @@ class TestApplyNetwork:
         states = [thermal(1.6), squeezed(0.3), vacuum(), thermal(1.2)][: net.m]
         fock = apply_network(prepare_input(states, cutoff=3), net)
         qf = build_qform(states, net)
-        for pat in enumerate_patterns(net.m, 3):
-            assert abs(pattern_probability(fock, pat) - prob_general(qf, pat)) <= 1e-9
+        patterns = list(enumerate_patterns(net.m, 3))
+        assert np.abs(pattern_probabilities(fock, patterns) - probabilities(qf, "general", patterns)).max() <= 1e-9
 
 
 class TestBeamSplitterBlocks:
@@ -327,17 +324,33 @@ class TestPatternProbability:
     @pytest.mark.parametrize("pattern", [(1.9, 0), ("1", 0), (0.5, 1), (-1, 0), (1,), (1, 0, 0), (None, 0)])
     def test_rejects_malformed_pattern(self, state, pattern):
         # never truncated to another pattern
-        with pytest.raises(ValidationError, match="pattern"):
-            pattern_probability(state, pattern)
+        with pytest.raises(ValidationError, match=r"^patterns\[0\]: pattern"):
+            pattern_probabilities(state, [pattern])
 
     def test_accepts_integer_values(self, state):
-        expect = pattern_probability(state, (2, 1))
+        expect = pattern_probabilities(state, [(2, 1)])
         for pattern in [(2.0, 1.0), (np.int64(2), True), np.array([2, 1])]:
-            assert pattern_probability(state, pattern) == expect
+            assert pattern_probabilities(state, [pattern]).tolist() == expect.tolist()
 
     def test_rejects_counts_above_cutoff(self, state):
-        with pytest.raises(ValidationError, match="truncated basis"):
-            pattern_probability(state, (state.cutoff + 1, 0))
+        with pytest.raises(ValidationError, match=r"^patterns\[2\]: pattern \(4, 0\) has 4 photons, outside the truncated basis \(at most 3\)$"):
+            pattern_probabilities(state, [(0, 0), (1, 1), (state.cutoff + 1, 0)])
+        # counts whose int64 sum would wrap
+        with pytest.raises(ValidationError, match=f"^patterns\\[0\\]: .* has {2**63} photons"):
+            pattern_probabilities(state, [(2**62, 2**62)])
+
+    @pytest.mark.parametrize("m, cutoff", [(1, 6), (2, 5), (3, 4), (4, 3)])
+    def test_table_equals_the_one_pattern_lookup(self, m, cutoff):
+        # bit for bit as one rank and one row's mass read each pattern alone, in
+        # any order and with repeats
+        states = [thermal(1.6), squeezed(0.3), vacuum(), thermal(1.2)][:m]
+        st = apply_network(prepare_input(states, cutoff), haar_random(m, 40 + m))
+        patterns = [p for p in np.ndindex(*(cutoff + 1,) * m) if sum(p) <= cutoff]
+        rng = np.random.default_rng(m)
+        patterns = [patterns[i] for i in rng.integers(len(patterns), size=2 * len(patterns))]
+        ranks = [int(fock_oracle._rank(np.array(p))) for p in patterns]
+        one = [float(_row_mass(st.sectors[sum(p)][r : r + 1])[0]) for p, r in zip(patterns, ranks)]
+        assert pattern_probabilities(st, patterns).tolist() == one
 
 
 class TestEngineAgreement:
@@ -346,8 +359,8 @@ class TestEngineAgreement:
         net = haar_random(2, 9)
         st = apply_network(prepare_input(states, cutoff=2), net)
         qf = build_qform(states, net)
-        for pat in enumerate_patterns(2, 2):
-            o = pattern_probability(st, pat)
+        patterns = list(enumerate_patterns(2, 2))
+        for pat, o in zip(patterns, pattern_probabilities(st, patterns)):
             assert abs(prob_thermal(qf, pat) - o) < 1e-6
             assert abs(prob_general(qf, pat) - o) < 1e-6
 
@@ -356,8 +369,8 @@ class TestEngineAgreement:
         net = haar_random(2, 10)
         st = apply_network(prepare_input(states, cutoff=24), net)
         qf = build_qform(states, net)
-        for pat in enumerate_patterns(2, 2):
-            o = pattern_probability(st, pat)
+        patterns = list(enumerate_patterns(2, 2))
+        for pat, o in zip(patterns, pattern_probabilities(st, patterns)):
             assert abs(prob_squeezed(qf, pat) - o) < 1e-6
             assert abs(prob_general(qf, pat) - o) < 1e-6
 
@@ -374,8 +387,8 @@ class TestEngineAgreement:
         net = haar_random(4, 11)
         st = apply_network(prepare_input(states, cutoff=4), net)
         qf = build_qform(states, net)
-        for pat in enumerate_patterns(4, 4):
-            o = pattern_probability(st, pat)
+        patterns = list(enumerate_patterns(4, 4))
+        for pat, o in zip(patterns, pattern_probabilities(st, patterns)):
             for engine in engines:
                 assert abs(engine(qf, pat) - o) < 1e-6
 
@@ -386,8 +399,7 @@ class TestEngineAgreement:
         net = haar_random(2, 6)
         st = apply_network(prepare_input(states, cutoff=2), net)
         qf = build_qform(states, net)
-        for pat in [(0, 0), (1, 1)]:
-            o = pattern_probability(st, pat)
+        for pat, o in zip([(0, 0), (1, 1)], pattern_probabilities(st, [(0, 0), (1, 1)])):
             for engine in (prob_squeezed, prob_general):
                 assert engine(qf, pat) == pytest.approx(o, rel=1e-14, abs=0.0), (pat, engine.__name__)
 
@@ -426,7 +438,7 @@ class TestAboveFourModes:
     def test_agrees_with_every_applicable_engine(self, case):
         _, states, net, fock = case
         patterns = np.array(list(enumerate_patterns(net.m, min(net.m, fock.cutoff))), dtype=bool)
-        oracle = np.array([pattern_probability(fock, pat) for pat in patterns.view(np.uint8).tolist()])
+        oracle = pattern_probabilities(fock, patterns)
         qf = build_qform(states, net)
         for name in applicable(qf):
             assert np.abs(probabilities(qf, name, patterns) - oracle).max() <= 4e-15, name

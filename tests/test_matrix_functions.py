@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 import gbsim.matrix_functions as matrix_functions
 from gbsim import (
     CostLimitError,
+    NumericalIntegrityError,
     ValidationError,
     hafnian,
     permanent,
@@ -170,6 +171,26 @@ def test_read_only_input_and_cached_tables(kernel, n):
     first = kernel(a)
     assert kernel(a) == first
     assert np.array_equal(a, before)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")  # numpy's, on the way
+@pytest.mark.parametrize(
+    "kernel, a, value",
+    [
+        (permanent, 1e38 * np.eye(8), 1e304),
+        (permanent, 1e40 * np.eye(8), None),  # per = 1e320 was returned as nan+nanj
+        (permanent, np.stack([np.eye(3), 1e200 * np.eye(3)]), None),
+        (hafnian, 1e37 * np.ones((8, 8)), 105e148),
+        (hafnian, 1e80 * np.ones((8, 8)), None),
+    ],
+    ids=["permanent-1e304", "permanent-1e320", "permanent-stack", "hafnian-1e150", "hafnian-1e322"],
+)
+def test_value_outside_the_float_range_raises(kernel, a, value):
+    if value is not None:
+        assert kernel(a) == pytest.approx(value, rel=1e-14)
+    else:
+        with pytest.raises(NumericalIntegrityError, match=f"^{kernel.__name__} of {a.shape[-1]}x{a.shape[-1]} is not finite: "):
+            kernel(a)
 
 
 class TestStacks:

@@ -95,6 +95,14 @@ def test_non_finite_entry_rejected(call, value):
         call(h)
 
 
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
+@pytest.mark.parametrize("h", [1e200 * np.eye(2), 1e12 * np.eye(24)], ids=["1e200-I2", "1e12-I24"])
+def test_rescale_outside_the_float_range_raises(h):
+    # q^n / prod(mu) overflows: 1e200 I2 ended in an OverflowError, 1e12 I24 read inf
+    with pytest.raises(NumericalIntegrityError, match=r"^rescale q\^n / prod\(mu\) at n = \d+, q = .* is outside the float range$"):
+        estimate_permanent(h, 100, 0)
+
+
 class TestEstimate:
     def test_diagonal_matrix(self):
         d = np.array([0.5, 1.5, 2.0])

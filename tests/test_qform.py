@@ -18,6 +18,7 @@ from gbsim import (
     validate_unitary,
 )
 from gbsim import qform
+from gbsim.engines import applicable, probabilities
 from gbsim.states import QFunctionParams
 
 
@@ -69,6 +70,23 @@ def test_k_beyond_float_range_raises(v):
     # instead, and K came out 5.6e-6 relative off 2/(v + 1) at v = 1e160 with no error
     with pytest.raises(ValidationError, match="normalization K = 0.0 outside"):
         build_qform([thermal(v)], validate_unitary(np.eye(1)))
+
+
+def test_subnormal_k_raises():
+    # four thermal modes at v = 1e80 gave K = 1.6e-319, subnormal and silently accepted
+    with pytest.raises(ValidationError, match=r"^normalization K = 1\.6\d*e-319 is below the smallest normal float"):
+        build_qform([thermal(1e80)] * 4, validate_unitary(np.eye(4)))
+
+
+@pytest.mark.parametrize("exponent", range(10, 80, 5))
+def test_bright_thermal_vacuum_probability(exponent):
+    # p(vacuum) = prod_s 2/(v_s + 1) at every engine while K stays normal (5e-301 at
+    # the brightest inputs here); the floor refuses only subnormal K
+    vs = [10.0**exponent * k for k in (1, 2, 3, 5)]
+    expect = math.prod(2.0 / (v + 1.0) for v in vs)
+    qf = build_qform([thermal(v) for v in vs], haar_random(4, exponent))
+    for name in applicable(qf):
+        assert probabilities(qf, name, [(0, 0, 0, 0)])[0] == pytest.approx(expect, rel=1e-14, abs=0.0), name
 
 
 def test_k_of_thermal_inputs_is_prod_mu():

@@ -27,7 +27,7 @@ from gbsim import (
     validate_unitary,
 )
 from gbsim.engines import probabilities
-from gbsim.fock_oracle import apply_network, pattern_probability, prepare_input
+from gbsim.fock_oracle import apply_network, pattern_probabilities, prepare_input
 from statutil import (
     counter_histogram,
     fock_chi2_pvalue,
@@ -386,7 +386,7 @@ class TestEstimateProbabilities:
         patterns = [p for p in itertools.product(range(5), repeat=3) if sum(p) <= 4]
         oracle = apply_network(prepare_input(states, 4), net)
         est = estimate_probabilities(states, net, patterns, 2**16, seed=62)
-        assert_within_5_sigma(est, [pattern_probability(oracle, p) for p in patterns])
+        assert_within_5_sigma(est, pattern_probabilities(oracle, patterns))
 
     @pytest.mark.parametrize("v, counts", [(3.0, range(11)), (2001.0, [0, 1, 10, 1000, 3000])])
     def test_one_mode_geometric_law(self, v, counts):
