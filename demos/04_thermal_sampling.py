@@ -22,10 +22,10 @@ from gbsim import (
     enumerate_patterns,
     estimate_probabilities,
     haar_random,
-    prob_thermal,
     sample_patterns,
     thermal,
 )
+from gbsim.engines import probabilities
 
 states = [thermal(v) for v in (1.8, 2.5, 3.2, 1.3)]
 net = haar_random(4, 505)
@@ -37,12 +37,14 @@ report = sample_patterns(states, net, shots, seed=42, workers=2)
 print(f"M = 4 thermal modes, {shots} shots, {time.perf_counter() - t0:.2f} s, "
       f"{len(report.histogram)} distinct count patterns seen")
 print()
-patterns = [pat for pat in enumerate_patterns(4, 2) if prob_thermal(qf, pat) >= 1e-3]
+table = enumerate_patterns(4, 2)
+exact = probabilities(qf, "thermal", table)
+patterns, exact = table[exact >= 1e-3], exact[exact >= 1e-3]
 est = estimate_probabilities(states, net, patterns, shots, seed=42, workers=2)
 print("pattern        exact p(n)   weight estimate         hit frequency")
-for pat, e, se, hits in zip(patterns, est.estimate, est.stderr, est.count):
+for pat, p, e, se, hits in zip(map(tuple, patterns.tolist()), exact, est.estimate, est.stderr, est.count):
     f = hits / shots
-    print(f"{str(pat):<13}  {prob_thermal(qf, pat):.6f}     {e:.6f} +- {se:.6f}    "
+    print(f"{str(pat):<13}  {p:.6f}     {e:.6f} +- {se:.6f}    "
           f"{f:.6f} +- {math.sqrt(f * (1 - f) / shots):.6f}")
 
 print()

@@ -16,10 +16,9 @@ from gbsim import (
     build_qform,
     enumerate_patterns,
     haar_random,
-    prob_general,
-    prob_thermal,
     thermal,
 )
+from gbsim.engines import probabilities
 from gbsim.fock_oracle import apply_network, pattern_probabilities, prepare_input
 
 states = [thermal(1.3), thermal(1.2), thermal(1.4)]
@@ -43,6 +42,7 @@ print()
 
 qf = build_qform(states, net)
 print("pattern      oracle             thermal engine     general engine")
-patterns = list(enumerate_patterns(3, 3))
-for pat, o in zip(patterns, pattern_probabilities(state, patterns)):
-    print(f"{str(pat):<11}  {o:.15f}  {prob_thermal(qf, pat):.15f}  {prob_general(qf, pat):.15f}")
+patterns = enumerate_patterns(3, 3)
+columns = pattern_probabilities(state, patterns), probabilities(qf, "thermal", patterns), probabilities(qf, "general", patterns)
+for pat, o, t, g in zip(map(tuple, patterns.tolist()), *columns):
+    print(f"{str(pat):<11}  {o:.15f}  {t:.15f}  {g:.15f}")

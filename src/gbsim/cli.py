@@ -114,7 +114,7 @@ def _config_patterns(cfg: dict, m: int) -> np.ndarray:
             raise ValidationError("config field 'patterns' must be an array")
         return count_table(cfg["patterns"], m, clicks=True)
     if "n_max" in cfg:
-        return count_table(enumerate_patterns(m, _config_integer(cfg, "n_max")), m, clicks=True)
+        return enumerate_patterns(m, _config_integer(cfg, "n_max"))
     raise ValidationError("config needs either 'patterns' or 'n_max'")
 
 
@@ -145,14 +145,10 @@ def _render(meta: dict, columns: dict[str, list], fmt: str, extra: dict | None =
         rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
         return json.dumps({"tool": "gbsim", **meta, "rows": rows, **(extra or {})}, indent=2, sort_keys=False) + "\n"
     cells = [list(map(_cell, values)) for values in columns.values()]
-    head = [f"# gbsim {meta.get('version', __version__)}"]
-    for k, v in meta.items():
-        if k != "version":
-            head.append(f"# {k}: {v}")
+    head = [f"# gbsim {meta.get('version', __version__)}", *(f"# {k}: {v}" for k, v in meta.items() if k != "version")]
     if fmt == "csv":
         buf = io.StringIO()
-        for line in head:
-            buf.write(line + "\n")
+        buf.write("\n".join(head) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(zip(*cells))
@@ -260,19 +256,21 @@ def cmd_permanent_psd(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg, states, net = _load_run(args.config)
-    # a config with neither key checks every 0/1 pattern
-    patterns = _config_patterns(cfg if cfg.keys() & {"patterns", "n_max"} else {"n_max": net.m}, net.m)
+    # a config with neither key checks every 0/1 pattern; listed patterns arrive built, an n_max's once the oracle admits it
+    spec = cfg if cfg.keys() & {"patterns", "n_max"} else {"n_max": net.m}
+    patterns = _config_patterns(spec, net.m) if "patterns" in spec else None
+    cutoff = _config_integer(spec, "n_max") if patterns is None else int(patterns.sum(axis=1).max(initial=0))
     qform = build_qform(states, net)
     names = applicable(qform)
-    weights = patterns.sum(axis=1)
     try:
-        fock = apply_network(prepare_input(states, int(weights.max(initial=0))), net)
+        fock = apply_network(prepare_input(states, max(cutoff, 0)), net)  # a negative n_max is refused below
     except CutoffError as exc:
         raise CutoffError(f"{exc}; give the config 'patterns' or a smaller 'n_max'") from None
+    patterns = enumerate_patterns(net.m, cutoff) if patterns is None else patterns
     table = np.array([probabilities(qform, name, patterns) for name in names])
     oracle = pattern_probabilities(fock, patterns)
     deltas = np.abs(table - oracle).max(axis=0)
-    columns = {"pattern": _pattern_strs(patterns.tolist()), "N": weights.tolist(), **dict(zip(names, table.tolist()))}
+    columns = {"pattern": _pattern_strs(patterns.tolist()), "N": patterns.sum(axis=1).tolist(), **dict(zip(names, table.tolist()))}
     if args.oracle:
         columns["oracle"] = oracle.tolist()
     columns["delta"] = deltas.tolist()

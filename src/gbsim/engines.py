@@ -18,7 +18,6 @@ single-pattern engine is the table of its one pattern, bit for bit.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -43,25 +42,22 @@ def applicable(qform: OutputQForm) -> list[str]:
     return ["general", *input_kinds(qform.lams, qform.mus)]
 
 
-def enumerate_patterns(m: int, n_max: int) -> Iterator[tuple[int, ...]]:
-    """All C(m, n) patterns for each n <= n_max, lexicographic within each n.
+def enumerate_patterns(m: int, n_max: int) -> np.ndarray:
+    """All C(m, n) patterns for each n <= n_max as a (P, m) int64 count table:
+    grouped by n, lexicographic in the detected modes within each n.
 
-    The arguments are checked at the call; the patterns are then streamed one
-    at a time, and nothing is materialized.
+    The arguments are checked at the call, before the table is built.
     """
     m, n_max = integer(m, "mode count"), integer(n_max, "n_max")
     if n_max > m or n_max < 0:
         raise ValidationError(f"n_max must be in [0, {m}], got {n_max}")
-
-    def stream():
-        for n in range(n_max + 1):
-            for detected in combinations(range(m), n):
-                pat = [0] * m
-                for i in detected:
-                    pat[i] = 1
-                yield tuple(pat)
-
-    return stream()
+    tables = []
+    for n in range(n_max + 1):
+        detected = np.array(list(combinations(range(m), n)), dtype=np.intp)  # (C(m, n), n), (1, 0) at n = 0
+        table = np.zeros((len(detected), m), dtype=np.int64)
+        np.put_along_axis(table, detected, 1, axis=1)
+        tables.append(table)
+    return np.concatenate(tables)
 
 
 def _pairing_matrices(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:

@@ -99,8 +99,7 @@ def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
         raise ValidationError(f"matrix has negative eigenvalue {w.min():.3e}; not PSD")
     w = np.clip(w, 0.0, None)
     if scale == 0.0 or w.max() == 0.0:
-        mus = np.ones(n)
-        return ThermalEmbedding(h, v, w, 1.0, mus, tuple(thermal(1.0) for _ in range(n)), True)
+        return ThermalEmbedding(h, v, w, 1.0, np.ones(n), (thermal(1.0),) * n, True)
     recon = float(np.abs((v * w[None, :]) @ v.conj().T - h).max())
     if recon > _RECON_TOL * scale:
         raise ValidationError(f"eigendecomposition reconstruction error {recon:.3e} too large")
@@ -121,9 +120,7 @@ class PermanentEstimate:
 
     @property
     def ratio(self) -> float | None:
-        if self.exact is None or self.exact == 0.0:
-            return None
-        return self.estimate / self.exact
+        return self.estimate / self.exact if self.exact else None  # None without a nonzero exact value
 
 
 def estimate_permanent(
@@ -140,7 +137,8 @@ def estimate_permanent(
     as one Bernoulli per shot, and `low_confidence` marks an effective sample
     size below LOW_CONFIDENCE_COUNT; a zero matrix reads exactly 0 and is
     never flagged.  For n <= 12 the exact permanent is computed alongside.  A
-    rescale outside the float range raises NumericalIntegrityError.
+    per(h) outside the normal float range raises NumericalIntegrityError: one
+    whose lower bound prod(h_ii) is past it, or whose rescaled estimate is.
     """
     shape = np.shape(h)  # checked before embed's eigendecomposition
     if len(shape) == 2 and shape[0] == shape[1] > SAMPLING_SIZE_LIMIT:
@@ -151,13 +149,17 @@ def estimate_permanent(
     # a zero matrix embeds as vacuum, whose all-ones weights are exactly 0
     net = validate_unitary(emb.u.conj().T)
     est = estimate_probabilities(list(emb.states), net, [(1,) * n], shots, seed, workers)
-    with np.errstate(over="ignore", divide="ignore"):  # q^n above the float range, or prod(mu) below it
+    pair = np.array([est.estimate[0], est.stderr[0]])  # each at most 1, so finite after a finite factor
+    with np.errstate(over="ignore", divide="ignore"):  # q^n above the float range, prod(mu) or an h_ii at 0
         factor = np.float64(emb.q) ** n / np.prod(emb.mus)
-    if not np.isfinite(factor):  # the mean and its error bar, at most 1, rescale finite when factor is
+        frac, e = np.frexp(emb.q)  # q = frac 2^e: past the range, 2^(n e) is applied last and exactly
+        mean, stderr = pair * factor if np.isfinite(factor) else np.ldexp(pair * (frac**n / np.prod(emb.mus)), n * e)
+        floor = np.log10(np.maximum(emb.h.diagonal().real, 0.0)).sum()  # Marcus: per(h) >= prod(h_ii), h PSD
+    if floor > np.log10(np.finfo(float).max) or not np.isfinite([mean, stderr]).all() or 0.0 < pair[0] and mean < np.finfo(float).tiny:
         raise NumericalIntegrityError(f"rescale q^n / prod(mu) at n = {n}, q = {emb.q:.3e} is outside the float range")
     return PermanentEstimate(
-        estimate=float(est.estimate[0] * factor),
-        stderr=float(est.stderr[0] * factor),
+        estimate=float(mean),
+        stderr=float(stderr),
         count=int(est.count[0]),
         shots=shots,
         exact=exact_permanent_psd(emb.h) if n <= EXACT_CROSSCHECK_LIMIT else None,
@@ -167,13 +169,18 @@ def estimate_permanent(
 
 def exact_permanent_psd(h) -> float:
     """Exact permanent of a PSD Hermitian matrix.  Beyond roundoff, an imaginary residue
-    raises NumericalIntegrityError and a negative value (PSD is not checked) ValidationError."""
+    raises NumericalIntegrityError and a negative value (PSD is not checked) ValidationError;
+    a value below the normal float range raises NumericalIntegrityError when prod(h_ii) > 0."""
     h = _check_psd_hermitian(h)
     n = h.shape[0]
     val = permanent(h)
-    scale = max(float(np.abs(h).max()), 1e-300) ** n if n else 1.0
+    with np.errstate(over="ignore"):  # a roundoff scale past the float range checks nothing, and raises nothing
+        scale = np.maximum(np.abs(h).max(initial=0.0), 1e-300) ** n
     if abs(val.imag) > 1e-10 * max(abs(val), scale):
         raise NumericalIntegrityError(f"permanent of PSD matrix has imaginary residue {val.imag:.3e}")
     if val.real < -1e-10 * scale:
         raise ValidationError(f"permanent of PSD matrix is negative: {val.real:.3e}")
+    diag = h.diagonal().real
+    if val.real < np.finfo(float).tiny and diag.min(initial=1.0) > 0.0:  # Marcus: a PSD per(H) is at least prod(h_ii) > 0
+        raise NumericalIntegrityError(f"permanent of PSD matrix is at least prod(h_ii) = 10^{np.log10(diag).sum():.1f}, below the float range")
     return float(val.real)

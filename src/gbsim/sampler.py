@@ -138,13 +138,11 @@ def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Calla
     order.  `draw` takes `_block_counts`'s arguments, the run's `_Scratch` last."""
     if len(states) != net.m:
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
-    if integer(shots, "shot count") < 1:
+    if (shots := integer(shots, "shot count")) < 1:  # a Python int: np.uint64 arithmetic below would wrap
         raise ValidationError(f"shot count must be >= 1, got {shots}")
-    seed = integer(seed, "seed")
-    if not 0 <= seed < 1 << 64:
+    if not 0 <= (seed := integer(seed, "seed")) < 1 << 64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
-    workers = integer(workers, "worker count")
-    if workers < 1:
+    if (workers := integer(workers, "worker count")) < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
     for i, s in enumerate(states):
         if not is_classical(s):

@@ -93,7 +93,7 @@ def chi2_pvalue(report, probs: dict, min_expected: float = 10.0) -> float:
 def thermal_chi2_pvalue(report, qform, min_expected: float = 10.0) -> float:
     """`chi2_pvalue` against prob_thermal on the {0,1} detection patterns, so
     every multi-photon pattern falls in the catch-all bin."""
-    probs = {pat: prob_thermal(qform, pat) for pat in enumerate_patterns(qform.m, qform.m)}
+    probs = {pat: prob_thermal(qform, pat) for pat in map(tuple, enumerate_patterns(qform.m, qform.m).tolist())}
     return chi2_pvalue(report, probs, min_expected)
 
 

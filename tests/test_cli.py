@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -375,6 +376,17 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("gbsim: error: cutoff 7 at 7 modes needs ") and "layer passes" in err
+        assert err.endswith("; give the config 'patterns' or a smaller 'n_max'\n")
+
+    def test_cap_checked_before_the_patterns_are_built(self, tmp_path, capsys):
+        # 30 modes' default patterns are 2^30 rows, which were built before the cap refused cutoff 30
+        path = self._config(tmp_path, 30)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "states": [{"type": "thermal", "v": 1.5}] * 30}))
+        start = time.perf_counter()
+        assert main(["validate", "--config", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("gbsim: error: cutoff 30 needs ") and "above the cap 4096" in err
         assert err.endswith("; give the config 'patterns' or a smaller 'n_max'\n")
 
     def test_engine_oracle_disagreement_exits_1(self, tmsv_config, monkeypatch, capsys):
@@ -761,8 +773,9 @@ def test_non_finite_matrix_file_exits_1(tmp_path, argv, entry, capsys):
     [
         (["permanent", "{}"], 1e40 * np.eye(8), "permanent of 8x8 is not finite"),
         (["permanent-psd", "--matrix", "{}", "--shots", "100", "--seed", "0"], 1e200 * np.eye(2), "outside the float range"),
+        (["permanent-psd", "--matrix", "{}", "--shots", "100", "--seed", "0"], 1e13 * np.eye(24), "outside the float range"),
     ],
-    ids=["permanent", "permanent-psd"],
+    ids=["permanent", "permanent-psd", "permanent-psd-1e13-I24"],
 )
 def test_results_outside_the_float_range_exit_1(tmp_path, argv, matrix, fragment, capsys):
     path = tmp_path / "m.txt"

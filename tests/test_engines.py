@@ -1,5 +1,5 @@
 import math
-from itertools import islice
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -130,18 +130,27 @@ class TestSqueezed:
 
 class TestEnumeratePatterns:
     def test_small_enumeration_order(self):
-        assert list(enumerate_patterns(3, 1)) == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert enumerate_patterns(3, 1).tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_full_enumeration_count(self):
         assert len(list(enumerate_patterns(4, 4))) == 16
 
-    def test_streaming_large_mode_count(self):
-        gen = enumerate_patterns(30, 2)
-        first = list(islice(gen, 3))
-        assert first[0] == (0,) * 30
-        assert sum(first[1]) == 1
-        # 1 + 30 + C(30,2) patterns in total; count without materializing
-        assert 3 + sum(1 for _ in gen) == 1 + 30 + 435
+    @staticmethod
+    def _reference(m, n_max):
+        # each weight's detected modes in the lexicographic order of `combinations`
+        return [[int(k in detected) for k in range(m)] for n in range(n_max + 1) for detected in combinations(range(m), n)]
+
+    def test_table_at_thirty_modes(self):
+        table = enumerate_patterns(30, 2)
+        assert table.dtype == np.int64 and table.shape == (1 + 30 + 435, 30)
+        assert table.tolist() == self._reference(30, 2)
+
+    def test_every_small_table(self):
+        for m in range(9):
+            for n_max in range(m + 1):
+                table = enumerate_patterns(m, n_max)
+                assert table.dtype == np.int64 and table.shape == (sum(math.comb(m, n) for n in range(n_max + 1)), m)
+                assert table.tolist() == self._reference(m, n_max)
 
     @pytest.mark.parametrize(
         "m, n_max, what", [(3, 1.5, "n_max"), (3, True, "n_max"), ("3", 1, "mode count"), (3.0, 1, "mode count")]
@@ -157,7 +166,7 @@ class TestEnumeratePatterns:
             enumerate_patterns(3, n_max)
 
     def test_numpy_integers_run(self):
-        assert list(enumerate_patterns(np.int64(3), np.uint64(1))) == list(enumerate_patterns(3, 1))
+        assert enumerate_patterns(np.int64(3), np.uint64(1)).tolist() == enumerate_patterns(3, 1).tolist()
 
 
 class TestStructure:

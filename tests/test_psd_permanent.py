@@ -96,11 +96,23 @@ def test_non_finite_entry_rejected(call, value):
 
 
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
-@pytest.mark.parametrize("h", [1e200 * np.eye(2), 1e12 * np.eye(24)], ids=["1e200-I2", "1e12-I24"])
+@pytest.mark.parametrize("h", [1e200 * np.eye(2), 1e13 * np.eye(24), 1e-13 * np.eye(24)], ids=["1e200-I2", "1e13-I24", "1e-13-I24"])
 def test_rescale_outside_the_float_range_raises(h):
-    # q^n / prod(mu) overflows: 1e200 I2 ended in an OverflowError, 1e12 I24 read inf
+    # per = 1e400, 1e312 and 1e-312: 1e200 I2 ended in an OverflowError, and the last, below the normal
+    # range, read a subnormal or 0; per >= prod(h_ii) past the top raises whatever the sample's mean
     with pytest.raises(NumericalIntegrityError, match=r"^rescale q\^n / prod\(mu\) at n = \d+, q = .* is outside the float range$"):
         estimate_permanent(h, 100, 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e12, 1e-12])
+def test_rescale_of_a_representable_permanent(c):
+    # per(c I24) = c^24 fits, although q^n / prod(mu) is about 1.2e313 at c = 1e12; the embedded
+    # instance is the identity's at every c, so the estimate scales as c^24 and is flagged as the ESS says
+    res, ref = estimate_permanent(c * np.eye(24), 20_000, 1), estimate_permanent(np.eye(24), 20_000, 1)
+    assert res.estimate == pytest.approx(ref.estimate * c**24, rel=1e-12, abs=0)
+    assert res.stderr == pytest.approx(ref.stderr * c**24, rel=1e-12, abs=0)
+    assert (res.count, res.low_confidence) == (ref.count, ref.low_confidence)
 
 
 class TestEstimate:
@@ -224,6 +236,22 @@ class TestExact:
     def test_cost_limit(self):
         with pytest.raises(CostLimitError):
             exact_permanent_psd(np.eye(25))
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_across_the_float_range(self):
+        # the roundoff scale max|h|^n = 1e400 overflowed as a Python float
+        assert exact_permanent_psd(np.diag([1e200, 1e-200])) == pytest.approx(1.0, rel=1e-15, abs=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h, power", [(np.diag([1e-200, 1e-200]), "-400.0"), (1e-30 * np.eye(12), "-360.0")])
+    def test_underflow_below_a_positive_diagonal_raises(self, h, power):
+        # a PSD permanent is at least prod(h_ii) (Marcus), so a 0 from a positive diagonal has underflowed
+        with pytest.raises(NumericalIntegrityError, match=rf"at least prod\(h_ii\) = 10\^{power}, below the float range"):
+            exact_permanent_psd(h)
+
+    def test_zero_diagonal_entry_reads_0(self):
+        # a zero h_ii of a PSD matrix zeroes its row, so its permanent is exactly 0
+        assert exact_permanent_psd(np.diag([0.0, 2.0])) == 0.0
 
     @pytest.mark.parametrize(
         "value, error, message",

@@ -89,6 +89,29 @@ def test_bright_thermal_vacuum_probability(exponent):
         assert probabilities(qf, name, [(0, 0, 0, 0)])[0] == pytest.approx(expect, rel=1e-14, abs=0.0), name
 
 
+@pytest.mark.parametrize("kind", ["squeezed", "thermal"])
+def test_d_tilde_at_the_psd_clamp(kind):
+    # a vacuum mode gives D-tilde an exact 0 eigenvalue, which roundoff puts below 0 in most of
+    # these configs; the clamp leaves D-tilde PSD up to the eigensolver's own roundoff, m eps |D-tilde|
+    fired = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 7))
+        other = (lambda: squeezed(rng.uniform(0.1, 1.0))) if kind == "squeezed" else (lambda: thermal(rng.uniform(1.1, 4.0)))
+        states = [vacuum(), *(other() if rng.random() < 0.5 else vacuum() for _ in range(m - 1))]
+        net = haar_random(m, seed)
+        mus = np.array([derive_q_params(s).mu for s in states])
+        raw = np.eye(m) - net.u.conj().T @ (mus[:, None] * net.u)
+        fired += np.linalg.eigvalsh((raw + raw.conj().T) * 0.5).min() < 0.0  # build_qform's D-tilde before the clamp
+        qf = build_qform(states, net)
+        w = np.linalg.eigvalsh(qf.d_tilde)
+        assert w.min() >= -m * np.finfo(float).eps * np.abs(w).max(), seed
+        if kind == "thermal":
+            expect = math.prod(2.0 / (s.v_x + 1.0) for s in states)
+            assert probabilities(qf, "thermal", [(0,) * m])[0] == pytest.approx(expect, rel=1e-15, abs=0.0), seed
+    assert fired >= 50
+
+
 def test_k_of_thermal_inputs_is_prod_mu():
     # lam = 0, so each mode's norm is its mu, and K is prod(mu) bit for bit
     rng = np.random.default_rng(11)

@@ -465,6 +465,27 @@ class TestShotCount:
     def test_accepts_integer_shot_count(self, call, shots):
         self.CALLS[call](shots)
 
+    class FirstWindowDrawn(Exception):
+        pass
+
+    @pytest.mark.parametrize("shots", [2**63 - 1, np.uint64(2**63 - 1), np.uint64(2**64 - 1)], ids=["2^63-1", "uint64-2^63-1", "uint64-2^64-1"])
+    @pytest.mark.parametrize("call, draw", [("sample_patterns", "_block_counts"), ("estimate_probabilities", "_block_weights")])
+    def test_huge_shot_count_hands_out_full_blocks(self, monkeypatch, call, draw, shots):
+        # checked without running them: the stand-in records each block it is handed and stops
+        # after the first window of 4 blocks (one worker); (2^64 - 1) + 4095 wraps in uint64 arithmetic
+        handed = []
+
+        def stand_in(u_mat, sx, sp, seed, block, nrows, scratch, **patterns):
+            if len(handed) == 4:
+                raise self.FirstWindowDrawn
+            handed.append((block, nrows))
+            return np.zeros((nrows, 1), dtype=np.int64) if draw == "_block_counts" else np.zeros((3, 1))
+
+        monkeypatch.setattr(sampler_module, draw, stand_in)
+        with pytest.raises(self.FirstWindowDrawn):
+            self.CALLS[call](shots)
+        assert handed == [(b, sampler_module.BLOCK_SHOTS) for b in range(4)]
+
 
 class TestEstimate:
     def _report(self, counts, shots):
