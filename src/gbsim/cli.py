@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .engines import applicable, enumerate_patterns, probabilities
+from .engines import applicable, check_reach, enumerate_patterns, probabilities
 from .errors import CostLimitError, CutoffError, GbsimError, ValidationError, integer
 from .fock_oracle import apply_network, pattern_probabilities, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
@@ -193,13 +193,17 @@ cmd_hafnian = cmd_permanent
 
 def cmd_prob(args) -> int:
     cfg, states, net = _load_run(args.config)
-    patterns = _config_patterns(cfg, net.m)
     qform = build_qform(states, net)
     names = applicable(qform)
     # auto prefers the most specialized engine whose precondition holds
     engine = names[-1] if args.engine == "auto" else args.engine
     # the chosen engine first: an inapplicable one raises its own precondition
     run = [engine, *(n for n in names if n != engine)] if args.validate else [engine]
+    # an n_max table is built only once every engine to run can take its heaviest pattern;
+    # an n_max outside [0, M], or beside 'patterns', raises its own error below
+    if "patterns" not in cfg and "n_max" in cfg and 0 <= (n_max := _config_integer(cfg, "n_max")) <= net.m:
+        check_reach(qform, run, n_max)
+    patterns = _config_patterns(cfg, net.m)
     table = np.array([probabilities(qform, name, patterns) for name in run])
     columns = {
         "pattern": _pattern_strs(patterns.tolist()),

@@ -93,19 +93,39 @@ def _check_real(values: np.ndarray, what: str) -> np.ndarray:
     return np.clip(re, 0.0, 1.0)
 
 
+def _engine(qform: OutputQForm, name: str):
+    """The batched engine `name` and what it computes; ContractError where it does not apply."""
+    engine, what, contract = _TABLES[name]
+    if name not in applicable(qform):
+        raise ContractError(contract)
+    return engine, what
+
+
+def check_reach(qform: OutputQForm, names: list[str], n_max: int) -> None:
+    """Raise what `probabilities` by the engines `names`, in order, would on patterns
+    of weight up to n_max, before any is built: ContractError where an engine does
+    not apply, and CostLimitError where its kernel cannot take the heaviest of them.
+    Each engine is called on an empty table of weight n_max, then of the heaviest
+    even weight, since the squeezed engine's kernel sees even weights only."""
+    for name in names:
+        engine, _ = _engine(qform, name)
+        for n in dict.fromkeys((n_max, n_max - n_max % 2)):
+            engine(qform, np.zeros((0, n), dtype=np.intp))
+
+
 def probabilities(qform: OutputQForm, name: str, patterns) -> np.ndarray:
     """p(n) of each pattern by the engine `name` (general, thermal or squeezed), in
-    input order: one submatrix gather and batched kernel call per weight N and chunk.
+    input order: one submatrix gather and batched kernel call per weight N and chunk,
+    heaviest first, so a weight beyond the kernel's cost limit raises before any
+    lighter one is evaluated.
 
     `patterns` is any iterable of patterns or a (P, M) array, checked as by
     `count_table` with clicks."""
-    engine, what, contract = _TABLES[name]
     table = count_table(patterns, qform.m, clicks=True)
-    if name not in applicable(qform):
-        raise ContractError(contract)
+    engine, what = _engine(qform, name)
     weights = table.sum(axis=1)
     values = np.empty(len(table), dtype=complex)
-    for n in sorted(set(weights.tolist())):  # np.unique would import numpy.ma
+    for n in sorted(set(weights.tolist()), reverse=True):  # np.unique would import numpy.ma
         at = np.flatnonzero(weights == n)
         modes = np.nonzero(table[at])[1].reshape(len(at), n)  # each row's detected modes, ascending
         step = max(1, _CHUNK_TERMS >> 2 * n)

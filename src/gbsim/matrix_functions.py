@@ -24,11 +24,53 @@ HAFNIAN_LIMIT = 20
 _HIGH_SIGNS_PER_STEP = 4
 
 
-def _as_square(a) -> np.ndarray:
+def _kernel(name: str, a, limit: int, step: int, body) -> complex | np.ndarray:
+    """`body`, a kernel on a (P, n, n) stack returning P values, on one matrix or a stack:
+    the one place where a kernel input is checked for shape, for n a multiple of `step`
+    and for the cost limit, in that order, and a kernel value for range.
+
+    A finite value of normal size is returned as the body gives it.  A value that is
+    not finite, 0 or subnormal is looked at again, matrix by matrix: a sum of products
+    of d = n / step entries, each sum at most (2 sqrt(2) n max|a|)^d.  Where the
+    matrix's largest entry lets that bound, or the product of d largest entries, leave
+    the normal range, the matrix is divided by 2^e, its largest entry's power of two
+    (or the largest power that keeps every nonzero entry normal), evaluated again, and
+    its value multiplied back by 2^(d e) with ldexp, both exact in binary floating point.
+    A non-finite value, or a nonzero one below the normal range, then raises
+    NumericalIntegrityError; a value whose bound is below half the smallest subnormal
+    reads 0, its rounded float.  Inside that window a 0 or a subnormal is returned
+    unchecked.  Each matrix's value is its own, whatever else its stack holds.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    n = a.shape[-1]
+    if n % step:
+        raise ValidationError(f"{name} requires even dimension, got {n}")
+    if n > limit:
+        raise CostLimitError(f"{name} of {n}x{n} exceeds the cost limit (n <= {limit})")
+    stack, d = a if a.ndim == 3 else a[None], n // step
+    values = body(stack)
+    if (redo := ~np.isfinite(values) | (np.abs(values) < np.finfo(float).tiny)).any():
+        sub = stack[redo]  # a copy, so zeroing its diagonal leaves the input alone
+        if step == 2:  # the hafnian's diagonal, which its body never reads, sets no scale
+            sub[:, np.arange(n), np.arange(n)] = 0
+        size = np.abs(sub.view(float))  # (R, n, 2n): the entries' real and imaginary parts
+        top = np.frexp(size.max(axis=(1, 2)))[1]  # 0 at a nan or inf, which stays unscaled
+        low = np.frexp(np.where(size > 0, size, np.inf).min(axis=(1, 2)))[1]  # 0 for a zero matrix
+        growth = (3 * n).bit_length()  # 2 sqrt(2) n < 2^growth
+        # 2^-1022 is the smallest normal float, 2^-1074 the smallest subnormal and 2^1024 the first past the largest
+        out = ((top - 1) * d < -1022) | ((top + growth) * d > 1024)
+        e = np.minimum(top, low + 1021)[out]
+        scaled = body(np.ldexp(sub[out].view(float), -e[:, None, None]).view(complex))
+        # a nonzero |value| 2^(d e) below 2^-1022 raises, unless its bound is below 2^-1075, which rounds it to 0
+        if (small := (scaled != 0) & (np.frexp(np.abs(scaled))[1] + d * e <= -1022) & ((e + growth) * d >= -1075)).any():
+            i = np.flatnonzero(small)[0]
+            raise NumericalIntegrityError(f"{name} of {n}x{n} is 10^{np.log10(abs(scaled[i])) + d * e[i] * np.log10(2):.1f}, below the float range")
+        values[np.flatnonzero(redo)[out]] = np.ldexp(np.column_stack([scaled.real, scaled.imag]), d * e[:, None]).view(complex)[:, 0]
+        if not np.isfinite(values).all():
+            raise NumericalIntegrityError(f"{name} of {n}x{n} is not finite: {values[~np.isfinite(values)][0]}")
+    return values if a.ndim == 3 else complex(values[0])
 
 
 @lru_cache(maxsize=None)
@@ -50,32 +92,29 @@ def permanent(a) -> complex | np.ndarray:
     accumulator, multiplying in the same order as a reduce over the rows, so
     no (n, 2^12) temporary is made.  The empty matrix has permanent 1.
     """
-    a = _as_square(a)
-    n = a.shape[-1]
-    if n > PERMANENT_LIMIT:
-        raise CostLimitError(f"permanent of {n}x{n} exceeds the cost limit (n <= {PERMANENT_LIMIT})")
-    stack = a if a.ndim == 3 else a[None]
-    per = np.ones(len(stack), dtype=complex)
-    if n:
-        lo = min(n - 1, 12)  # 2**lo sign vectors per batch
-        low_signs, low_prods = _sign_table(lo)
-        high_signs, high_prods = _sign_table(n - 1 - lo)
-        # (P, n, 2^lo): column d holds the low rows' part of d A
-        low = stack[:, 1 : 1 + lo].transpose(0, 2, 1) @ low_signs.T
-        high = stack[:, :1] + high_signs @ stack[:, 1 + lo :]  # (P, 2^(n-1-lo), n)
-        k = min(_HIGH_SIGNS_PER_STEP, len(high_signs))  # both powers of two, so k divides
-        prod, term = (np.empty((len(stack), k, 1 << lo), dtype=complex) for _ in range(2))
-        parts = np.empty((len(stack), len(high_signs)), dtype=complex)
-        for h in range(0, len(high_signs), k):
-            np.add(low[:, None, 0], high[:, h : h + k, 0, None], out=prod)
-            for j in range(1, n):
-                prod *= np.add(low[:, None, j], high[:, h : h + k, j, None], out=term)
-            # w @ x[..., None] is one dot product per matrix and sign vector, as for one matrix alone
-            parts[:, h : h + k] = (low_prods @ prod[..., None])[..., 0]
-        per = (high_prods @ parts[..., None])[:, 0] / 2.0 ** (n - 1)
-    if not np.isfinite(per).all():
-        raise NumericalIntegrityError(f"permanent of {n}x{n} is not finite: {per[~np.isfinite(per)][0]}")
-    return per if a.ndim == 3 else complex(per[0])
+    return _kernel("permanent", a, PERMANENT_LIMIT, 1, _glynn)
+
+
+def _glynn(stack: np.ndarray) -> np.ndarray:
+    n = stack.shape[-1]
+    if not n:
+        return np.ones(len(stack), dtype=complex)
+    lo = min(n - 1, 12)  # 2**lo sign vectors per batch
+    low_signs, low_prods = _sign_table(lo)
+    high_signs, high_prods = _sign_table(n - 1 - lo)
+    # (P, n, 2^lo): column d holds the low rows' part of d A
+    low = stack[:, 1 : 1 + lo].transpose(0, 2, 1) @ low_signs.T
+    high = stack[:, :1] + high_signs @ stack[:, 1 + lo :]  # (P, 2^(n-1-lo), n)
+    k = min(_HIGH_SIGNS_PER_STEP, len(high_signs))  # both powers of two, so k divides
+    prod, term = (np.empty((len(stack), k, 1 << lo), dtype=complex) for _ in range(2))
+    parts = np.empty((len(stack), len(high_signs)), dtype=complex)
+    for h in range(0, len(high_signs), k):
+        np.add(low[:, None, 0], high[:, h : h + k, 0, None], out=prod)
+        for j in range(1, n):
+            prod *= np.add(low[:, None, j], high[:, h : h + k, j, None], out=term)
+        # w @ x[..., None] is one dot product per matrix and sign vector, as for one matrix alone
+        parts[:, h : h + k] = (low_prods @ prod[..., None])[..., 0]
+    return (high_prods @ parts[..., None])[:, 0] / 2.0 ** (n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -106,21 +145,17 @@ def hafnian(b) -> complex | np.ndarray:
     The matrix is symmetrized on entry and its diagonal is never referenced.
     haf(empty) = 1; odd dimension is an error.
     """
-    b = _as_square(b)
-    n = b.shape[-1]
-    if n % 2:
-        raise ValidationError(f"hafnian requires even dimension, got {n}")
-    if n > HAFNIAN_LIMIT:
-        raise CostLimitError(f"hafnian of {n}x{n} exceeds the cost limit (n <= {HAFNIAN_LIMIT})")
-    stack = b if b.ndim == 3 else b[None]
+    return _kernel("hafnian", b, HAFNIAN_LIMIT, 2, _matchings)
+
+
+def _matchings(stack: np.ndarray) -> np.ndarray:
+    n = stack.shape[-1]
     entries = ((stack + stack.transpose(0, 2, 1)) * 0.5).reshape(len(stack), n * n)
     haf = np.ones((len(stack), 1), dtype=complex)
     for pair, sub in _matching_schedule(n):
         # take keeps each row's terms contiguous, so a row sums as it would alone
         haf = (entries.take(pair, axis=1) * haf.take(sub, axis=1)).sum(axis=2)
-    if not np.isfinite(haf).all():
-        raise NumericalIntegrityError(f"hafnian of {n}x{n} is not finite: {haf[~np.isfinite(haf)][0]}")
-    return haf[:, 0] if b.ndim == 3 else complex(haf[0, 0])
+    return haf[:, 0]
 
 
 def photon_counts(pattern, m: int) -> tuple[int, ...]:

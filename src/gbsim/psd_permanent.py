@@ -173,14 +173,20 @@ def exact_permanent_psd(h) -> float:
     a value below the normal float range raises NumericalIntegrityError when prod(h_ii) > 0."""
     h = _check_psd_hermitian(h)
     n = h.shape[0]
-    val = permanent(h)
+    diag = h.diagonal().real
+    positive = diag.min(initial=1.0) > 0.0
+    try:
+        val = permanent(h)
+    except NumericalIntegrityError as exc:
+        if not positive or "below the float range" not in str(exc):  # a non-finite value, or no Marcus bound to name
+            raise
+        val = 0j  # below the float range, which the Marcus check names
     with np.errstate(over="ignore"):  # a roundoff scale past the float range checks nothing, and raises nothing
         scale = np.maximum(np.abs(h).max(initial=0.0), 1e-300) ** n
     if abs(val.imag) > 1e-10 * max(abs(val), scale):
         raise NumericalIntegrityError(f"permanent of PSD matrix has imaginary residue {val.imag:.3e}")
     if val.real < -1e-10 * scale:
         raise ValidationError(f"permanent of PSD matrix is negative: {val.real:.3e}")
-    diag = h.diagonal().real
-    if val.real < np.finfo(float).tiny and diag.min(initial=1.0) > 0.0:  # Marcus: a PSD per(H) is at least prod(h_ii) > 0
+    if val.real < np.finfo(float).tiny and positive:  # Marcus: a PSD per(H) is at least prod(h_ii) > 0
         raise NumericalIntegrityError(f"permanent of PSD matrix is at least prod(h_ii) = 10^{np.log10(diag).sum():.1f}, below the float range")
     return float(val.real)

@@ -112,7 +112,8 @@ def derive_q_params(state: GaussianModeState) -> QFunctionParams:
     """Map (v_x, v_p) to the (lam, mu, norm) parameters of the input Q function."""
     lam = 1.0 / (2 * state.v_p + 2) - 1.0 / (2 * state.v_x + 2)
     mu = 1.0 / (state.v_x + 1) + 1.0 / (state.v_p + 1)
-    return QFunctionParams(lam, mu, 2.0 / math.sqrt((state.v_x + 1) * (state.v_p + 1)))
+    # (v_x + 1)(v_p + 1) >= 4 as v_x v_p >= 1; at v_x v_p = 1 roundoff can leave it an ulp below 4
+    return QFunctionParams(lam, mu, min(1.0, 2.0 / math.sqrt((state.v_x + 1) * (state.v_p + 1))))
 
 
 def input_kinds(lam, mu) -> list[str]:

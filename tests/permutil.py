@@ -1,6 +1,9 @@
 """Reference kernels for the kernel tests: the direct n! permutation sum for
-the permanent and the direct (n-1)!! matching sum for the hafnian."""
+the permanent, the direct (n-1)!! matching sum for the hafnian, and the exact
+permanent of a fixed-rank PSD matrix, which reaches past Glynn's size limit."""
 
+import math
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -46,3 +49,20 @@ def hafnian_naive(b) -> complex:
         return sum(b[first, j] * matchings(rest[:k] + rest[k + 1 :]) for k, j in enumerate(rest))
 
     return complex(matchings(tuple(range(b.shape[0]))))
+
+
+def permanent_low_rank(v) -> float:
+    """per(V V^dag) for an n x r matrix V (Barvinok, Math. Oper. Res. 21, 1996):
+    sum over k of prod_a k_a! |c_k|^2, with c_k the x^k coefficient of
+    prod_j sum_a V_ja x_a.  The coefficients are built one row at a time in a
+    dense (n + 1)^r array: before the last row every total degree is below n, so
+    rolling an axis by one never wraps a nonzero coefficient.  Every term of the
+    final sum is non-negative, so nothing cancels there."""
+    v = np.asarray(v, dtype=complex)
+    n, r = v.shape
+    coef = np.zeros((n + 1,) * r, dtype=complex)
+    coef[(0,) * r] = 1.0
+    for row in v:
+        coef = sum(row[a] * np.roll(coef, 1, axis=a) for a in range(r))
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    return float((reduce(np.multiply.outer, [factorials] * r) * np.abs(coef) ** 2).sum())

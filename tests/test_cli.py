@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gbsim
+from gbsim import cli, engines
 from gbsim.cli import _load_run, main
 from gbsim.matrixio import dump_complex_matrix, load_complex_matrix, matrix_from_json
 
@@ -454,6 +455,9 @@ MISREAD_VALUES = {
     "vacuum-with-v": ({"states": [{"type": "thermal", "v": 2.0}, {"type": "vacuum", "v": 3.0}]}, "states[1]: state descriptor {'type': 'vacuum', 'v': 3.0} has unexpected field 'v'"),
     "schema-true": ({"schema": True}, "config field 'schema' must be an integer, got True"),
     "both-keys": ({"patterns": [[1, 0]], "n_max": 1}, "config needs either 'patterns' or 'n_max', not both"),
+    # `patterns-number` above stops at "not both", as its config keeps `n_max`
+    "patterns-string": ({"patterns": "1,0", "n_max": DROP}, "config field 'patterns' must be an array"),
+    "patterns-object": ({"patterns": {"0": [1, 0]}, "n_max": DROP}, "config field 'patterns' must be an array"),
 }
 
 
@@ -774,8 +778,9 @@ def test_non_finite_matrix_file_exits_1(tmp_path, argv, entry, capsys):
         (["permanent", "{}"], 1e40 * np.eye(8), "permanent of 8x8 is not finite"),
         (["permanent-psd", "--matrix", "{}", "--shots", "100", "--seed", "0"], 1e200 * np.eye(2), "outside the float range"),
         (["permanent-psd", "--matrix", "{}", "--shots", "100", "--seed", "0"], 1e13 * np.eye(24), "outside the float range"),
+        (["permanent", "{}"], 1e-14 * np.eye(24), "permanent of 24x24 is 10^-336.0, below the float range"),  # printed 0+0j
     ],
-    ids=["permanent", "permanent-psd", "permanent-psd-1e13-I24"],
+    ids=["permanent", "permanent-psd", "permanent-psd-1e13-I24", "permanent-1e-14-I24"],
 )
 def test_results_outside_the_float_range_exit_1(tmp_path, argv, matrix, fragment, capsys):
     path = tmp_path / "m.txt"
@@ -816,3 +821,70 @@ def test_dispatch_reads_the_command_at_each_call(monkeypatch, capsys):
     monkeypatch.setattr(gbsim.cli, "cmd_haar", lambda args: seen.append(args.modes) or 7)
     assert main(["haar", "--modes", "2", "--seed", "0"]) == 7
     assert seen == [2]
+
+
+class TestProbReach:
+    """`prob` refuses an n_max beyond the engines' reach before it builds or evaluates a table."""
+
+    @staticmethod
+    def _config(tmp_path, m, n_max):
+        (tmp_path / "u.txt").write_text(dump_complex_matrix(gbsim.haar_random(m, m).u))
+        state = {"type": "squeezed_thermal", "v": 1.2, "r": 0.3}  # the general engine alone applies: N <= 10
+        cfg = {"schema": 1, "modes": m, "states": [state] * m, "unitary": {"file": "u.txt"}, "n_max": n_max}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    @staticmethod
+    def _record_hafnians(monkeypatch) -> list:
+        shapes = []
+
+        def recorded(b):
+            shapes.append(np.shape(b))
+            return gbsim.hafnian(b)
+
+        monkeypatch.setattr(engines, "hafnian", recorded)
+        return shapes
+
+    def test_no_lighter_weight_is_evaluated(self, tmp_path, monkeypatch, capsys):
+        # n_max = 12 evaluated weights 0 to 10 (0.3 s) before the 22x22 hafnian of weight 11 was refused
+        shapes = self._record_hafnians(monkeypatch)
+        assert main(["prob", "--config", str(self._config(tmp_path, 12, 12))]) == 2
+        assert "hafnian of 24x24 exceeds the cost limit" in capsys.readouterr().err
+        assert shapes == [(0, 24, 24)]
+
+    def test_a_table_is_evaluated_heaviest_weight_first(self, monkeypatch):
+        qform = gbsim.build_qform([gbsim.squeezed_thermal(1.2, 0.3)] * 12, gbsim.haar_random(12, 12))
+        shapes = self._record_hafnians(monkeypatch)
+        with pytest.raises(gbsim.CostLimitError, match="hafnian of 24x24"):
+            engines.probabilities(qform, "general", engines.enumerate_patterns(12, 12))
+        assert shapes == [(1, 24, 24)]
+
+    def test_squeezed_engine_is_checked_at_its_heaviest_even_weight(self):
+        # odd weights read 0 without a kernel call, so n_max = 21 needs 20x20 hafnians and 23 needs 22x22
+        qform = gbsim.build_qform([gbsim.squeezed(0.3)] * 23, gbsim.haar_random(23, 23))
+        engines.check_reach(qform, ["squeezed"], 21)
+        with pytest.raises(gbsim.CostLimitError, match="hafnian of 22x22"):
+            engines.check_reach(qform, ["squeezed"], 23)
+
+    def test_no_table_is_built(self, tmp_path, monkeypatch, capsys):
+        # at M = n_max = 20 the table alone is 2^20 rows
+        def refuse(m, n_max):
+            raise AssertionError("enumerate_patterns was called")
+
+        monkeypatch.setattr(cli, "enumerate_patterns", refuse)
+        assert main(["prob", "--config", str(self._config(tmp_path, 20, 20))]) == 2
+        assert "hafnian of 40x40 exceeds the cost limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n_max, argv, message",
+        [
+            (21, [], "n_max must be in [0, 20], got 21"),
+            (-1, [], "n_max must be in [0, 20], got -1"),
+            (20, ["--engine", "thermal"], "thermal engine requires lam_s = 0"),
+        ],
+        ids=["above-m", "negative", "inapplicable-engine"],
+    )
+    def test_other_errors_come_first(self, tmp_path, n_max, argv, message, capsys):
+        assert main(["prob", "--config", str(self._config(tmp_path, 20, n_max)), *argv]) == 1
+        _assert_error_exit(capsys, message)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gbsim import (
     hafnian,
     permanent,
 )
-from permutil import hafnian_naive, permanent_naive
+from permutil import hafnian_naive, permanent_low_rank, permanent_naive
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
 
@@ -225,3 +226,121 @@ class TestStacks:
                 permanent(bad)
             with pytest.raises(ValidationError):
                 hafnian(bad)
+
+
+@pytest.mark.parametrize("b", [np.ones((21, 21)), np.ones((2, 21, 21))], ids=["matrix", "stack"])
+def test_odd_dimension_is_checked_before_the_cost_limit(b):
+    # shape, then odd dimension, then the cost limit: a 21x21 hafnian is invalid input (CLI exit 1), not a cost (exit 2)
+    with pytest.raises(ValidationError, match="^hafnian requires even dimension, got 21$"):
+        hafnian(b)
+
+
+class TestFloatRange:
+    """A value below or above the normal float range raises; one within it keeps the bits
+    of the unscaled evaluation, however far its entries are from 1."""
+
+    def test_scaled_identities_at_the_edges_of_the_range(self):
+        # per(c I24) = c^24 = 10^(+-288); 1.47e-14 is Glynn's own roundoff at c = 1e12
+        values = permanent(np.stack([1e12 * np.eye(24), 1e-12 * np.eye(24)]))
+        for v, c in zip(values, (1e12, 1e-12)):
+            exact = Fraction(c) ** 24
+            assert v.imag == 0 and abs(Fraction(v.real) - exact) <= Fraction(2e-14) * exact
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "kernel, a, message",
+        [
+            (permanent, 1e13 * np.eye(24), "is not finite: "),
+            (permanent, 1e-13 * np.eye(24), r"is 10\^-312.0, below the float range"),
+            (permanent, 1e-14 * np.eye(24), r"is 10\^-336.0, below the float range"),  # returned 0j
+            (hafnian, 1e30 * np.ones((20, 20)), "is not finite: "),
+            (hafnian, 1e-32 * np.ones((20, 20)), r"is 10\^-311.2, below the float range"),  # returned a subnormal
+        ],
+        ids=["per-1e13", "per-1e-13", "per-1e-14", "haf-1e30", "haf-1e-32"],
+    )
+    def test_values_outside_the_range_raise(self, kernel, a, message):
+        n = a.shape[-1]
+        with pytest.raises(NumericalIntegrityError, match=f"^{kernel.__name__} of {n}x{n} {message}"):
+            kernel(a)
+
+    @pytest.mark.parametrize("c", [1e25, 1e-25])
+    def test_all_ones_hafnian_across_the_range(self, c):
+        exact = c**10 * math.prod(range(1, 20, 2))
+        assert hafnian(c * np.ones((20, 20))) == pytest.approx(exact, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize(
+        "kernel, n, k",
+        [(permanent, 8, 124), (permanent, 16, -63), (hafnian, 8, 252), (hafnian, 20, -102)],
+    )
+    def test_power_of_two_scaling_keeps_the_bits(self, kernel, n, k):
+        # A's largest entry is below 1, so 2^k A leaves the window where the unscaled sums are known
+        # to stay normal: it is divided by 2^k again, exactly, as the value is multiplied back
+        rng = np.random.default_rng(n)
+        a = rng.uniform(0.5, 1.0, (3, n, n)) + 0.1j * rng.uniform(-1.0, 1.0, (3, n, n))
+        d = n if kernel is permanent else n // 2
+        want = [complex(np.ldexp(w.real, d * k), np.ldexp(w.imag, d * k)) for w in kernel(a)]
+        assert kernel(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)).tolist() == want
+
+    def test_products_that_overflow_unscaled(self):
+        # per(c 1_8) = 8! c^8 = 1e307, but Glynn's unscaled column product (8c)^8 = 4e309 is past the range (nan before)
+        c = (1e307 / math.factorial(8)) ** (1 / 8)
+        assert permanent(c * np.ones((8, 8))) == pytest.approx(1e307, rel=1e-13, abs=0)
+
+    def test_each_matrix_of_a_stack_is_checked_alone(self):
+        # a value is its own matrix's, whatever else the stack holds
+        stack = np.stack([1e-25 * np.eye(12), 1e25 * np.eye(12)])
+        values = permanent(stack)
+        assert values.tolist() == [permanent(m) for m in stack]
+        assert values == pytest.approx([1e-300, 1e300], rel=1e-14, abs=0)
+        # 1e-400 is below half the smallest subnormal, so 0 is its rounded value, alone or beside I2
+        assert permanent(1e-200 * np.eye(2)) == 0
+        assert permanent(np.stack([np.eye(2), 1e-200 * np.eye(2)])).tolist() == [1, 0]
+        # per(1e-39 I8) = 1e-312 raises beside I8, whose largest entry kept the stack's max in range
+        with pytest.raises(NumericalIntegrityError, match=r"^permanent of 8x8 is 10\^-312.0, below the float range"):
+            permanent(np.stack([np.eye(8), 1e-39 * np.eye(8)]))
+
+    def test_the_hafnian_diagonal_sets_no_scale(self):
+        # the diagonal is never read: dividing by 1e40's power of two would take the products of ten ones to 2^-1330
+        assert hafnian(np.ones((20, 20)) + 1e40 * np.eye(20)) == math.prod(range(1, 20, 2))
+        assert hafnian(np.ones((4, 4)) + 1e300 * np.eye(4)) == 3
+        with pytest.raises(NumericalIntegrityError, match=r"^hafnian of 20x20 is 10\^-311.2, below the float range"):
+            hafnian(1e-32 * np.ones((20, 20)) + 1e40 * np.eye(20))
+
+    def test_entries_far_apart_keep_the_unscaled_value(self):
+        # haf = 15 c + 90 with one pair at c = 1e300: divided by c's power of two, the products of
+        # four ones would read 0, but a value in range is the unscaled evaluation's
+        b = np.ones((8, 8))
+        b[0, 1] = b[1, 0] = 1e300
+        assert hafnian(b) == pytest.approx(1.5e301, rel=1e-15, abs=0)
+        assert permanent(np.diag([1e300, 1e-300, 1e-300])) == pytest.approx(1e-300, rel=1e-15, abs=0)
+
+    def test_a_value_bounded_below_every_float_reads_0(self):
+        # per(c 1_4) = 24 c^4 = 2.4e-803 at c = 1e-201, and its bound (2 sqrt(2) 4 c)^4 is below half
+        # the smallest subnormal float: 0 is its correctly rounded value, as the unscaled sums give
+        assert permanent(1e-201 * np.ones((4, 4))) == 0
+        assert hafnian(1e-201 * np.ones((4, 4))) == 0
+
+    @pytest.mark.parametrize("diagonal, value", [([1e200, 1e-200], 1.0), ([1e200, 1e200, 1e-200], 1e200)])
+    def test_no_entry_is_divided_below_the_range(self, diagonal, value):
+        # dividing by 1e200's power of two, 2^665, would take 1e-200 to 1e-400: the matrix is divided
+        # by 2^357 at most, which keeps 1e-200 normal and 1e200^2 in range
+        assert permanent(np.diag(diagonal)) == pytest.approx(value, rel=1e-15, abs=0)
+
+
+class TestLowRankReference:
+    """`permanent_low_rank`, the tests' exact permanent of V V^dag for an n x r matrix V."""
+
+    @pytest.mark.parametrize("n, r", [(12, 2), (16, 3), (20, 4)])
+    def test_equals_glynn(self, n, r):
+        rng = np.random.default_rng(100 * n + r)
+        v = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))) / np.sqrt(2)
+        exact = permanent_low_rank(v)
+        assert permanent(v @ v.conj().T) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [24, 36, 48])
+    def test_rank_one_past_the_cost_limit(self, n):
+        # per(v v^dag) = n! prod |v_i|^2
+        rng = np.random.default_rng(n)
+        v = rng.uniform(0.5, 1.5, n) * np.exp(2j * np.pi * rng.random(n))
+        exact = math.factorial(n) * math.prod(abs(x) ** 2 for x in v)
+        assert permanent_low_rank(v[:, None]) == pytest.approx(exact, rel=1e-13, abs=0)

@@ -12,6 +12,7 @@ from gbsim import (
     exact_permanent_psd,
 )
 from gbsim import psd_permanent
+from permutil import permanent_low_rank
 
 
 def random_psd(n, seed):
@@ -249,6 +250,11 @@ class TestExact:
         with pytest.raises(NumericalIntegrityError, match=rf"at least prod\(h_ii\) = 10\^{power}, below the float range"):
             exact_permanent_psd(h)
 
+    def test_overflow_is_not_named_an_underflow(self):
+        # per = 1e-2 is in range and prod(h_ii) below 1, but 1e300^2 overflows, scaled or not: the kernel's error stands
+        with pytest.raises(NumericalIntegrityError, match=r"^permanent of 4x4 is not finite"):
+            exact_permanent_psd(np.diag([1e300, 1e300, 1e-301, 1e-301]))
+
     def test_zero_diagonal_entry_reads_0(self):
         # a zero h_ii of a PSD matrix zeroes its row, so its permanent is exactly 0
         assert exact_permanent_psd(np.diag([0.0, 2.0])) == 0.0
@@ -271,3 +277,12 @@ class TestExact:
         (tmp_path / "h.txt").write_text("1 0\n0 1\n")
         assert main(["permanent-psd", "--matrix", str(tmp_path / "h.txt"), "--shots", "10", "--seed", "1"]) == 1
         assert capsys.readouterr().err == "gbsim: error: permanent of PSD matrix has imaginary residue 1.000e-03\n"
+
+
+def test_estimate_of_a_rank_two_permanent_past_the_crosscheck():
+    # n = 20 is past the exact cross-check (n <= 12); per(V V^dag) is exact at rank 2
+    rng = np.random.default_rng(20)
+    v = (rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))) / math.sqrt(2)
+    est = estimate_permanent(v @ v.conj().T, 100_000, 0)
+    assert est.exact is None
+    assert est.low_confidence or abs(est.estimate - permanent_low_rank(v)) <= 6 * est.stderr
