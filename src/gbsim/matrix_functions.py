@@ -39,7 +39,9 @@ def _kernel(name: str, a, limit: int, step: int, body) -> complex | np.ndarray:
     A non-finite value, or a nonzero one below the normal range, then raises
     NumericalIntegrityError; a value whose bound is below half the smallest subnormal
     reads 0, its rounded float.  Inside that window a 0 or a subnormal is returned
-    unchecked.  Each matrix's value is its own, whatever else its stack holds.
+    unchecked.  Each matrix's value is its own, whatever else its stack holds.  The
+    bodies run with numpy's overflow and invalid-value warnings off, since every value
+    they give is judged here.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -50,27 +52,40 @@ def _kernel(name: str, a, limit: int, step: int, body) -> complex | np.ndarray:
     if n > limit:
         raise CostLimitError(f"{name} of {n}x{n} exceeds the cost limit (n <= {limit})")
     stack, d = a if a.ndim == 3 else a[None], n // step
-    values = body(stack)
-    if (redo := ~np.isfinite(values) | (np.abs(values) < np.finfo(float).tiny)).any():
-        sub = stack[redo]  # a copy, so zeroing its diagonal leaves the input alone
-        if step == 2:  # the hafnian's diagonal, which its body never reads, sets no scale
-            sub[:, np.arange(n), np.arange(n)] = 0
-        size = np.abs(sub.view(float))  # (R, n, 2n): the entries' real and imaginary parts
-        top = np.frexp(size.max(axis=(1, 2)))[1]  # 0 at a nan or inf, which stays unscaled
-        low = np.frexp(np.where(size > 0, size, np.inf).min(axis=(1, 2)))[1]  # 0 for a zero matrix
-        growth = (3 * n).bit_length()  # 2 sqrt(2) n < 2^growth
-        # 2^-1022 is the smallest normal float, 2^-1074 the smallest subnormal and 2^1024 the first past the largest
-        out = ((top - 1) * d < -1022) | ((top + growth) * d > 1024)
-        e = np.minimum(top, low + 1021)[out]
-        scaled = body(np.ldexp(sub[out].view(float), -e[:, None, None]).view(complex))
-        # a nonzero |value| 2^(d e) below 2^-1022 raises, unless its bound is below 2^-1075, which rounds it to 0
-        if (small := (scaled != 0) & (np.frexp(np.abs(scaled))[1] + d * e <= -1022) & ((e + growth) * d >= -1075)).any():
-            i = np.flatnonzero(small)[0]
-            raise NumericalIntegrityError(f"{name} of {n}x{n} is 10^{np.log10(abs(scaled[i])) + d * e[i] * np.log10(2):.1f}, below the float range")
-        values[np.flatnonzero(redo)[out]] = np.ldexp(np.column_stack([scaled.real, scaled.imag]), d * e[:, None]).view(complex)[:, 0]
-        if not np.isfinite(values).all():
-            raise NumericalIntegrityError(f"{name} of {n}x{n} is not finite: {values[~np.isfinite(values)][0]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a value out of range is judged below, not warned of
+        values = body(stack)
+        if (redo := ~np.isfinite(values) | (np.abs(values) < np.finfo(float).tiny)).any():
+            sub = stack[redo]  # a copy, so zeroing its diagonal leaves the input alone
+            if step == 2:  # the hafnian's diagonal, which its body never reads, sets no scale
+                sub[:, np.arange(n), np.arange(n)] = 0
+            size = np.abs(sub.view(float))  # (R, n, 2n): the entries' real and imaginary parts
+            top = np.frexp(size.max(axis=(1, 2)))[1]  # 0 at a nan or inf, which stays unscaled
+            low = np.frexp(np.where(size > 0, size, np.inf).min(axis=(1, 2)))[1]  # 0 for a zero matrix
+            growth = (3 * n).bit_length()  # 2 sqrt(2) n < 2^growth
+            # 2^-1022 is the smallest normal float, 2^-1074 the smallest subnormal and 2^1024 the first past the largest
+            out = ((top - 1) * d < -1022) | ((top + growth) * d > 1024)
+            e = np.minimum(top, low + 1021)[out]
+            scaled = body(np.ldexp(sub[out].view(float), -e[:, None, None]).view(complex))
+            # a nonzero |value| 2^(d e) below 2^-1022 raises, unless its bound is below 2^-1075, which rounds it to 0
+            if (small := (scaled != 0) & (np.frexp(np.abs(scaled))[1] + d * e <= -1022) & ((e + growth) * d >= -1075)).any():
+                i = np.flatnonzero(small)[0]
+                raise NumericalIntegrityError(f"{name} of {n}x{n} is 10^{np.log10(abs(scaled[i])) + d * e[i] * np.log10(2):.1f}, below the float range")
+            values[np.flatnonzero(redo)[out]] = np.ldexp(np.column_stack([scaled.real, scaled.imag]), d * e[:, None]).view(complex)[:, 0]
+            if not np.isfinite(values).all():
+                raise NumericalIntegrityError(f"{name} of {n}x{n} is not finite: {values[~np.isfinite(values)][0]}")
     return values if a.ndim == 3 else complex(values[0])
+
+
+def _diagonal_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S h S, k) for a C-contiguous square complex h and S = diag(2^-k), 2^k the binade
+    of sqrt|h_ii| (k = 0 where h_ii = 0), exact in binary floating point: a principal
+    submatrix's permanent is per(h_I) = 4^(sum of k_I) per((S h S)_I).  For PSD h,
+    |h_ij| <= sqrt(h_ii h_jj), so S h S has its diagonal in [1/4, 1) and no entry above
+    1, and each such permanent, at least the product of its diagonal (Marcus, Bull. AMS
+    69, 494, 1963) and at most n!, lies in [4^-n, n!], or is exactly 0 where a zero
+    h_ii zeroes its row."""
+    k = (np.frexp(h.diagonal().real)[1] + 1) >> 1
+    return np.ldexp(h.view(float), -(k[:, None] + k.repeat(2))).view(complex), k
 
 
 @lru_cache(maxsize=None)

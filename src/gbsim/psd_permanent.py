@@ -34,13 +34,14 @@ several thousand at 2*10^5 shots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalIntegrityError, ValidationError, real
 from .interferometer import validate_unitary
-from .matrix_functions import permanent
+from .matrix_functions import _diagonal_scale, permanent
 from .sampler import LOW_CONFIDENCE_COUNT, estimate_probabilities  # the threshold the docstrings name
 from .states import GaussianModeState, thermal
 
@@ -168,25 +169,23 @@ def estimate_permanent(
 
 
 def exact_permanent_psd(h) -> float:
-    """Exact permanent of a PSD Hermitian matrix.  Beyond roundoff, an imaginary residue
-    raises NumericalIntegrityError and a negative value (PSD is not checked) ValidationError;
-    a value below the normal float range raises NumericalIntegrityError when prod(h_ii) > 0."""
+    """Exact permanent of a PSD Hermitian matrix, evaluated on h's diagonal power-of-two scale
+    (S h S with S = diag(2^-k), where a PSD value lies in [4^-n, n!]) and multiplied back by
+    4^(sum k) exactly.  Beyond roundoff on that scale, an imaginary residue raises
+    NumericalIntegrityError, naming it relative to the value, and a negative value (PSD is not
+    checked) ValidationError.  A value past the float range raises NumericalIntegrityError, and
+    so does one below the normal range when prod(h_ii) > 0, naming that lower bound (Marcus)."""
     h = _check_psd_hermitian(h)
-    n = h.shape[0]
-    diag = h.diagonal().real
-    positive = diag.min(initial=1.0) > 0.0
-    try:
-        val = permanent(h)
-    except NumericalIntegrityError as exc:
-        if not positive or "below the float range" not in str(exc):  # a non-finite value, or no Marcus bound to name
-            raise
-        val = 0j  # below the float range, which the Marcus check names
-    with np.errstate(over="ignore"):  # a roundoff scale past the float range checks nothing, and raises nothing
-        scale = np.maximum(np.abs(h).max(initial=0.0), 1e-300) ** n
-    if abs(val.imag) > 1e-10 * max(abs(val), scale):
-        raise NumericalIntegrityError(f"permanent of PSD matrix has imaginary residue {val.imag:.3e}")
-    if val.real < -1e-10 * scale:
-        raise ValidationError(f"permanent of PSD matrix is negative: {val.real:.3e}")
-    if val.real < np.finfo(float).tiny and positive:  # Marcus: a PSD per(H) is at least prod(h_ii) > 0
+    scaled, k = _diagonal_scale(h)
+    val, e = permanent(scaled), 2 * int(k.sum())  # per(h) = val 2^e
+    tol = 1e-10 * max(abs(val), 1.0)
+    if abs(val.imag) > tol:
+        raise NumericalIntegrityError(f"permanent of PSD matrix has imaginary residue {val.imag / abs(val):.3e}")
+    if math.frexp(val.real)[1] + e > 1024:  # |val| 2^e >= 2^1024
+        raise NumericalIntegrityError(f"permanent of PSD matrix is 10^{math.log10(abs(val.real)) + e * math.log10(2):.1f}, above the float range")
+    value = math.ldexp(val.real, e)
+    if val.real < -tol:
+        raise ValidationError(f"permanent of PSD matrix is negative: {value:.3e}")
+    if value < np.finfo(float).tiny and (diag := h.diagonal().real).min(initial=1.0) > 0.0:  # Marcus: per(H) >= prod(h_ii)
         raise NumericalIntegrityError(f"permanent of PSD matrix is at least prod(h_ii) = 10^{np.log10(diag).sum():.1f}, below the float range")
-    return float(val.real)
+    return value

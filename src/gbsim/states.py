@@ -18,7 +18,10 @@ lam = 0 iff v_x = v_p (no squeezing), mu = 1 iff the state is pure.  Since
 mu -+ 2 lam = 2/(v_x + 1), 2/(v_p + 1), the normalization is taken as
 2/sqrt((v_x + 1)(v_p + 1)), which does not cancel under strong squeezing
 (mu -> 1, 2 lam -> 1) as mu^2 - 4 lam^2 does; it reads 0 where the product
-overflows (above about 1.8e308), never an imprecise value.
+overflows (above about 1.8e308), never an imprecise value.  Likewise
+t = 1 - mu = (v_x v_p - 1)/((v_x + 1)(v_p + 1)) is taken with its numerator as
+(v_x - 1)(v_p - 1) + (v_x - 1) + (v_p - 1), which does not cancel on dim
+thermal inputs (v -> 1) as 1 - mu does.
 """
 
 from __future__ import annotations
@@ -64,12 +67,13 @@ class GaussianModeState:
 
 @dataclass(frozen=True)
 class QFunctionParams:
-    """(lam, mu) pair of the Gaussian Q function, with mu^2 > 4 lam^2, and its
-    normalization norm = sqrt(mu^2 - 4 lam^2)."""
+    """(lam, mu) pair of the Gaussian Q function, with mu^2 > 4 lam^2, its
+    normalization norm = sqrt(mu^2 - 4 lam^2), and t = 1 - mu >= 0."""
 
     lam: float
     mu: float
     norm: float
+    t: float
 
 
 def _exp(x: float) -> float:
@@ -109,11 +113,12 @@ def squeezed_thermal(v: float, r: float) -> GaussianModeState:
 
 
 def derive_q_params(state: GaussianModeState) -> QFunctionParams:
-    """Map (v_x, v_p) to the (lam, mu, norm) parameters of the input Q function."""
+    """Map (v_x, v_p) to the (lam, mu, norm, t) parameters of the input Q function."""
     lam = 1.0 / (2 * state.v_p + 2) - 1.0 / (2 * state.v_x + 2)
     mu = 1.0 / (state.v_x + 1) + 1.0 / (state.v_p + 1)
-    # (v_x + 1)(v_p + 1) >= 4 as v_x v_p >= 1; at v_x v_p = 1 roundoff can leave it an ulp below 4
-    return QFunctionParams(lam, mu, min(1.0, 2.0 / math.sqrt((state.v_x + 1) * (state.v_p + 1))))
+    x, p, prod = state.v_x - 1, state.v_p - 1, (state.v_x + 1) * (state.v_p + 1)
+    # prod >= 4 and x p + x + p = v_x v_p - 1 >= 0; at v_x v_p = 1 roundoff can leave either an ulp out
+    return QFunctionParams(lam, mu, min(1.0, 2.0 / math.sqrt(prod)), max(0.0, (x * p + x + p) / prod))
 
 
 def input_kinds(lam, mu) -> list[str]:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from gbsim import (
     ContractError,
+    NumericalIntegrityError,
     ValidationError,
     build_qform,
     enumerate_patterns,
@@ -571,3 +573,47 @@ def test_general_equals_squeezed_under_strong_squeezing(kind, r, seed):
         else:
             terms = np.abs(engines._pairing_matrices(qf, np.flatnonzero(pattern)[None]))
             assert abs(g - s) <= 1e-15 * qf.k * hafnian(terms)[0].real, pattern
+
+
+# --- edge inputs: dim and bright thermal modes ------------------------------
+
+
+@pytest.mark.parametrize("exponent", range(2, 15))
+def test_one_dim_thermal_mode_through_the_identity(exponent):
+    # p(1) = nbar/(nbar + 1)^2 = 2 (v - 1)/(v + 1)^2, exact from the stored variance; D-tilde
+    # formed as 1 - D cancelled and put both engines up to 1.1e-3 relative off it
+    state = thermal(1 + 2 * 10.0**-exponent)
+    v = Fraction(state.v_x)
+    expect = 2 * (v - 1) / (v + 1) ** 2
+    qf = build_qform([state], validate_unitary(np.eye(1)))
+    for name in ("thermal", "general"):
+        p = probabilities(qf, name, [(1,)])[0]
+        assert abs(Fraction(p) - expect) <= 2e-15 * expect, name
+
+
+def _weak_mixer(m, eps):
+    # exp(i eps H), H Hermitian from default_rng(m), through numpy's eigh
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    return validate_unitary((v * np.exp(1j * eps * w)) @ v.conj().T)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("m", [8, 10])
+def test_bright_and_dim_thermal_inputs(m, eps):
+    # D-tilde's diagonal spans 1 to 1e-6, and Glynn's formula on its unscaled submatrices
+    # was 6.7x off the general engine at M = 10, eps = 1e-3 (and read 0 for one pattern there)
+    qf = build_qform([thermal(1 + 2e6)] + [thermal(1 + 2e-6)] * (m - 1), _weak_mixer(m, eps))
+    patterns = [(1,) * m, (0,) + (1,) * (m - 1), (1,) * (m - 1) + (0,)]
+    thermal_p, general_p = (probabilities(qf, name, patterns) for name in ("thermal", "general"))
+    assert (general_p > 0).all()
+    assert (np.abs(thermal_p - general_p) <= 1e-13 * general_p).all(), thermal_p / general_p - 1
+
+
+def test_dim_inputs_below_the_float_range_raise():
+    # 20 modes at v = 1 + 2^-52: per(D-tilde) = t^20 with t = 1.1e-16 is 10^-319.1, subnormal; with
+    # 1 - mu rounded to 0 the engine read 0
+    qf = build_qform([thermal(np.nextafter(1.0, 2.0))] * 20, validate_unitary(np.eye(20)))
+    with pytest.raises(NumericalIntegrityError, match=r"^permanent of 20x20 is 10\^-319\.1, below the float range$"):
+        probabilities(qf, "thermal", [(1,) * 20])

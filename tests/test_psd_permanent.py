@@ -12,6 +12,7 @@ from gbsim import (
     exact_permanent_psd,
 )
 from gbsim import psd_permanent
+from gbsim.matrix_functions import hafnian
 from permutil import permanent_low_rank
 
 
@@ -250,10 +251,26 @@ class TestExact:
         with pytest.raises(NumericalIntegrityError, match=rf"at least prod\(h_ii\) = 10\^{power}, below the float range"):
             exact_permanent_psd(h)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_is_not_named_an_underflow(self):
-        # per = 1e-2 is in range and prod(h_ii) below 1, but 1e300^2 overflows, scaled or not: the kernel's error stands
-        with pytest.raises(NumericalIntegrityError, match=r"^permanent of 4x4 is not finite"):
-            exact_permanent_psd(np.diag([1e300, 1e300, 1e-301, 1e-301]))
+        # per = 1e400, past the top with prod(h_ii) far from the bottom: named an overflow, not Marcus's underflow
+        with pytest.raises(NumericalIntegrityError, match=r"^permanent of PSD matrix is 10\^400\.0, above the float range$"):
+            exact_permanent_psd(np.diag([1e200, 1e200]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_diagonal_spread_across_the_float_range(self):
+        # per = 1e-2 is in range; unscaled, 1e300^2 overflowed and the value was refused as not finite
+        assert exact_permanent_psd(np.diag([1e300, 1e300, 1e-301, 1e-301])) == pytest.approx(1e-2, rel=1e-15, abs=0)
+
+    def test_wishart_with_a_spread_diagonal(self):
+        # D H D with D = logspace(0, -3): Glynn's formula on the unscaled matrices was 2.0e-7 relative
+        # off the matching sum of the bipartite hafnian haf([[0, H], [H^T, 0]]) = per(H)
+        d = np.logspace(0, -3, 10)
+        hs = np.array([d[:, None] * random_psd(10, 300 + seed) * d for seed in range(20)])
+        zero = np.zeros_like(hs)
+        expect = hafnian(np.block([[zero, hs], [hs.transpose(0, 2, 1), zero]])).real
+        got = np.array([exact_permanent_psd(h) for h in hs])
+        assert (np.abs(got - expect) <= 1e-13 * expect).all(), got / expect - 1
 
     def test_zero_diagonal_entry_reads_0(self):
         # a zero h_ii of a PSD matrix zeroes its row, so its permanent is exactly 0

@@ -91,8 +91,9 @@ def test_bright_thermal_vacuum_probability(exponent):
 
 @pytest.mark.parametrize("kind", ["squeezed", "thermal"])
 def test_d_tilde_at_the_psd_clamp(kind):
-    # a vacuum mode gives D-tilde an exact 0 eigenvalue, which roundoff puts below 0 in most of
-    # these configs; the clamp leaves D-tilde PSD up to the eigensolver's own roundoff, m eps |D-tilde|
+    # a vacuum mode gives D-tilde an exact 0 eigenvalue, which roundoff put below 0 in most of these
+    # configs when D-tilde was formed as 1 - D; U^dag diag(1 - mu) U, with no clamp, is PSD up to the
+    # eigensolver's own roundoff, m eps |D-tilde|
     fired = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -102,7 +103,7 @@ def test_d_tilde_at_the_psd_clamp(kind):
         net = haar_random(m, seed)
         mus = np.array([derive_q_params(s).mu for s in states])
         raw = np.eye(m) - net.u.conj().T @ (mus[:, None] * net.u)
-        fired += np.linalg.eigvalsh((raw + raw.conj().T) * 0.5).min() < 0.0  # build_qform's D-tilde before the clamp
+        fired += np.linalg.eigvalsh((raw + raw.conj().T) * 0.5).min() < 0.0  # D-tilde formed as 1 - D
         qf = build_qform(states, net)
         w = np.linalg.eigvalsh(qf.d_tilde)
         assert w.min() >= -m * np.finfo(float).eps * np.abs(w).max(), seed
@@ -147,7 +148,7 @@ def test_c_symmetric_and_d_tilde_hermitian():
     qf = build_qform(states, haar_random(3, 29))
     assert np.abs(qf.c - qf.c.T).max() == 0.0
     assert np.abs(qf.d_tilde - qf.d_tilde.conj().T).max() == 0.0
-    # clamped at build time; re-diagonalizing may still see eps-level noise
+    # PSD by construction; re-diagonalizing may still see eps-level noise
     assert np.linalg.eigvalsh(qf.d_tilde).min() >= -1e-12
 
 
@@ -177,15 +178,11 @@ def test_builds_every_network_validate_unitary_accepts():
 
 @pytest.mark.parametrize(
     "name, value, message",
-    [
-        ("_SYM_TOL", -1.0, "C asymmetry .* exceeds"),
-        ("DEFAULT_UNITARITY_TOL", -1.0, "D-tilde has eigenvalue .* below the PSD floor"),
-        ("derive_q_params", lambda s: QFunctionParams(0.0, 2.0, 2.0), "normalization K = 8.0 outside \\(0, 1\\]"),
-    ],
-    ids=["asymmetry", "psd-floor", "normalization"],
+    [("derive_q_params", lambda s: QFunctionParams(0.0, 2.0, 2.0, 0.0), "normalization K = 8.0 outside \\(0, 1\\]")],
+    ids=["normalization"],
 )
 def test_integrity_checks_raise(monkeypatch, name, value, message):
-    # checks no accepted input trips, each forced by a patched tolerance or helper
+    # checks no accepted input trips, each forced by a patched helper
     monkeypatch.setattr(qform, name, value)
     with pytest.raises(ValidationError, match=message) as exc:
         build_qform([thermal(1.5), squeezed(0.3), vacuum()], haar_random(3, 7))
