@@ -8,7 +8,8 @@ the package:
   prob_general   pairing sum over (2N-1)!! matchings = K * haf(B) where B is
                  the 2N x 2N second-derivative (pairing) matrix
   prob_thermal   prod(mu) * per(D-tilde submatrix), thermal/vacuum inputs only;
-                 each permanent on D-tilde's diagonal power-of-two scale
+                 each permanent by `principal_permanents`, on D-tilde's
+                 diagonal power-of-two scale, its range judged by the kernel
   prob_squeezed  K * |O_N|^2 with O_N = 2^{N/2} haf(C submatrix), pure
                  squeezed-vacuum inputs only; odd N vanishes identically
 
@@ -23,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ContractError, NumericalIntegrityError, ValidationError, integer
-from .matrix_functions import _diagonal_scale, count_table, hafnian, permanent, submatrices
+from .matrix_functions import count_table, hafnian, principal_permanents, submatrices
 from .qform import OutputQForm
 from .states import input_kinds
 
@@ -77,14 +78,7 @@ def _squeezed(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:
 
 
 def _thermal(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:
-    # each per((S D-tilde S)_N) is in [4^-N, N!] (or exactly 0), so 4^(sum k) applied back decides its range
-    dt, k = _diagonal_scale(qform.d_tilde)
-    scaled = permanent(submatrices(dt, modes))
-    e = 2 * k[modes].sum(axis=1)
-    per = np.ldexp(scaled.view(float).reshape(-1, 2), e[:, None]).view(complex)[:, 0]
-    if (low := (scaled != 0) & (np.abs(per) < np.finfo(float).tiny)).any():  # a nonzero value below the normal range
-        raise NumericalIntegrityError(f"permanent of {modes.shape[1]}x{modes.shape[1]} is 10^{np.log10(abs(scaled[low][0])) + e[low][0] * np.log10(2):.1f}, below the float range")
-    return np.prod(qform.mus) * per
+    return np.prod(qform.mus) * principal_permanents(qform.d_tilde, modes)
 
 
 # name -> (batched engine on (P, N) rows of detected modes, what it computes, its precondition)

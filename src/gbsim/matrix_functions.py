@@ -7,8 +7,13 @@ built row by row into one accumulator.  The hafnian matches the
 lowest index first, one gather-multiply-sum per subset size: power-trace
 (inclusion-exclusion) hafnians cancel badly on the engines' pairing matrices.
 Both take one matrix, returning a complex, or a (P, n, n) stack, returning P
-values that each equal that matrix's own value bit for bit; a value outside
-the float range raises NumericalIntegrityError.
+values that each equal that matrix's own value bit for bit.  `_kernel` alone
+judges a value's range: one that comes out not finite, 0 or subnormal is
+evaluated again on an exact power-of-two balance of its matrix, and a value
+past the float range, or nonzero below its normal range, raises
+NumericalIntegrityError.  `principal_permanents` owns the diagonal
+power-of-two scale of a PSD matrix for the thermal engine and
+`exact_permanent_psd`.
 """
 
 from functools import lru_cache
@@ -22,26 +27,25 @@ HAFNIAN_LIMIT = 20
 # Sign-vector budget per step of Glynn's loop: the high-sign vectors whose
 # column products are built together
 _HIGH_SIGNS_PER_STEP = 4
+_TINY = np.finfo(float).tiny  # the smallest normal float, 2^-1022
 
 
-def _kernel(name: str, a, limit: int, step: int, body) -> complex | np.ndarray:
+def _kernel(name: str, a, limit: int, step: int, body, e=None) -> complex | np.ndarray:
     """`body`, a kernel on a (P, n, n) stack returning P values, on one matrix or a stack:
     the one place where a kernel input is checked for shape, for n a multiple of `step`
-    and for the cost limit, in that order, and a kernel value for range.
+    and for the cost limit, in that order, and the one judge of a kernel value's range.
 
-    A finite value of normal size is returned as the body gives it.  A value that is
-    not finite, 0 or subnormal is looked at again, matrix by matrix: a sum of products
-    of d = n / step entries, each sum at most (2 sqrt(2) n max|a|)^d.  Where the
-    matrix's largest entry lets that bound, or the product of d largest entries, leave
-    the normal range, the matrix is divided by 2^e, its largest entry's power of two
-    (or the largest power that keeps every nonzero entry normal), evaluated again, and
-    its value multiplied back by 2^(d e) with ldexp, both exact in binary floating point.
-    A non-finite value, or a nonzero one below the normal range, then raises
-    NumericalIntegrityError; a value whose bound is below half the smallest subnormal
-    reads 0, its rounded float.  Inside that window a 0 or a subnormal is returned
-    unchecked.  Each matrix's value is its own, whatever else its stack holds.  The
-    bodies run with numpy's overflow and invalid-value warnings off, since every value
-    they give is judged here.
+    A matrix's value is its body value times 2^e, `e` an optional (P,) array of integer
+    exponents that the caller carries, applied by ldexp.  A finite value of normal size
+    is returned as it stands, so an in-range value costs one pass and nothing more.  A
+    matrix whose value is not finite, 0 or subnormal is balanced by exact powers of two
+    (`_balance`) and evaluated again, its balance's exponents added to e, unless they
+    are all 0 (a zero matrix, say): such a matrix is final as it stands, so the exact
+    0s of vacuum inputs cost one pass.  Then one rule: a value that is
+    not finite raises NumericalIntegrityError, and so does a nonzero value below the
+    normal range, naming its power of ten.  A 0 is returned as 0.  Each matrix's value
+    is its own, whatever else its stack holds.  The bodies run with numpy's overflow
+    and invalid-value warnings off, since every value they give is judged here.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -51,41 +55,70 @@ def _kernel(name: str, a, limit: int, step: int, body) -> complex | np.ndarray:
         raise ValidationError(f"{name} requires even dimension, got {n}")
     if n > limit:
         raise CostLimitError(f"{name} of {n}x{n} exceeds the cost limit (n <= {limit})")
-    stack, d = a if a.ndim == 3 else a[None], n // step
+    stack = a if a.ndim == 3 else a[None]
     with np.errstate(over="ignore", invalid="ignore"):  # a value out of range is judged below, not warned of
-        values = body(stack)
-        if (redo := ~np.isfinite(values) | (np.abs(values) < np.finfo(float).tiny)).any():
-            sub = stack[redo]  # a copy, so zeroing its diagonal leaves the input alone
-            if step == 2:  # the hafnian's diagonal, which its body never reads, sets no scale
-                sub[:, np.arange(n), np.arange(n)] = 0
-            size = np.abs(sub.view(float))  # (R, n, 2n): the entries' real and imaginary parts
-            top = np.frexp(size.max(axis=(1, 2)))[1]  # 0 at a nan or inf, which stays unscaled
-            low = np.frexp(np.where(size > 0, size, np.inf).min(axis=(1, 2)))[1]  # 0 for a zero matrix
-            growth = (3 * n).bit_length()  # 2 sqrt(2) n < 2^growth
-            # 2^-1022 is the smallest normal float, 2^-1074 the smallest subnormal and 2^1024 the first past the largest
-            out = ((top - 1) * d < -1022) | ((top + growth) * d > 1024)
-            e = np.minimum(top, low + 1021)[out]
-            scaled = body(np.ldexp(sub[out].view(float), -e[:, None, None]).view(complex))
-            # a nonzero |value| 2^(d e) below 2^-1022 raises, unless its bound is below 2^-1075, which rounds it to 0
-            if (small := (scaled != 0) & (np.frexp(np.abs(scaled))[1] + d * e <= -1022) & ((e + growth) * d >= -1075)).any():
-                i = np.flatnonzero(small)[0]
-                raise NumericalIntegrityError(f"{name} of {n}x{n} is 10^{np.log10(abs(scaled[i])) + d * e[i] * np.log10(2):.1f}, below the float range")
-            values[np.flatnonzero(redo)[out]] = np.ldexp(np.column_stack([scaled.real, scaled.imag]), d * e[:, None]).view(complex)[:, 0]
-            if not np.isfinite(values).all():
-                raise NumericalIntegrityError(f"{name} of {n}x{n} is not finite: {values[~np.isfinite(values)][0]}")
+        raw = values = body(stack)
+        if e is not None:
+            values = _ldexp(raw, e)
+        if (redo := ~np.isfinite(values) | (np.abs(values) < _TINY)).any():
+            balanced, k = _balance(stack[redo], step)
+            raw, e = raw[redo], k.sum(axis=1) + (0 if e is None else e[redo])
+            if (moved := k.any(axis=1)).any():  # a matrix whose exponents are all 0 is final as it stands
+                raw[moved] = body(balanced[moved])
+            values[redo] = value = _ldexp(raw, e)
+            if not np.isfinite(value).all():
+                raise NumericalIntegrityError(f"{name} of {n}x{n} is not finite: {value[~np.isfinite(value)][0]}")
+            if (low := (raw != 0) & (np.abs(value) < _TINY)).any():
+                raise NumericalIntegrityError(f"{name} of {n}x{n} is 10^{np.log10(abs(raw[low][0])) + e[low][0] * np.log10(2):.1f}, below the float range")
     return values if a.ndim == 3 else complex(values[0])
 
 
-def _diagonal_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S h S, k) for a C-contiguous square complex h and S = diag(2^-k), 2^k the binade
-    of sqrt|h_ii| (k = 0 where h_ii = 0), exact in binary floating point: a principal
-    submatrix's permanent is per(h_I) = 4^(sum of k_I) per((S h S)_I).  For PSD h,
-    |h_ij| <= sqrt(h_ii h_jj), so S h S has its diagonal in [1/4, 1) and no entry above
-    1, and each such permanent, at least the product of its diagonal (Marcus, Bull. AMS
-    69, 494, 1963) and at most n!, lies in [4^-n, n!], or is exactly 0 where a zero
-    h_ii zeroes its row."""
-    k = (np.frexp(h.diagonal().real)[1] + 1) >> 1
-    return np.ldexp(h.view(float), -(k[:, None] + k.repeat(2))).view(complex), k
+def _ldexp(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """z 2^e for a complex array z, contiguous along its last axis, and integer exponents
+    e that broadcast to z's shape, the last axis in full; exact while the result is normal."""
+    return np.ldexp(z.view(float), e.repeat(2, axis=-1)).view(complex)
+
+
+def _binade(x: np.ndarray) -> np.ndarray:
+    """k with 4^k the binade of |x|, x / 4^k in [1/4, 1); k = 0 where x is 0, nan or inf."""
+    return (np.frexp(x)[1] + 1) >> 1
+
+
+def _balance(stack: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, k) for a C-contiguous (P, n, n) stack: each matrix divided by powers of two,
+    exact for every entry that stays normal, and (P, n) integer exponents with
+    value(A) = value(B) 2^(sum k).  An entry's size is its larger part, real or
+    imaginary.  The permanent (step 1) divides column j by 4^c_j, the binade of its
+    largest entry, so every term of Glynn's column sum (d B)_j carries the same power
+    of two; k = 2c.  The hafnian (step 2) divides row and column i by 2^c_i, 4^c_i the
+    binade of the largest off-diagonal entry of row or column i (the diagonal, never
+    read, sets no scale), so every matching and every partial hafnian carries the same
+    power; k = c."""
+    n, size = stack.shape[-1], np.maximum(abs(stack.real), abs(stack.imag))  # no |z| overflows
+    if step == 1:
+        k = 2 * _binade(size.max(axis=1))
+        shift = k[:, None, :]
+    else:
+        size[:, np.arange(n), np.arange(n)] = 0
+        k = _binade(np.maximum(size.max(axis=1), size.max(axis=2)))
+        shift = k[:, :, None] + k[:, None, :]
+    return _ldexp(stack, -shift), k
+
+
+def principal_permanents(h: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """per(h_I) for each row I of a (P, N) index array and a C-contiguous Hermitian h
+    (PSD where it is used), evaluated on h's diagonal power-of-two scale: S h S with
+    S = diag(2^-k), 4^k the binade of h_ii (k = 0 where h_ii = 0), exact in binary
+    floating point, with the exponent 2 sum(k_I) carried into `_kernel`, which judges
+    the range.  The one owner of that scale, for the thermal engine and
+    `exact_permanent_psd`.  For PSD h, |h_ij| <= sqrt(h_ii h_jj), so S h S has its
+    diagonal in [1/4, 1) and no entry above 1, and each principal permanent, at least
+    the product of its diagonal (Marcus, Bull. AMS 69, 494, 1963) and at most N!, lies
+    in [4^-N, N!], or is exactly 0 where a zero h_ii zeroes its row: one scaling of h
+    balances every submatrix, and `_kernel` re-evaluates none of them."""
+    k = _binade(h.diagonal().real)
+    scaled = submatrices(_ldexp(h, -(k[:, None] + k)), modes)
+    return _kernel("permanent", scaled, PERMANENT_LIMIT, 1, _glynn, 2 * k[modes].sum(axis=1))
 
 
 @lru_cache(maxsize=None)

@@ -34,14 +34,13 @@ several thousand at 2*10^5 shots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalIntegrityError, ValidationError, real
 from .interferometer import validate_unitary
-from .matrix_functions import _diagonal_scale, permanent
+from .matrix_functions import principal_permanents
 from .sampler import LOW_CONFIDENCE_COUNT, estimate_probabilities  # the threshold the docstrings name
 from .states import GaussianModeState, thermal
 
@@ -169,23 +168,16 @@ def estimate_permanent(
 
 
 def exact_permanent_psd(h) -> float:
-    """Exact permanent of a PSD Hermitian matrix, evaluated on h's diagonal power-of-two scale
-    (S h S with S = diag(2^-k), where a PSD value lies in [4^-n, n!]) and multiplied back by
-    4^(sum k) exactly.  Beyond roundoff on that scale, an imaginary residue raises
-    NumericalIntegrityError, naming it relative to the value, and a negative value (PSD is not
-    checked) ValidationError.  A value past the float range raises NumericalIntegrityError, and
-    so does one below the normal range when prod(h_ii) > 0, naming that lower bound (Marcus)."""
+    """Exact permanent v of a PSD Hermitian matrix, by `principal_permanents` on h's
+    diagonal power-of-two scale, whose kernel raises NumericalIntegrityError for a
+    value past the float range or nonzero below its normal range.  Beyond roundoff,
+    1e-10 |v|, an imaginary part raises NumericalIntegrityError, named relative to
+    |v|, and a negative value (PSD is not checked) ValidationError."""
     h = _check_psd_hermitian(h)
-    scaled, k = _diagonal_scale(h)
-    val, e = permanent(scaled), 2 * int(k.sum())  # per(h) = val 2^e
-    tol = 1e-10 * max(abs(val), 1.0)
+    val = complex(principal_permanents(h, np.arange(len(h))[None])[0])
+    tol = 1e-10 * abs(val)
     if abs(val.imag) > tol:
         raise NumericalIntegrityError(f"permanent of PSD matrix has imaginary residue {val.imag / abs(val):.3e}")
-    if math.frexp(val.real)[1] + e > 1024:  # |val| 2^e >= 2^1024
-        raise NumericalIntegrityError(f"permanent of PSD matrix is 10^{math.log10(abs(val.real)) + e * math.log10(2):.1f}, above the float range")
-    value = math.ldexp(val.real, e)
     if val.real < -tol:
-        raise ValidationError(f"permanent of PSD matrix is negative: {value:.3e}")
-    if value < np.finfo(float).tiny and (diag := h.diagonal().real).min(initial=1.0) > 0.0:  # Marcus: per(H) >= prod(h_ii)
-        raise NumericalIntegrityError(f"permanent of PSD matrix is at least prod(h_ii) = 10^{np.log10(diag).sum():.1f}, below the float range")
-    return value
+        raise ValidationError(f"permanent of PSD matrix is negative: {val.real:.3e}")
+    return val.real

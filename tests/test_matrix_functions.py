@@ -17,7 +17,8 @@ from gbsim import (
 )
 from permutil import hafnian_naive, permanent_low_rank, permanent_naive
 
-finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False)
+# 0 or |x| >= 2^-20, so every permanent of a 4x4 is 0 or normal; subnormal entries are TestFloatRange's
+finite = st.floats(min_value=-5, max_value=5, allow_nan=False, allow_infinity=False).map(lambda x: x if abs(x) >= 2**-20 else 0.0)
 
 
 def complex_square(n):
@@ -67,6 +68,14 @@ class TestPermanent:
             scale = float(np.abs(h).max()) ** 4
             assert abs(val.imag) <= 1e-10 * scale
             assert val.real >= -1e-10 * scale
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-20, 1e-50])
+    def test_dominant_column(self, t):
+        # per(A_t) = 24 t^4 + 18i t^3 with no cancellation, column 0 holding i + t in three rows:
+        # Glynn's column sums keep it, where power-of-two row scaling was off by 4e-7 to 5e83
+        a = np.array([[1j + t, t, t, t]] * 3 + [[t, t, t, t]])
+        exact = 24 * t**4 + 18j * t**3
+        assert abs(permanent(a) - exact) <= 1e-14 * abs(exact)
 
     def test_cost_limit(self):
         with pytest.raises(CostLimitError):
@@ -174,6 +183,16 @@ def test_read_only_input_and_cached_tables(kernel, n):
     assert np.array_equal(a, before)
 
 
+_SPREAD_5 = np.diag([1e300] * 5 + [1e-301] * 5)
+
+
+def _subnormal_entries():
+    # the 4x4 of entries 2^-1032 plus i at (0, 1), (0, 2) and (1, 0): per = 10^-620.7
+    a = np.full((4, 4), 2.0**-1032, dtype=complex)
+    a[[0, 0, 1], [1, 2, 0]] += 1j
+    return a
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")  # numpy's, on the way
 @pytest.mark.parametrize(
     "kernel, a, value",
@@ -183,8 +202,11 @@ def test_read_only_input_and_cached_tables(kernel, n):
         (permanent, np.stack([np.eye(3), 1e200 * np.eye(3)]), None),
         (hafnian, 1e37 * np.ones((8, 8)), 105e148),
         (hafnian, 1e80 * np.ones((8, 8)), None),
+        # values in range from entries across it: 0j and nan+nanj before
+        (hafnian, np.block([[np.zeros((10, 10)), _SPREAD_5], [_SPREAD_5, np.zeros((10, 10))]]), 1e-5),
+        (permanent, np.diag([1e300] * 12 + [1e-301] * 12), 1e-12),
     ],
-    ids=["permanent-1e304", "permanent-1e320", "permanent-stack", "hafnian-1e150", "hafnian-1e322"],
+    ids=["permanent-1e304", "permanent-1e320", "permanent-stack", "hafnian-1e150", "hafnian-1e322", "hafnian-D-block", "permanent-diag-spread"],
 )
 def test_value_outside_the_float_range_raises(kernel, a, value):
     if value is not None:
@@ -255,8 +277,10 @@ class TestFloatRange:
             (permanent, 1e-14 * np.eye(24), r"is 10\^-336.0, below the float range"),  # returned 0j
             (hafnian, 1e30 * np.ones((20, 20)), "is not finite: "),
             (hafnian, 1e-32 * np.ones((20, 20)), r"is 10\^-311.2, below the float range"),  # returned a subnormal
+            (permanent, np.diag([1, 1e-200, 1e-200]), r"is 10\^-400.0, below the float range"),  # returned 0j
+            (permanent, _subnormal_entries(), r"is 10\^-620.7, below the float range"),
         ],
-        ids=["per-1e13", "per-1e-13", "per-1e-14", "haf-1e30", "haf-1e-32"],
+        ids=["per-1e13", "per-1e-13", "per-1e-14", "haf-1e30", "haf-1e-32", "per-diag-1e-400", "per-subnormal-entries"],
     )
     def test_values_outside_the_range_raise(self, kernel, a, message):
         n = a.shape[-1]
@@ -273,8 +297,7 @@ class TestFloatRange:
         [(permanent, 8, 124), (permanent, 16, -63), (hafnian, 8, 252), (hafnian, 20, -102)],
     )
     def test_power_of_two_scaling_keeps_the_bits(self, kernel, n, k):
-        # A's largest entry is below 1, so 2^k A leaves the window where the unscaled sums are known
-        # to stay normal: it is divided by 2^k again, exactly, as the value is multiplied back
+        # scaling by 2^k is exact, so 2^k A's value is A's times 2^(d k), bit for bit, near either end of the range
         rng = np.random.default_rng(n)
         a = rng.uniform(0.5, 1.0, (3, n, n)) + 0.1j * rng.uniform(-1.0, 1.0, (3, n, n))
         d = n if kernel is permanent else n // 2
@@ -292,9 +315,10 @@ class TestFloatRange:
         values = permanent(stack)
         assert values.tolist() == [permanent(m) for m in stack]
         assert values == pytest.approx([1e-300, 1e300], rel=1e-14, abs=0)
-        # 1e-400 is below half the smallest subnormal, so 0 is its rounded value, alone or beside I2
-        assert permanent(1e-200 * np.eye(2)) == 0
-        assert permanent(np.stack([np.eye(2), 1e-200 * np.eye(2)])).tolist() == [1, 0]
+        # per(1e-200 I2) = 1e-400 raises, alone or beside I2
+        for a in (1e-200 * np.eye(2), np.stack([np.eye(2), 1e-200 * np.eye(2)])):
+            with pytest.raises(NumericalIntegrityError, match=r"^permanent of 2x2 is 10\^-400.0, below the float range"):
+                permanent(a)
         # per(1e-39 I8) = 1e-312 raises beside I8, whose largest entry kept the stack's max in range
         with pytest.raises(NumericalIntegrityError, match=r"^permanent of 8x8 is 10\^-312.0, below the float range"):
             permanent(np.stack([np.eye(8), 1e-39 * np.eye(8)]))
@@ -314,16 +338,17 @@ class TestFloatRange:
         assert hafnian(b) == pytest.approx(1.5e301, rel=1e-15, abs=0)
         assert permanent(np.diag([1e300, 1e-300, 1e-300])) == pytest.approx(1e-300, rel=1e-15, abs=0)
 
-    def test_a_value_bounded_below_every_float_reads_0(self):
-        # per(c 1_4) = 24 c^4 = 2.4e-803 at c = 1e-201, and its bound (2 sqrt(2) 4 c)^4 is below half
-        # the smallest subnormal float: 0 is its correctly rounded value, as the unscaled sums give
-        assert permanent(1e-201 * np.ones((4, 4))) == 0
-        assert hafnian(1e-201 * np.ones((4, 4))) == 0
+    def test_a_value_bounded_below_every_float_raises(self):
+        # per(c 1_4) = 24 c^4 = 2.4e-803 and haf(c 1_4) = 3 c^2 = 3e-402 at c = 1e-201: both were read as 0
+        with pytest.raises(NumericalIntegrityError, match=r"^permanent of 4x4 is 10\^-802.6, below the float range"):
+            permanent(1e-201 * np.ones((4, 4)))
+        with pytest.raises(NumericalIntegrityError, match=r"^hafnian of 4x4 is 10\^-401.5, below the float range"):
+            hafnian(1e-201 * np.ones((4, 4)))
 
     @pytest.mark.parametrize("diagonal, value", [([1e200, 1e-200], 1.0), ([1e200, 1e200, 1e-200], 1e200)])
     def test_no_entry_is_divided_below_the_range(self, diagonal, value):
-        # dividing by 1e200's power of two, 2^665, would take 1e-200 to 1e-400: the matrix is divided
-        # by 2^357 at most, which keeps 1e-200 normal and 1e200^2 in range
+        # dividing the whole matrix by 1e200's power of two, 2^665, would take 1e-200 to 1e-400:
+        # each column is divided by its own largest entry's
         assert permanent(np.diag(diagonal)) == pytest.approx(value, rel=1e-15, abs=0)
 
 

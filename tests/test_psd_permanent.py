@@ -247,14 +247,15 @@ class TestExact:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("h, power", [(np.diag([1e-200, 1e-200]), "-400.0"), (1e-30 * np.eye(12), "-360.0")])
     def test_underflow_below_a_positive_diagonal_raises(self, h, power):
-        # a PSD permanent is at least prod(h_ii) (Marcus), so a 0 from a positive diagonal has underflowed
-        with pytest.raises(NumericalIntegrityError, match=rf"at least prod\(h_ii\) = 10\^{power}, below the float range"):
+        # the scaled permanent is normal, so the kernel judges it times the carried 4^(sum k)
+        n = len(h)
+        with pytest.raises(NumericalIntegrityError, match=rf"^permanent of {n}x{n} is 10\^{power}, below the float range$"):
             exact_permanent_psd(h)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_not_named_an_underflow(self):
-        # per = 1e400, past the top with prod(h_ii) far from the bottom: named an overflow, not Marcus's underflow
-        with pytest.raises(NumericalIntegrityError, match=r"^permanent of PSD matrix is 10\^400\.0, above the float range$"):
+        # per = 1e400, past the top: not finite, as the kernel names every value past the range
+        with pytest.raises(NumericalIntegrityError, match=r"^permanent of 2x2 is not finite: \(inf\+0j\)$"):
             exact_permanent_psd(np.diag([1e200, 1e200]))
 
     @pytest.mark.filterwarnings("error")
@@ -272,6 +273,12 @@ class TestExact:
         got = np.array([exact_permanent_psd(h) for h in hs])
         assert (np.abs(got - expect) <= 1e-13 * expect).all(), got / expect - 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_hermitian_off_diagonal_above_its_diagonal(self):
+        # not PSD: |h_01| = 1 > sqrt(h_00 h_11), so the diagonal scale takes h_01 to 6.7e299 and the
+        # scaled permanent overflows (not finite: inf before); balanced, it is per = 1 + 1e-600
+        assert exact_permanent_psd([[1e-300, 1], [1, 1e-300]]) == 1.0
+
     def test_zero_diagonal_entry_reads_0(self):
         # a zero h_ii of a PSD matrix zeroes its row, so its permanent is exactly 0
         assert exact_permanent_psd(np.diag([0.0, 2.0])) == 0.0
@@ -283,14 +290,14 @@ class TestExact:
     def test_residue_and_sign_checks(self, monkeypatch, value, error, message):
         # a Hermitian matrix's permanent is real, so a residue is a defect;
         # the sign is the input's, as only hermiticity is checked
-        monkeypatch.setattr(psd_permanent, "permanent", lambda h: complex(value))
+        monkeypatch.setattr(psd_permanent, "principal_permanents", lambda h, modes: np.array([value], dtype=complex))
         with pytest.raises(error, match=message):
             exact_permanent_psd(np.eye(2))
 
     def test_imaginary_residue_exits_1_in_the_cli(self, monkeypatch, tmp_path, capsys):
         from gbsim.cli import main
 
-        monkeypatch.setattr(psd_permanent, "permanent", lambda h: 1 + 1e-3j)
+        monkeypatch.setattr(psd_permanent, "principal_permanents", lambda h, modes: np.array([1 + 1e-3j]))
         (tmp_path / "h.txt").write_text("1 0\n0 1\n")
         assert main(["permanent-psd", "--matrix", str(tmp_path / "h.txt"), "--shots", "10", "--seed", "1"]) == 1
         assert capsys.readouterr().err == "gbsim: error: permanent of PSD matrix has imaginary residue 1.000e-03\n"
