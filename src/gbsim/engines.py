@@ -90,12 +90,15 @@ _TABLES = {
 
 
 def _check_real(values: np.ndarray, what: str) -> np.ndarray:
-    """Real parts clamped into [0, 1]; an imaginary or negative residue beyond roundoff raises."""
+    """Real parts clamped into [0, 1]; an imaginary residue, or a real part below 0 or
+    above 1, beyond roundoff raises."""
     re, im = values.real, values.imag
     if (bad := np.abs(im) > _IM_TOL * np.maximum(1.0, np.abs(re))).any():
         raise NumericalIntegrityError(f"{what} has imaginary residue {im[bad][0]:.3e}")
     if (bad := re < -_NEG_TOL).any():
         raise NumericalIntegrityError(f"{what} is negative: {re[bad][0]:.3e}")
+    if (bad := re > 1.0 + _NEG_TOL).any():
+        raise NumericalIntegrityError(f"{what} is above 1 by {re[bad][0] - 1.0:.3e}")
     return np.clip(re, 0.0, 1.0)
 
 

@@ -49,7 +49,10 @@ class CostLimitError(GbsimError):
 
 class NumericalIntegrityError(GbsimError):
     """A value that must be real (up to roundoff) came out complex or negative,
-    or a result left the float range (a kernel value, the PSD estimator's rescale).
+    a probability came out above 1, or a result left the float range: judged for
+    a kernel value and the PSD estimator's rescaled estimate alike by one rule,
+    `matrix_functions.in_float_range`, and for a PSD permanent also by its lower
+    bound prod(h_ii).
 
     Never downgraded to a warning, nor returned as nan or inf.
     """

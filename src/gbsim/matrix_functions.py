@@ -7,10 +7,11 @@ built row by row into one accumulator.  The hafnian matches the
 lowest index first, one gather-multiply-sum per subset size: power-trace
 (inclusion-exclusion) hafnians cancel badly on the engines' pairing matrices.
 Both take one matrix, returning a complex, or a (P, n, n) stack, returning P
-values that each equal that matrix's own value bit for bit.  `_kernel` alone
-judges a value's range: one that comes out not finite, 0 or subnormal is
-evaluated again on an exact power-of-two balance of its matrix, and a value
-past the float range, or nonzero below its normal range, raises
+values that each equal that matrix's own value bit for bit.  A kernel value
+that comes out not finite, 0 or subnormal is evaluated again on an exact
+power-of-two balance of its matrix.  One rule, `in_float_range`, judges a
+value's range for the kernels and the PSD estimator alike: a value past the
+float range, or nonzero below its normal range, raises
 NumericalIntegrityError.  `principal_permanents` owns the diagonal
 power-of-two scale of a PSD matrix for the thermal engine and
 `exact_permanent_psd`.
@@ -33,7 +34,8 @@ _TINY = np.finfo(float).tiny  # the smallest normal float, 2^-1022
 def _kernel(name: str, a, limit: int, step: int, body, e=None) -> complex | np.ndarray:
     """`body`, a kernel on a (P, n, n) stack returning P values, on one matrix or a stack:
     the one place where a kernel input is checked for shape, for n a multiple of `step`
-    and for the cost limit, in that order, and the one judge of a kernel value's range.
+    and for the cost limit, in that order, and the one place a kernel value's range is
+    judged.
 
     A matrix's value is its body value times 2^e, `e` an optional (P,) array of integer
     exponents that the caller carries, applied by ldexp.  A finite value of normal size
@@ -41,10 +43,8 @@ def _kernel(name: str, a, limit: int, step: int, body, e=None) -> complex | np.n
     matrix whose value is not finite, 0 or subnormal is balanced by exact powers of two
     (`_balance`) and evaluated again, its balance's exponents added to e, unless they
     are all 0 (a zero matrix, say): such a matrix is final as it stands, so the exact
-    0s of vacuum inputs cost one pass.  Then one rule: a value that is
-    not finite raises NumericalIntegrityError, and so does a nonzero value below the
-    normal range, naming its power of ten.  A 0 is returned as 0.  Each matrix's value
-    is its own, whatever else its stack holds.  The bodies run with numpy's overflow
+    0s of vacuum inputs cost one pass.  Then `in_float_range` judges it.  Each matrix's
+    value is its own, whatever else its stack holds.  The bodies run with numpy's overflow
     and invalid-value warnings off, since every value they give is judged here.
     """
     a = np.asarray(a, dtype=complex)
@@ -65,12 +65,23 @@ def _kernel(name: str, a, limit: int, step: int, body, e=None) -> complex | np.n
             raw, e = raw[redo], k.sum(axis=1) + (0 if e is None else e[redo])
             if (moved := k.any(axis=1)).any():  # a matrix whose exponents are all 0 is final as it stands
                 raw[moved] = body(balanced[moved])
-            values[redo] = value = _ldexp(raw, e)
-            if not np.isfinite(value).all():
-                raise NumericalIntegrityError(f"{name} of {n}x{n} is not finite: {value[~np.isfinite(value)][0]}")
-            if (low := (raw != 0) & (np.abs(value) < _TINY)).any():
-                raise NumericalIntegrityError(f"{name} of {n}x{n} is 10^{np.log10(abs(raw[low][0])) + e[low][0] * np.log10(2):.1f}, below the float range")
+            values[redo] = in_float_range(f"{name} of {n}x{n}", raw, e)
     return values if a.ndim == 3 else complex(values[0])
+
+
+def in_float_range(what: str, raw: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """raw 2^e, applied by ldexp, for a complex array raw and integer exponents e of its
+    shape: the one judge of a value's float range, for `_kernel` and `estimate_permanent`.
+    A value that is not finite raises NumericalIntegrityError, and so does a nonzero
+    value below the normal range, naming its power of ten; `what` names the value.  A 0
+    is returned as 0."""
+    with np.errstate(over="ignore"):  # a value past the range is judged here, not warned of
+        value = _ldexp(raw, e)
+    if not np.isfinite(value).all():
+        raise NumericalIntegrityError(f"{what} is not finite: {value[~np.isfinite(value)][0]}")
+    if (low := (raw != 0) & (np.abs(value) < _TINY)).any():
+        raise NumericalIntegrityError(f"{what} is 10^{np.log10(abs(raw[low][0])) + e[low][0] * np.log10(2):.1f}, below the float range")
+    return value
 
 
 def _ldexp(z: np.ndarray, e: np.ndarray) -> np.ndarray:

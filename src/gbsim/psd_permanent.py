@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalIntegrityError, ValidationError, real
 from .interferometer import validate_unitary
-from .matrix_functions import principal_permanents
+from .matrix_functions import in_float_range, principal_permanents
 from .sampler import LOW_CONFIDENCE_COUNT, estimate_probabilities  # the threshold the docstrings name
 from .states import GaussianModeState, thermal
 
@@ -85,10 +85,12 @@ def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
     """Eigendecompose and scale a PSD Hermitian matrix into thermal states.
 
     The headroom keeps every mu_j >= headroom, bounding the thermal
-    variances and keeping the target pattern probability away from zero.
+    variances and keeping the target pattern probability away from zero.  A
+    headroom of 2^-54 or less is refused: 1 - headroom rounds to 1 there, and
+    the largest eigenvalue's mu_j would be 0.
     """
-    if not (0.0 < (margin := real(headroom, "headroom")) < 1.0):
-        raise ValidationError(f"headroom must be in (0, 1), got {headroom}")
+    if not 0.0 < 1.0 - (margin := real(headroom, "headroom")) < 1.0:
+        raise ValidationError(f"headroom must be in (0, 1), with 1 - headroom below 1, got {headroom}")
     h = _check_psd_hermitian(h)
     n = h.shape[0]
     if n == 0:
@@ -136,9 +138,15 @@ def estimate_permanent(
     `stderr` is the rescaled standard error, `count` the all-ones hits drawn
     as one Bernoulli per shot, and `low_confidence` marks an effective sample
     size below LOW_CONFIDENCE_COUNT; a zero matrix reads exactly 0 and is
-    never flagged.  For n <= 12 the exact permanent is computed alongside.  A
-    per(h) outside the normal float range raises NumericalIntegrityError: one
-    whose lower bound prod(h_ii) is past it, or whose rescaled estimate is.
+    never flagged.  For n <= 12 the exact permanent is computed alongside.
+
+    A per(h) whose lower bound prod(h_ii) (Marcus, Bull. AMS 69, 494, 1963)
+    is past the top of the float range raises NumericalIntegrityError,
+    whatever the sample's mean.  Otherwise the rescale takes one path on
+    every input: with q = frac 2^e and mu_j = m_j 2^k_j, (estimate, stderr)
+    frac^n / prod(m) is scaled by 2^(n e - sum k) in `in_float_range`, the
+    kernels' one range rule, which raises NumericalIntegrityError for a value
+    that is not finite or nonzero below the normal range.
     """
     shape = np.shape(h)  # checked before embed's eigendecomposition
     if len(shape) == 2 and shape[0] == shape[1] > SAMPLING_SIZE_LIMIT:
@@ -149,17 +157,15 @@ def estimate_permanent(
     # a zero matrix embeds as vacuum, whose all-ones weights are exactly 0
     net = validate_unitary(emb.u.conj().T)
     est = estimate_probabilities(list(emb.states), net, [(1,) * n], shots, seed, workers)
-    pair = np.array([est.estimate[0], est.stderr[0]])  # each at most 1, so finite after a finite factor
-    with np.errstate(over="ignore", divide="ignore"):  # q^n above the float range, prod(mu) or an h_ii at 0
-        factor = np.float64(emb.q) ** n / np.prod(emb.mus)
-        frac, e = np.frexp(emb.q)  # q = frac 2^e: past the range, 2^(n e) is applied last and exactly
-        mean, stderr = pair * factor if np.isfinite(factor) else np.ldexp(pair * (frac**n / np.prod(emb.mus)), n * e)
-        floor = np.log10(np.maximum(emb.h.diagonal().real, 0.0)).sum()  # Marcus: per(h) >= prod(h_ii), h PSD
-    if floor > np.log10(np.finfo(float).max) or not np.isfinite([mean, stderr]).all() or 0.0 < pair[0] and mean < np.finfo(float).tiny:
-        raise NumericalIntegrityError(f"rescale q^n / prod(mu) at n = {n}, q = {emb.q:.3e} is outside the float range")
+    # Marcus: per(h) >= prod(h_ii) >= 2^top for PSD h, as each h_ii = f 2^x with f >= 1/2
+    if ((d := emb.h.diagonal().real) > 0).all() and (top := (np.frexp(d)[1] - 1).sum()) >= 1024:
+        raise NumericalIntegrityError(f"permanent of {n}x{n} is at least prod(h_ii) >= 2^{top}, outside the float range")
+    # q = frac 2^e and mu_j = m_j 2^k_j: frac^n / prod(m) lies between 2^-n and 2^n, so raw is finite on every
+    # input, and 2^(n e - sum k) is applied under the range rule
+    (frac, e), (m, k) = np.frexp(emb.q), np.frexp(emb.mus)
+    raw = np.array([est.estimate[0], est.stderr[0]], dtype=complex) * (frac**n / np.prod(m))
     return PermanentEstimate(
-        estimate=float(mean),
-        stderr=float(stderr),
+        *in_float_range(f"estimate of a {n}x{n} permanent", raw, np.full(2, n * e - k.sum())).real.tolist(),  # estimate, stderr
         count=int(est.count[0]),
         shots=shots,
         exact=exact_permanent_psd(emb.h) if n <= EXACT_CROSSCHECK_LIMIT else None,

@@ -795,6 +795,14 @@ def test_subnormal_k_exits_1(thermal_config, capsys):
     _assert_error_exit(capsys, "below the smallest normal float")
 
 
+def test_probability_above_one_exits_1(thermal_config, monkeypatch, capsys):
+    # all-vacuum inputs have K = 1, so the general engine returns the kernel value itself
+    monkeypatch.setattr(engines, "hafnian", lambda stack: np.full(len(stack), 1.0 + 1e-6, dtype=complex))
+    path = _edited_config(thermal_config, states=[{"type": "vacuum"}] * 2)
+    assert main(["prob", "--config", str(path), "--engine", "general"]) == 1
+    _assert_error_exit(capsys, "general-engine probability is above 1 by 1.000e-06")
+
+
 class TestOut:
     def test_out_dir_environment_prefixes_relative_paths(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GBSIM_OUT_DIR", str(tmp_path / "reports"))

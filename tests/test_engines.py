@@ -514,6 +514,13 @@ class TestClamp:
         qf = self._vacuum_general(monkeypatch, 1.0 + 1e-12)
         assert prob_general(qf, (1, 1, 0)) == 1.0
 
+    def test_above_one_beyond_roundoff_raises(self, monkeypatch):
+        from gbsim import NumericalIntegrityError
+
+        qf = self._vacuum_general(monkeypatch, 1.0 + 1e-6)  # was clipped to 1 without a check
+        with pytest.raises(NumericalIntegrityError, match=r"^general-engine probability is above 1 by 1\.000e-06$"):
+            probabilities(qf, "general", [(0, 0, 0), (1, 1, 0)])
+
 
 
 # --- the total photon-number law: every engine above the Fock oracle's modes --

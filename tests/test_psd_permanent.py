@@ -55,6 +55,21 @@ class TestEmbed:
         with pytest.raises(ValidationError, match="headroom"):
             embed(np.eye(2), headroom=headroom)
 
+    @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
+    @pytest.mark.parametrize("call", [embed, lambda h, headroom: estimate_permanent(h, 100, 1, headroom=headroom)], ids=["embed", "estimate_permanent"])
+    @pytest.mark.parametrize("headroom", [5e-17, 2.0**-54])
+    def test_headroom_lost_beside_one_rejected(self, call, headroom):
+        # 1 - headroom rounds to 1: q was max(d), so a mu was 0 and its thermal variance inf
+        with pytest.raises(ValidationError, match=rf"^headroom must be in \(0, 1\), with 1 - headroom below 1, got {headroom}$"):
+            call(np.eye(2), headroom=headroom)
+
+    @pytest.mark.filterwarnings("error")
+    def test_prod_mu_below_the_float_range(self):
+        # prod(mu) = (3e-14)^24 underflows to 0, so q^n / prod(mu) read inf and its product with a 0 mean nan;
+        # carried as an exponent it is finite, and the all-zero weights read 0 with the low-confidence flag
+        res = estimate_permanent(np.eye(24), 2000, 1, headroom=3e-14)
+        assert (res.estimate, res.stderr, res.low_confidence) == (0.0, 0.0, True)
+
     @pytest.mark.parametrize("call", [embed, lambda h, headroom: estimate_permanent(h, 100, 1, headroom=headroom)])
     @pytest.mark.parametrize("headroom", [True, "0.1", None])
     def test_headroom_must_be_a_number(self, call, headroom):
@@ -102,7 +117,7 @@ def test_non_finite_entry_rejected(call, value):
 def test_rescale_outside_the_float_range_raises(h):
     # per = 1e400, 1e312 and 1e-312: 1e200 I2 ended in an OverflowError, and the last, below the normal
     # range, read a subnormal or 0; per >= prod(h_ii) past the top raises whatever the sample's mean
-    with pytest.raises(NumericalIntegrityError, match=r"^rescale q\^n / prod\(mu\) at n = \d+, q = .* is outside the float range$"):
+    with pytest.raises(NumericalIntegrityError, match=r"^(permanent of \d+x\d+ is at least prod\(h_ii\) >= 2\^\d+, outside|estimate of a \d+x\d+ permanent is 10\^-\d+\.\d, below) the float range$"):
         estimate_permanent(h, 100, 0)
 
 
@@ -115,6 +130,18 @@ def test_rescale_of_a_representable_permanent(c):
     assert res.estimate == pytest.approx(ref.estimate * c**24, rel=1e-12, abs=0)
     assert res.stderr == pytest.approx(ref.stderr * c**24, rel=1e-12, abs=0)
     assert (res.count, res.low_confidence) == (ref.count, ref.low_confidence)
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_diagonal_product_sets_no_floor():
+    # rank one v v^dag at n = 24 with prod |v_i|^2 = 1e-320, a subnormal: the Marcus floor prod(h_ii) <= per(h)
+    # refuses only at the top of the range, so per = 24! prod |v_i|^2 = 6.2e-297 is estimated and returned
+    n = 24
+    v = np.full(n, 10.0 ** (-320 / (2 * n)))
+    res = estimate_permanent(np.outer(v, v), 20_000, 1)
+    want = math.exp(math.lgamma(n + 1) + 2 * n * math.log(v[0]))
+    assert not res.low_confidence
+    assert abs(res.estimate - want) < 5 * res.stderr
 
 
 class TestEstimate:
