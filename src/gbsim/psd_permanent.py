@@ -52,14 +52,15 @@ EXACT_CROSSCHECK_LIMIT = 12
 SAMPLING_SIZE_LIMIT = 24
 
 
-def _check_psd_hermitian(h) -> np.ndarray:
+def _check_hermitian(h) -> np.ndarray:
+    """h as a square, finite complex matrix, Hermitian within _HERM_TOL of its
+    largest |entry|, symmetrised.  Whether it is PSD is `embed`'s question."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValidationError("matrix has a non-finite entry (nan or inf)")
-    scale = max(float(np.abs(h).max()), 1.0) if h.size else 1.0
-    if h.size and float(np.abs(h - h.conj().T).max()) > _HERM_TOL * scale:
+    if float(np.abs(h - h.conj().T).max(initial=0.0)) > _HERM_TOL * float(np.abs(h).max(initial=0.0)):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return (h + h.conj().T) * 0.5
 
@@ -68,8 +69,10 @@ def _check_psd_hermitian(h) -> np.ndarray:
 class ThermalEmbedding:
     """A PSD matrix recast as a thermal photon-counting instance.
 
-    h = u diag(eigenvalues) u^dag, q = max eigenvalue / (1 - headroom),
-    mus = 1 - eigenvalues/q, states = thermal(2/mu - 1).
+    h = u diag(eigenvalues) u^dag with the eigenvalues clipped at 0,
+    q = max eigenvalue / (1 - headroom), mus = 1 - eigenvalues/q,
+    states = thermal(2/mu - 1).  The zero matrix takes the same path: q = 1,
+    every mu = 1, vacuum states, and is_zero set.
     """
 
     h: np.ndarray
@@ -84,6 +87,11 @@ class ThermalEmbedding:
 def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
     """Eigendecompose and scale a PSD Hermitian matrix into thermal states.
 
+    h is judged on one scale, its largest |entry| s, as per(c h) = c^n per(h)
+    has no preferred one: it must be Hermitian within 1e-10 s, have no
+    eigenvalue below -1e-9 s (those above are clipped to 0), and `eigh` must
+    reconstruct it within 1e-9 s.
+
     The headroom keeps every mu_j >= headroom, bounding the thermal
     variances and keeping the target pattern probability away from zero.  A
     headroom of 2^-54 or less is refused: 1 - headroom rounds to 1 there, and
@@ -91,24 +99,21 @@ def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
     """
     if not 0.0 < 1.0 - (margin := real(headroom, "headroom")) < 1.0:
         raise ValidationError(f"headroom must be in (0, 1), with 1 - headroom below 1, got {headroom}")
-    h = _check_psd_hermitian(h)
-    n = h.shape[0]
-    if n == 0:
+    h = _check_hermitian(h)
+    if h.shape[0] == 0:
         raise ValidationError("cannot embed an empty matrix")
     w, v = np.linalg.eigh(h)
     scale = float(np.abs(h).max())
-    if w.min() < _EIG_FLOOR * max(scale, 1.0):
+    if w.min() < _EIG_FLOOR * scale:
         raise ValidationError(f"matrix has negative eigenvalue {w.min():.3e}; not PSD")
-    w = np.clip(w, 0.0, None)
-    if scale == 0.0 or w.max() == 0.0:
-        return ThermalEmbedding(h, v, w, 1.0, np.ones(n), (thermal(1.0),) * n, True)
-    recon = float(np.abs((v * w[None, :]) @ v.conj().T - h).max())
+    recon = float(np.abs((v * w[None, :]) @ v.conj().T - h).max())  # eigh's own error: w is not yet clipped
     if recon > _RECON_TOL * scale:
         raise ValidationError(f"eigendecomposition reconstruction error {recon:.3e} too large")
-    q = float(w.max()) / (1.0 - margin)
+    w = np.clip(w, 0.0, None)
+    # only the zero matrix clips to all zeros: scale <= ||h||_2 <= -_EIG_FLOOR * scale
+    q = float(w.max()) / (1.0 - margin) or 1.0
     mus = 1.0 - w / q
-    states = tuple(thermal(2.0 / mu - 1.0) for mu in mus)
-    return ThermalEmbedding(h, v, w, q, mus, states, False)
+    return ThermalEmbedding(h, v, w, q, mus, tuple(thermal(2.0 / mu - 1.0) for mu in mus), not w.any())
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,7 @@ def exact_permanent_psd(h) -> float:
     value past the float range or nonzero below its normal range.  Beyond roundoff,
     1e-10 |v|, an imaginary part raises NumericalIntegrityError, named relative to
     |v|, and a negative value (PSD is not checked) ValidationError."""
-    h = _check_psd_hermitian(h)
+    h = _check_hermitian(h)
     val = complex(principal_permanents(h, np.arange(len(h))[None])[0])
     tol = 1e-10 * abs(val)
     if abs(val.imag) > tol:

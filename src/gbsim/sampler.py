@@ -108,6 +108,13 @@ class _Scratch(threading.local):
         return self.arrays[name][:nrows]
 
 
+def _p_scales(states) -> tuple[np.ndarray, np.ndarray]:
+    """P-function standard deviations (sx, sp) of each mode's two quadratures."""
+    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
+    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
+    return sx, sp
+
+
 def _block_intensity(
     u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, scratch: _Scratch
 ) -> tuple[np.random.Generator, np.ndarray]:
@@ -153,9 +160,7 @@ def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Calla
     total = sum(mean_photon_number(s) for s in states)
     if total > MAX_MEAN_PHOTONS:
         raise ValidationError(f"total mean photon number {total:.3g} exceeds {MAX_MEAN_PHOTONS:g}")
-    # P-function standard deviations of each mode's two quadratures
-    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
-    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
+    sx, sp = _p_scales(states)
     u_mat = np.asarray(net.u)
     nblocks = (shots + BLOCK_SHOTS - 1) // BLOCK_SHOTS
     scratch = _Scratch()

@@ -11,14 +11,7 @@ from scipy.stats import chi2
 
 from gbsim.engines import enumerate_patterns, prob_thermal
 from gbsim.fock_oracle import FockState, _basis, _row_mass, apply_network, prepare_input
-from gbsim.sampler import BLOCK_SHOTS, _block_counts, _Scratch
-
-
-def _p_scales(states):
-    """P-function standard deviations of each mode's two quadratures."""
-    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
-    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
-    return sx, sp
+from gbsim.sampler import BLOCK_SHOTS, _block_counts, _p_scales, _Scratch
 
 
 def counter_histogram(states, net, shots: int, seed: int) -> Counter:

@@ -13,6 +13,7 @@ from gbsim import (
 )
 from gbsim import psd_permanent
 from gbsim.matrix_functions import hafnian
+from gbsim.states import vacuum
 from permutil import permanent_low_rank
 
 
@@ -37,8 +38,10 @@ class TestEmbed:
         assert vs[1] == pytest.approx(19.0, rel=1e-12)
 
     def test_zero_matrix_flagged(self):
+        # the one path from eigh: the zero matrix embeds as vacuum at q = 1
         emb = embed(np.zeros((3, 3)))
         assert emb.is_zero
+        assert emb.q == 1.0 and (emb.mus == 1.0).all() and emb.states == (vacuum(),) * 3
 
     def test_reconstruction(self):
         h = random_psd(5, 1)
@@ -94,6 +97,27 @@ class TestEmbed:
         with pytest.raises(ValidationError):
             embed(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
+    @pytest.mark.parametrize(
+        "h, refusal",
+        [
+            (random_psd(3, 9), None),
+            (np.diag([1.0, -1e-10]), None),
+            (np.diag([1.0, -1e-8]), "not PSD"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), "not PSD"),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian"),
+            (np.array([[1.0, 1e-6], [0.0, 1.0]]), "not Hermitian"),
+        ],
+        ids=["wishart", "eigenvalue-above-floor", "eigenvalue-below-floor", "indefinite", "triangular", "off-by-1e-6"],
+    )
+    def test_checks_judge_every_scale_alike(self, h, refusal, c):
+        # per(c h) = c^n per(h): both checks are relative to the largest |entry|, so no scale turns them absolute
+        if refusal is not None:
+            with pytest.raises(ValidationError, match=refusal):
+                embed(c * h)
+        else:
+            np.testing.assert_allclose(embed(c * h).mus, embed(h).mus, rtol=0, atol=1e-12)
+
     def test_reconstruction_error_raises(self, monkeypatch):
         # an integrity check no accepted input trips: forced by a negative tolerance
         monkeypatch.setattr(psd_permanent, "_RECON_TOL", -1.0)
@@ -102,9 +126,28 @@ class TestEmbed:
         assert exc.type is ValidationError
 
 
+_CHECKED_CALLS = [embed, lambda h: estimate_permanent(h, 100, 0), exact_permanent_psd]
+_CHECKED_IDS = ["embed", "estimate_permanent", "exact_permanent_psd"]
+
+
+@pytest.mark.parametrize("h", [1e-12 * np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-6 * np.array([[1.0, 1e-6], [0.0, 1.0]])], ids=["1e-12", "1e-6"])
+@pytest.mark.parametrize("call", _CHECKED_CALLS, ids=_CHECKED_IDS)
+def test_non_hermitian_below_scale_1_rejected(call, h):
+    # each asymmetry is 1e-12, inside an absolute 1e-10: only a bound relative to the largest |entry| refuses them
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        call(h)
+
+
+@pytest.mark.parametrize("call", _CHECKED_CALLS[:2], ids=_CHECKED_IDS[:2])
+def test_indefinite_below_scale_1_rejected(call):
+    # eigenvalue -1e-12 is above an absolute floor of -1e-9: only a floor relative to the largest |entry| refuses it
+    with pytest.raises(ValidationError, match="negative eigenvalue .* not PSD"):
+        call(1e-12 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning either
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "-inf-j"])
-@pytest.mark.parametrize("call", [embed, lambda h: estimate_permanent(h, 100, 0), exact_permanent_psd], ids=["embed", "estimate_permanent", "exact_permanent_psd"])
+@pytest.mark.parametrize("call", _CHECKED_CALLS, ids=_CHECKED_IDS)
 def test_non_finite_entry_rejected(call, value):
     h = np.eye(3, dtype=complex)
     h[1, 2] = h[2, 1] = value
