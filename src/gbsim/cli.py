@@ -31,7 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .engines import applicable, check_reach, enumerate_patterns, probabilities
+from .engines import applicable, check_n_max, check_reach, enumerate_patterns, probabilities
 from .errors import CostLimitError, CutoffError, GbsimError, ValidationError, integer
 from .fock_oracle import apply_network, pattern_probabilities, prepare_input
 from .interferometer import Interferometer, haar_random, validate_unitary
@@ -200,9 +200,9 @@ def cmd_prob(args) -> int:
     # the chosen engine first: an inapplicable one raises its own precondition
     run = [engine, *(n for n in names if n != engine)] if args.validate else [engine]
     # an n_max table is built only once every engine to run can take its heaviest pattern;
-    # an n_max outside [0, M], or beside 'patterns', raises its own error below
-    if "patterns" not in cfg and "n_max" in cfg and 0 <= (n_max := _config_integer(cfg, "n_max")) <= net.m:
-        check_reach(qform, run, n_max)
+    # an n_max beside 'patterns' raises its own error below
+    if "patterns" not in cfg and "n_max" in cfg:
+        check_reach(qform, run, check_n_max(net.m, _config_integer(cfg, "n_max")))
     patterns = _config_patterns(cfg, net.m)
     table = np.array([probabilities(qform, name, patterns) for name in run])
     columns = {
@@ -263,11 +263,11 @@ def cmd_validate(args) -> int:
     # a config with neither key checks every 0/1 pattern; listed patterns arrive built, an n_max's once the oracle admits it
     spec = cfg if cfg.keys() & {"patterns", "n_max"} else {"n_max": net.m}
     patterns = _config_patterns(spec, net.m) if "patterns" in spec else None
-    cutoff = _config_integer(spec, "n_max") if patterns is None else int(patterns.sum(axis=1).max(initial=0))
+    cutoff = check_n_max(net.m, _config_integer(spec, "n_max")) if patterns is None else int(patterns.sum(axis=1).max(initial=0))
     qform = build_qform(states, net)
     names = applicable(qform)
     try:
-        fock = apply_network(prepare_input(states, max(cutoff, 0)), net)  # a negative n_max is refused below
+        fock = apply_network(prepare_input(states, cutoff), net)
     except CutoffError as exc:
         raise CutoffError(f"{exc}; give the config 'patterns' or a smaller 'n_max'") from None
     patterns = enumerate_patterns(net.m, cutoff) if patterns is None else patterns

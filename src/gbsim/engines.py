@@ -44,15 +44,20 @@ def applicable(qform: OutputQForm) -> list[str]:
     return ["general", *input_kinds(qform.lams, qform.mus)]
 
 
+def check_n_max(m: int, n_max) -> int:
+    """n_max as an int in [0, m], the range of a pattern weight over m modes."""
+    if not 0 <= (n_max := integer(n_max, "n_max")) <= m:
+        raise ValidationError(f"n_max must be in [0, {m}], got {n_max}")
+    return n_max
+
+
 def enumerate_patterns(m: int, n_max: int) -> np.ndarray:
     """All C(m, n) patterns for each n <= n_max as a (P, m) int64 count table:
     grouped by n, lexicographic in the detected modes within each n.
 
     The arguments are checked at the call, before the table is built.
     """
-    m, n_max = integer(m, "mode count"), integer(n_max, "n_max")
-    if n_max > m or n_max < 0:
-        raise ValidationError(f"n_max must be in [0, {m}], got {n_max}")
+    m, n_max = integer(m, "mode count"), check_n_max(m, n_max)
     tables = []
     for n in range(n_max + 1):
         detected = np.array(list(combinations(range(m), n)), dtype=np.intp)  # (C(m, n), n), (1, 0) at n = 0

@@ -9,10 +9,11 @@ parameter mu_j, and
     p(1, 1, ..., 1) = prod_j mu_j * per(H/q) = prod_j mu_j * per(H) / q^N.
 
 Since that experiment has classical inputs it can be sampled exactly, and
-`estimate_permanent` takes p(1, ..., 1) from the sampler's one estimator,
-`estimate_probabilities`: each shot draws coherent amplitudes from the
-thermal P functions and propagates them to output amplitudes beta, and given
-beta the shot's all-ones probability is exactly
+`estimate_permanent` takes p(1, ..., 1) from the block loop of the sampler's
+one estimator, `estimate_probabilities`: each shot draws coherent amplitudes
+from the thermal P functions, at mean photon numbers
+nbar_j = d_j / (q - d_j), and propagates them to output amplitudes beta, and
+given beta the shot's all-ones probability is exactly
 
     w = prod_k |beta_k|^2 exp(-|beta_k|^2),
 
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import NumericalIntegrityError, ValidationError, real
 from .interferometer import validate_unitary
 from .matrix_functions import in_float_range, principal_permanents
-from .sampler import LOW_CONFIDENCE_COUNT, estimate_probabilities  # the threshold the docstrings name
+from .sampler import LOW_CONFIDENCE_COUNT, _draw_matrix, _estimate  # the threshold the docstrings name
 from .states import GaussianModeState, thermal
 
 DEFAULT_HEADROOM = 0.1
@@ -73,6 +74,13 @@ class ThermalEmbedding:
     q = max eigenvalue / (1 - headroom), mus = 1 - eigenvalues/q,
     states = thermal(2/mu - 1).  The zero matrix takes the same path: q = 1,
     every mu = 1, vacuum states, and is_zero set.
+
+    `states` are the experiment's inputs, for callers who want them.  They
+    round dim modes: 2/mu - 1 loses 1 - mu to cancellation, so an eigenvalue
+    k decades below the largest keeps only about 16 - k digits of its mean
+    photon number, and none past 16 decades, where it may read vacuum.
+    `estimate_permanent` does not sample from them; it draws each mode at
+    nbar_j = eigenvalues_j / (q - eigenvalues_j).
     """
 
     h: np.ndarray
@@ -137,8 +145,12 @@ def estimate_permanent(
     headroom: float = DEFAULT_HEADROOM,
     workers: int = 1,
 ) -> PermanentEstimate:
-    """Estimate the embedded thermal instance's all-ones probability with
-    `estimate_probabilities` and rescale it by q^n / prod(mu) to per(h).
+    """Estimate the embedded thermal instance's all-ones probability on
+    `estimate_probabilities`' block loop and rescale it by q^n / prod(mu) to
+    per(h).  The draw matrix is built from the eigenvalues, each mode j at
+    quadrature standard deviations sqrt(nbar_j / 2) with
+    nbar_j = d_j / (q - d_j), behind the network u^dag; the embedding's
+    `states`, which round dim modes, are not sampled.
 
     `stderr` is the rescaled standard error, `count` the all-ones hits drawn
     as one Bernoulli per shot, and `low_confidence` marks an effective sample
@@ -147,24 +159,31 @@ def estimate_permanent(
 
     A per(h) whose lower bound prod(h_ii) (Marcus, Bull. AMS 69, 494, 1963)
     is past the top of the float range raises NumericalIntegrityError,
-    whatever the sample's mean.  Otherwise the rescale takes one path on
-    every input: with q = frac 2^e and mu_j = m_j 2^k_j, (estimate, stderr)
-    frac^n / prod(m) is scaled by 2^(n e - sum k) in `in_float_range`, the
-    kernels' one range rule, which raises NumericalIntegrityError for a value
-    that is not finite or nonzero below the normal range.
+    whatever the sample's mean, and so does a sample whose all-ones weights
+    have mean 0 while prod(h_ii) > 0, naming the headroom: a headroom so
+    small leaves the modes too bright for any weight to be nonzero.
+    Otherwise the rescale takes one path on every input: with q = frac 2^e
+    and mu_j = m_j 2^k_j, (estimate, stderr) frac^n / prod(m) is scaled by
+    2^(n e - sum k) in `in_float_range`, the kernels' one range rule, which
+    raises NumericalIntegrityError for a value that is not finite or nonzero
+    below the normal range.
     """
     shape = np.shape(h)  # checked before embed's eigendecomposition
     if len(shape) == 2 and shape[0] == shape[1] > SAMPLING_SIZE_LIMIT:
         raise ValidationError(f"sampling path limited to n <= {SAMPLING_SIZE_LIMIT}, got {shape[0]}")
     emb = embed(h, headroom=headroom)
     n = emb.h.shape[0]
-    # D-tilde = W^dag (1-mu) W = h/q  requires the network matrix W = u^dag;
+    # D-tilde = V^dag (1-mu) V = h/q requires the network matrix V = u^dag, fed with thermal modes of
+    # nbar_j = d_j / (q - d_j), whose P functions have quadrature standard deviations sqrt(nbar_j / 2);
     # a zero matrix embeds as vacuum, whose all-ones weights are exactly 0
-    net = validate_unitary(emb.u.conj().T)
-    est = estimate_probabilities(list(emb.states), net, [(1,) * n], shots, seed, workers)
-    # Marcus: per(h) >= prod(h_ii) >= 2^top for PSD h, as each h_ii = f 2^x with f >= 1/2
-    if ((d := emb.h.diagonal().real) > 0).all() and (top := (np.frexp(d)[1] - 1).sum()) >= 1024:
-        raise NumericalIntegrityError(f"permanent of {n}x{n} is at least prod(h_ii) >= 2^{top}, outside the float range")
+    s = np.sqrt(emb.eigenvalues / (emb.q - emb.eigenvalues) / 2.0)
+    est = _estimate(_draw_matrix(s, s, validate_unitary(emb.u.conj().T).u), np.ones((1, n), np.int64), shots, seed, workers)
+    # Marcus: per(h) >= prod(h_ii) for PSD h, > 0 on a positive diagonal, and >= 2^top as each h_ii = f 2^x with f >= 1/2
+    if ((d := emb.h.diagonal().real) > 0).all():
+        if (top := (np.frexp(d)[1] - 1).sum()) >= 1024:
+            raise NumericalIntegrityError(f"permanent of {n}x{n} is at least prod(h_ii) >= 2^{top}, outside the float range")
+        if not est.estimate[0]:
+            raise NumericalIntegrityError(f"all-ones weights of mean 0, yet per(h) >= prod(h_ii) > 0: headroom {headroom} is too small to sample")
     # q = frac 2^e and mu_j = m_j 2^k_j: frac^n / prod(m) lies between 2^-n and 2^n, so raw is finite on every
     # input, and 2^(n e - sum k) is applied under the range rule
     (frac, e), (m, k) = np.frexp(emb.q), np.frexp(emb.mus)

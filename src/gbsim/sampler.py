@@ -16,13 +16,20 @@ and `estimate_probabilities` averages w_n over shots in place of step (3):
 one estimator for every classical input and every pattern, of which the
 PSD-permanent estimator is the all-ones case.
 
-One block loop, `_run_blocks`, hands each block to a reducer.  A block first
-draws its output intensities |beta|^2 (`_block_intensity`), then its last
-step from the same stream: `_block_counts` draws the Poisson counts, which
-`sample_patterns` counts as packed int64 keys in numpy (and rows too wide
-for a key exactly), and `_block_weights` sums w_n and w_n^2 per pattern and
-draws the hits.  Each run gives every thread one `_Scratch` of block-sized
-arrays, which its blocks write into in turn.
+Steps (1) and (2) are one real linear map, built once per run by
+`_draw_matrix`: the (2M, 2M) matrix
+
+    W = [[diag(sx) Re U, diag(sx) Im U], [-diag(sp) Im U, diag(sp) Re U]]
+
+takes a shot's 2M standard normals [x, p] to [Re beta, Im beta], where sx
+and sp are the P functions' quadrature standard deviations.  One block loop,
+`_run_blocks`, hands each block to a reducer.  A block first draws its
+output intensities |beta|^2 as one product with W (`_block_intensity`),
+then its last step from the same stream: `_block_counts` draws the Poisson
+counts, which `sample_patterns` counts as packed int64 keys in numpy (and
+rows too wide for a key exactly), and `_block_weights` sums w_n and w_n^2
+per pattern and draws the hits.  Each run gives every thread one
+`_Scratch` of block-sized arrays, which its blocks write into in turn.
 
 Determinism: shots are processed in fixed-size blocks of 4096, and each
 block draws from its own counter-based Philox stream keyed by (seed, block
@@ -115,42 +122,43 @@ def _p_scales(states) -> tuple[np.ndarray, np.ndarray]:
     return sx, sp
 
 
+def _draw_matrix(sx: np.ndarray, sp: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The run's draw map: the real (2M, 2M) matrix W that takes a shot's 2M
+    standard normals [x, p] to [Re beta, Im beta], where
+    beta = (sx x + i sp p) @ u draws the input amplitudes from P functions of
+    quadrature standard deviations (sx, sp) and sends them through u.  W is
+    u's real form [[Re u, Im u], [-Im u, Re u]] with its rows scaled by
+    [sx, sp]."""
+    return np.concatenate([sx, sp])[:, None] * np.block([[u.real, u.imag], [-u.imag, u.real]])
+
+
 def _block_intensity(
-    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, scratch: _Scratch
+    w: np.ndarray, seed: int, block: int, nrows: int, scratch: _Scratch
 ) -> tuple[np.random.Generator, np.ndarray]:
     """The block's own generator and each shot's output intensities |beta|^2,
-    drawn first from that generator's stream.  The intensities live in
-    `scratch` until its next block."""
-    m = u_mat.shape[0]
+    drawn first from that generator's stream: one real product normals @ W,
+    squared, with its two halves (Re beta, Im beta) summed.  The intensities
+    live in `scratch` until its next block."""
+    m = w.shape[1] // 2
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-    normals = gen.standard_normal(out=scratch.rows("normals", nrows, (2 * m,)))
-    alpha = scratch.rows("alpha", nrows, (m,), complex)
-    np.multiply(normals[:, :m], sx, out=alpha.real)
-    np.multiply(normals[:, m:], sp, out=alpha.imag)
-    beta = np.matmul(alpha, u_mat, out=scratch.rows("beta", nrows, (m,), complex))
-    lam = np.abs(beta, out=scratch.rows("lam", nrows, (m,)))
-    return gen, np.square(lam, out=lam)
+    normals = gen.standard_normal(out=scratch.rows("normals", nrows, (w.shape[0],)))
+    beta = np.matmul(normals, w, out=scratch.rows("beta", nrows, (2 * m,)))
+    np.square(beta, out=beta)
+    return gen, np.add(beta[:, :m], beta[:, m:], out=scratch.rows("lam", nrows, (m,)))
 
 
-def _block_counts(
-    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, scratch: _Scratch
-) -> np.ndarray:
+def _block_counts(w: np.ndarray, seed: int, block: int, nrows: int, scratch: _Scratch) -> np.ndarray:
     """Photon counts for one block of shots, drawn from the block's own stream."""
-    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows, scratch)
+    gen, lam = _block_intensity(w, seed, block, nrows, scratch)
     return gen.poisson(lam)
 
 
-def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Callable) -> None:
-    """Validate a run, then hand each block's `draw` result to `reduce` in block
-    order.  `draw` takes `_block_counts`'s arguments, the run's `_Scratch` last."""
+def _checked_draw(states, net) -> np.ndarray:
+    """The draw matrix of classical `states` behind `net`, once they are checked:
+    one per mode, each classical, and their total mean photon number at most
+    MAX_MEAN_PHOTONS."""
     if len(states) != net.m:
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
-    if (shots := integer(shots, "shot count")) < 1:  # a Python int: np.uint64 arithmetic below would wrap
-        raise ValidationError(f"shot count must be >= 1, got {shots}")
-    if not 0 <= (seed := integer(seed, "seed")) < 1 << 64:
-        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
-    if (workers := integer(workers, "worker count")) < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
     for i, s in enumerate(states):
         if not is_classical(s):
             raise ValidationError(
@@ -160,13 +168,24 @@ def _run_blocks(states, net, shots, seed, workers, draw: Callable, reduce: Calla
     total = sum(mean_photon_number(s) for s in states)
     if total > MAX_MEAN_PHOTONS:
         raise ValidationError(f"total mean photon number {total:.3g} exceeds {MAX_MEAN_PHOTONS:g}")
-    sx, sp = _p_scales(states)
-    u_mat = np.asarray(net.u)
+    return _draw_matrix(*_p_scales(states), net.u)
+
+
+def _run_blocks(w: np.ndarray, shots, seed, workers, draw: Callable, reduce: Callable) -> None:
+    """Check a run's shots, seed and workers, then hand each block's `draw`
+    result to `reduce` in block order.  `draw` takes `_block_counts`'s
+    arguments: the draw matrix `w` first, the run's `_Scratch` last."""
+    if (shots := integer(shots, "shot count")) < 1:  # a Python int: np.uint64 arithmetic below would wrap
+        raise ValidationError(f"shot count must be >= 1, got {shots}")
+    if not 0 <= (seed := integer(seed, "seed")) < 1 << 64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+    if (workers := integer(workers, "worker count")) < 1:
+        raise ValidationError(f"worker count must be >= 1, got {workers}")
     nblocks = (shots + BLOCK_SHOTS - 1) // BLOCK_SHOTS
     scratch = _Scratch()
 
     def block(b: int):
-        return draw(u_mat, sx, sp, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS), scratch)
+        return draw(w, seed, b, min(BLOCK_SHOTS, shots - b * BLOCK_SHOTS), scratch)
 
     window = 4 * workers  # blocks in flight: memory stays flat in the shot count
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -207,7 +226,7 @@ def sample_patterns(
             wide.update(zip(*counts[over].T.tolist()))
             counts = counts[~over]
         pending.append(counts @ (1 << shifts))
-    _run_blocks(states, net, shots, seed, workers, _block_counts, tally)
+    _run_blocks(_checked_draw(states, net), shots, seed, workers, _block_counts, tally)
     fold()
     fields = (keys[:, None] >> shifts) & ((1 << bits) - 1)
     histogram = dict(zip(zip(*fields.T.tolist()), tallies.tolist())) | wide  # disjoint keys
@@ -215,7 +234,7 @@ def sample_patterns(
 
 
 def _block_weights(
-    u_mat: np.ndarray, sx, sp, seed: int, block: int, nrows: int, scratch: _Scratch, levels, index: np.ndarray
+    w: np.ndarray, seed: int, block: int, nrows: int, scratch: _Scratch, levels, index: np.ndarray
 ) -> np.ndarray:
     """One block's hits, sums of w and sums of w^2 per pattern (a (3, P)
     array), where w is a shot's exact probability of the pattern given its
@@ -225,7 +244,7 @@ def _block_weights(
     The hits draw one uniform u per shot after the intensities: a shot hits
     pattern i when u falls in [below, below + w_i), with below the sum of the
     earlier patterns' w, so the hits of distinct patterns are disjoint."""
-    gen, lam = _block_intensity(u_mat, sx, sp, seed, block, nrows, scratch)
+    gen, lam = _block_intensity(w, seed, block, nrows, scratch)
     # Poisson pmf: table[j] = e^-lam lam^c / c! at c = levels[j]
     table = [scratch.rows(f"pmf{j}", nrows, lam.shape[1:]) for j in range(len(levels))]
     np.exp(np.negative(lam, out=table[0]), out=table[0])
@@ -235,14 +254,14 @@ def _block_weights(
             t = np.multiply(c, np.log(lam, out=table[j]), out=table[j])
             np.exp(np.subtract(np.subtract(t, lam, out=t), math.lgamma(c + 1), out=t), out=t)
     u, below = gen.random(out=scratch.rows("u", nrows)), 0.0
-    w, edges = scratch.rows("w", nrows), (scratch.rows("edge0", nrows), scratch.rows("edge1", nrows))
+    w_i, edges = scratch.rows("w", nrows), (scratch.rows("edge0", nrows), scratch.rows("edge1", nrows))
     stats = np.empty((3, len(index)))
     for i, pattern in enumerate(index):
-        np.copyto(w, table[pattern[0]][:, 0])
+        np.copyto(w_i, table[pattern[0]][:, 0])
         for k in range(1, len(pattern)):
-            np.multiply(w, table[pattern[k]][:, k], out=w)
-        top = np.add(below, w, out=edges[i % 2])
-        stats[:, i] = np.count_nonzero((below <= u) & (u < top)), w.sum(), w @ w
+            np.multiply(w_i, table[pattern[k]][:, k], out=w_i)
+        top = np.add(below, w_i, out=edges[i % 2])
+        stats[:, i] = np.count_nonzero((below <= u) & (u < top)), w_i.sum(), w_i @ w_i
         below = top
     return stats
 
@@ -262,10 +281,16 @@ def estimate_probabilities(
     patterns = count_table(patterns, net.m)
     if len(set(map(tuple, patterns.tolist()))) != len(patterns):
         raise ValidationError("patterns must be distinct")
+    return _estimate(_checked_draw(states, net), patterns, shots, seed, workers)
+
+
+def _estimate(w: np.ndarray, patterns: np.ndarray, shots, seed, workers) -> PatternEstimate:
+    """`estimate_probabilities`' block loop on the draw matrix `w`, for a
+    checked table of distinct patterns."""
     total = np.zeros((3, len(patterns)))  # summed in block order, so equal for every worker count
     levels = sorted({0, 1, *patterns.ravel().tolist()})  # np.unique would import numpy.ma
     draw = partial(_block_weights, levels=levels, index=np.searchsorted(levels, patterns))
-    _run_blocks(states, net, shots, seed, workers, draw, partial(np.add, total, out=total))
+    _run_blocks(w, shots, seed, workers, draw, partial(np.add, total, out=total))
     hits, w_sum, w2_sum = total
     mean = w_sum / shots
     var = np.maximum(w2_sum / shots - mean * mean, 0.0)

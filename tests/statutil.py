@@ -11,18 +11,18 @@ from scipy.stats import chi2
 
 from gbsim.engines import enumerate_patterns, prob_thermal
 from gbsim.fock_oracle import FockState, _basis, _row_mass, apply_network, prepare_input
-from gbsim.sampler import BLOCK_SHOTS, _block_counts, _p_scales, _Scratch
+from gbsim.sampler import BLOCK_SHOTS, _block_counts, _draw_matrix, _p_scales, _Scratch
 
 
 def counter_histogram(states, net, shots: int, seed: int) -> Counter:
     """Reference histogram: every row of every block's `_block_counts` output,
     counted as a tuple in a plain Counter."""
-    sx, sp = _p_scales(states)
+    w = _draw_matrix(*_p_scales(states), net.u)
     histogram: Counter = Counter()
     scratch = _Scratch()
     for start in range(0, shots, BLOCK_SHOTS):
         nrows = min(BLOCK_SHOTS, shots - start)
-        counts = _block_counts(np.asarray(net.u), sx, sp, seed, start // BLOCK_SHOTS, nrows, scratch)
+        counts = _block_counts(w, seed, start // BLOCK_SHOTS, nrows, scratch)
         histogram.update(zip(*counts.T.tolist()))
     return histogram
 

@@ -316,6 +316,15 @@ class TestPermanentPsd:
         assert row["exact"] == pytest.approx(1.0, rel=1e-12)
         assert row["ratio"] == pytest.approx(row["estimate"] / row["exact"], rel=1e-12)
 
+    @pytest.mark.parametrize("headroom", ["1e-10", "1e-15"])
+    def test_all_zero_sample_exits_1(self, tmp_path, capsys, headroom):
+        # per(I24) = 1, yet every all-ones weight underflows at this headroom: refused, naming it
+        f = tmp_path / "eye.txt"
+        f.write_text(dump_complex_matrix(np.eye(24)))
+        assert main(["permanent-psd", "--matrix", str(f), "--shots", "1000", "--seed", "0", "--headroom", headroom]) == 1
+        _assert_error_exit(capsys, f"headroom {float(headroom)} is too small")
+        assert capsys.readouterr().err == ""
+
 
 class TestValidate:
     def test_tmsv_fixture_passes(self, tmsv_config, capsys):
@@ -389,6 +398,13 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("gbsim: error: cutoff 30 needs ") and "above the cap 4096" in err
         assert err.endswith("; give the config 'patterns' or a smaller 'n_max'\n")
+
+    @pytest.mark.parametrize("n_max", [40, -1])
+    def test_n_max_outside_the_modes_refused_before_the_cap(self, tmp_path, capsys, n_max):
+        # as prob reads it: n_max = 40 at three modes was reported as a cutoff above the oracle's cap
+        assert main(["validate", "--config", str(self._config(tmp_path, 3, n_max=n_max))]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"gbsim: error: n_max must be in [0, 3], got {n_max}\n"
 
     def test_engine_oracle_disagreement_exits_1(self, tmsv_config, monkeypatch, capsys):
         oracle = gbsim.cli.pattern_probabilities

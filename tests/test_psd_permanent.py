@@ -68,9 +68,11 @@ class TestEmbed:
 
     @pytest.mark.filterwarnings("error")
     def test_prod_mu_below_the_float_range(self):
-        # prod(mu) = (3e-14)^24 underflows to 0, so q^n / prod(mu) read inf and its product with a 0 mean nan;
-        # carried as an exponent it is finite, and the all-zero weights read 0 with the low-confidence flag
-        res = estimate_permanent(np.eye(24), 2000, 1, headroom=3e-14)
+        # prod(mu) = (1e-15)^23 underflows to 0, so q^n / prod(mu) read inf and its product with a 0 mean nan;
+        # carried as an exponent it is finite, and the zero row's all-zero weights read 0 with the low-confidence flag
+        h = np.diag([1.0] * 23 + [0.0])
+        assert np.prod(embed(h, headroom=1e-15).mus) == 0.0
+        res = estimate_permanent(h, 2000, 1, headroom=1e-15)
         assert (res.estimate, res.stderr, res.low_confidence) == (0.0, 0.0, True)
 
     @pytest.mark.parametrize("call", [embed, lambda h, headroom: estimate_permanent(h, 100, 1, headroom=headroom)])
@@ -233,6 +235,46 @@ class TestEstimate:
     def test_equal_for_every_worker_count(self):
         runs = [estimate_permanent(random_psd(6, 14), 50_000, seed=15, workers=w) for w in (1, 2, 4)]
         assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("headroom", [1e-10, 1e-15])
+def test_all_zero_sample_of_a_positive_diagonal_refused(headroom):
+    # per(I24) = 1: every thermal mode has nbar of about 1/headroom, every all-ones weight underflows,
+    # and the sample read 0 +- 0 (flagged) or hit the sampler's photon cap; Marcus gives per >= prod(h_ii) > 0
+    with pytest.raises(NumericalIntegrityError, match=f"^all-ones weights of mean 0, .*: headroom {headroom} is too small"):
+        estimate_permanent(np.eye(24), 2000, 1, headroom=headroom)
+
+
+@pytest.mark.parametrize("headroom", [0.1, 1e-10])
+@pytest.mark.parametrize("h", [np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0])], ids=["zero", "zero-diagonal-entry"])
+def test_zero_permanent_reads_exactly_0(h, headroom):
+    res = estimate_permanent(h, 2000, 1, headroom=headroom)
+    assert (res.estimate, res.stderr, res.exact) == (0.0, 0.0, 0.0)
+
+
+class TestDimModes:
+    """Eigenvalues many decades below the largest: each is drawn at its own mean
+    photon number d_j / (q - d_j), not through a thermal variance 2/mu - 1 that
+    rounds 1 - mu."""
+
+    def test_dim_diagonal_entry_scales_the_estimate(self):
+        # per(diag(1, d)) = d, and the dim mode's draw scales with d alone, so estimate / d is one number;
+        # through the variances it read +4.4 error bars off at d = 1e-14 and -6.8 at 1e-15
+        runs = [(d, estimate_permanent(np.diag([1.0, d]), 10**6, 3)) for d in (1e-12, 1e-14, 1e-15)]
+        ratios = [res.estimate / d for d, res in runs]
+        assert max(ratios) - min(ratios) <= 1e-9 * ratios[0]
+        for d, res in runs:
+            assert not res.low_confidence and abs(res.estimate - d) <= 4 * res.stderr
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spread_wishart_within_4_sigma(self, seed):
+        # D W D with D = logspace(0, -7.5) spans 15 decades of eigenvalues; seeds 2 and 3 read 7.1 and 5.8 error bars off
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        d = np.logspace(0, -7.5, 4)
+        res = estimate_permanent(d[:, None] * (g @ g.conj().T / 8) * d, 10**5, seed)
+        assert not res.low_confidence
+        assert abs(res.estimate - res.exact) <= 4 * res.stderr
 
 
 class TestWeightEstimator:

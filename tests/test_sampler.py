@@ -206,12 +206,12 @@ class TestSamplePatterns:
         started, started_during_stall = [], []
         inner = sampler_module._block_counts
 
-        def stall_first(u_mat, sx, sp, seed, block, nrows, scratch):
+        def stall_first(w, seed, block, nrows, scratch):
             started.append(block)
             if block == 0:
                 time.sleep(0.3)
                 started_during_stall.append(max(started))
-            return inner(u_mat, sx, sp, seed, block, nrows, scratch)
+            return inner(w, seed, block, nrows, scratch)
 
         monkeypatch.setattr(sampler_module, "_block_counts", stall_first)
         rep = sample_patterns([thermal(2.0)], validate_unitary(np.eye(1)), 100 * 4096, seed=0, workers=2)
@@ -225,6 +225,18 @@ def classical_mixed_inputs(m: int) -> list:
     rng = np.random.default_rng(m)
     v = rng.uniform(1.5, 2.5, m)
     return [squeezed_thermal(vj, rj) for vj, rj in zip(v, rng.uniform(0.0, 0.5, m) * np.log(v))]
+
+
+class TestDrawMatrix:
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_takes_normals_to_the_output_amplitudes(self, m):
+        # [x, p] @ W = [Re beta, Im beta] with beta = (sx x + i sp p) @ U, on classical states with unequal sx and sp
+        states, net = classical_mixed_inputs(m), haar_random(m, 90 + m)
+        normals = np.random.default_rng(m).standard_normal((1000, 2 * m))
+        sx, sp = sampler_module._p_scales(states)
+        beta = (normals[:, :m] * sx + 1j * normals[:, m:] * sp) @ net.u
+        drawn = normals @ sampler_module._checked_draw(states, net)
+        assert (np.abs(drawn[:, :m] + 1j * drawn[:, m:] - beta) <= 1e-14 * np.abs(beta).max(axis=1, keepdims=True)).all()
 
 
 class TestPhotonNumberLaw:
@@ -258,8 +270,8 @@ class TestPhotonNumberLaw:
 
     def test_transposed_network_fails_the_marginals(self, monkeypatch):
         # the totals cannot tell U from U^T, but the marginals do
-        inner = sampler_module._block_counts
-        monkeypatch.setattr(sampler_module, "_block_counts", lambda u_mat, *args: inner(u_mat.T, *args))
+        inner = sampler_module._draw_matrix
+        monkeypatch.setattr(sampler_module, "_draw_matrix", lambda sx, sp, u: inner(sx, sp, u.T))
         p_total, p_modes = self._pvalues(classical_mixed_inputs(16), haar_random(16, 86), 2**17, seed=16)
         assert p_total > self.ALPHA
         assert min(p_modes) < 1e-12
@@ -475,7 +487,7 @@ class TestShotCount:
         # after the first window of 4 blocks (one worker); (2^64 - 1) + 4095 wraps in uint64 arithmetic
         handed = []
 
-        def stand_in(u_mat, sx, sp, seed, block, nrows, scratch, **patterns):
+        def stand_in(w, seed, block, nrows, scratch, **patterns):
             if len(handed) == 4:
                 raise self.FirstWindowDrawn
             handed.append((block, nrows))
