@@ -31,7 +31,7 @@ emb = embed(h)
 print("eigenvalues :", np.round(emb.eigenvalues, 4))
 print("scale q     :", round(emb.q, 4))
 print("thermal mus :", np.round(emb.mus, 4))
-print("variances   :", np.round([s.v_x for s in emb.states], 3))
+print("thermal nbar:", np.round(emb.eigenvalues / (emb.q - emb.eigenvalues), 3))
 print()
 
 for shots in (50_000, 500_000, 5_000_000):

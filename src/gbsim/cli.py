@@ -268,8 +268,9 @@ def cmd_validate(args) -> int:
     names = applicable(qform)
     try:
         fock = apply_network(prepare_input(states, cutoff), net)
-    except CutoffError as exc:
-        raise CutoffError(f"{exc}; give the config 'patterns' or a smaller 'n_max'") from None
+    except CutoffError as exc:  # listed patterns set the cutoff by their heaviest one
+        advice = "lighter 'patterns'" if "patterns" in spec else "'patterns' or a smaller 'n_max'"
+        raise CutoffError(f"{exc}; give the config {advice}") from None
     patterns = enumerate_patterns(net.m, cutoff) if patterns is None else patterns
     table = np.array([probabilities(qform, name, patterns) for name in names])
     oracle = pattern_probabilities(fock, patterns)

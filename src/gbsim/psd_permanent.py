@@ -12,8 +12,9 @@ Since that experiment has classical inputs it can be sampled exactly, and
 `estimate_permanent` takes p(1, ..., 1) from the block loop of the sampler's
 one estimator, `estimate_probabilities`: each shot draws coherent amplitudes
 from the thermal P functions, at mean photon numbers
-nbar_j = d_j / (q - d_j), and propagates them to output amplitudes beta, and
-given beta the shot's all-ones probability is exactly
+nbar_j = d_j / (q - d_j) (quadrature variances 2 nbar_j above vacuum, the
+sampler's one width rule), and propagates them to output amplitudes beta,
+and given beta the shot's all-ones probability is exactly
 
     w = prod_k |beta_k|^2 exp(-|beta_k|^2),
 
@@ -22,15 +23,15 @@ step, with the standard error of that mean as its error bar.  Each shot's
 all-ones event is still drawn, as one Bernoulli(w) per shot, so `count` has
 exactly the law of the experiment's all-ones count.  The estimate is only
 as good as its effective sample size (sum w)^2 / sum w^2, and below
-LOW_CONFIDENCE_COUNT the run is flagged low-confidence rather than silently
-trusted.  The bar is high because w can be heavy-tailed: for a diagonal H
-with small entries w is a product of n nearly independent factors, its
-relative variance grows like 2^n, and a sample that misses the rare large w
-understates both its mean and its own error bar.  In 1290 such runs
-(n = 8..24, 10^4 to 2*10^5 shots) every miss beyond 4 error bars had an
-effective sample size below 230 (one at 150 missed by 8.7 error bars), and
-no run at 1000 or more missed by 3; Wishart matrices at n <= 16 reach
-several thousand at 2*10^5 shots.
+`sampler.LOW_CONFIDENCE_COUNT` (1000) the run is flagged low-confidence
+rather than silently trusted.  The bar is high because w can be
+heavy-tailed: for a diagonal H with small entries w is a product of n nearly
+independent factors, its relative variance grows like 2^n, and a sample
+that misses the rare large w understates both its mean and its own error
+bar.  In 1290 such runs (n = 8..24, 10^4 to 2*10^5 shots) every miss beyond
+4 error bars had an effective sample size below 230 (one at 150 missed by
+8.7 error bars), and no run at 1000 or more missed by 3; Wishart matrices at
+n <= 16 reach several thousand at 2*10^5 shots.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ import numpy as np
 from .errors import NumericalIntegrityError, ValidationError, real
 from .interferometer import validate_unitary
 from .matrix_functions import in_float_range, principal_permanents
-from .sampler import LOW_CONFIDENCE_COUNT, _draw_matrix, _estimate  # the threshold the docstrings name
-from .states import GaussianModeState, thermal
+from .sampler import _draw_matrix, _estimate
 
 DEFAULT_HEADROOM = 0.1
 _HERM_TOL = 1e-10
@@ -71,16 +71,10 @@ class ThermalEmbedding:
     """A PSD matrix recast as a thermal photon-counting instance.
 
     h = u diag(eigenvalues) u^dag with the eigenvalues clipped at 0,
-    q = max eigenvalue / (1 - headroom), mus = 1 - eigenvalues/q,
-    states = thermal(2/mu - 1).  The zero matrix takes the same path: q = 1,
-    every mu = 1, vacuum states, and is_zero set.
-
-    `states` are the experiment's inputs, for callers who want them.  They
-    round dim modes: 2/mu - 1 loses 1 - mu to cancellation, so an eigenvalue
-    k decades below the largest keeps only about 16 - k digits of its mean
-    photon number, and none past 16 decades, where it may read vacuum.
-    `estimate_permanent` does not sample from them; it draws each mode at
-    nbar_j = eigenvalues_j / (q - eigenvalues_j).
+    q = max eigenvalue / (1 - headroom) and mus = 1 - eigenvalues/q, so mode
+    j is a thermal input of mean photon number
+    eigenvalues_j / (q - eigenvalues_j).  The zero matrix takes the same path,
+    with q = 1 and every mu = 1: all its modes are vacuum.
     """
 
     h: np.ndarray
@@ -88,12 +82,10 @@ class ThermalEmbedding:
     eigenvalues: np.ndarray
     q: float
     mus: np.ndarray
-    states: tuple[GaussianModeState, ...]
-    is_zero: bool
 
 
 def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
-    """Eigendecompose and scale a PSD Hermitian matrix into thermal states.
+    """Eigendecompose and scale a PSD Hermitian matrix into a thermal instance.
 
     h is judged on one scale, its largest |entry| s, as per(c h) = c^n per(h)
     has no preferred one: it must be Hermitian within 1e-10 s, have no
@@ -121,7 +113,7 @@ def embed(h, headroom: float = DEFAULT_HEADROOM) -> ThermalEmbedding:
     # only the zero matrix clips to all zeros: scale <= ||h||_2 <= -_EIG_FLOOR * scale
     q = float(w.max()) / (1.0 - margin) or 1.0
     mus = 1.0 - w / q
-    return ThermalEmbedding(h, v, w, q, mus, tuple(thermal(2.0 / mu - 1.0) for mu in mus), not w.any())
+    return ThermalEmbedding(h, v, w, q, mus)
 
 
 @dataclass(frozen=True)
@@ -147,15 +139,14 @@ def estimate_permanent(
 ) -> PermanentEstimate:
     """Estimate the embedded thermal instance's all-ones probability on
     `estimate_probabilities`' block loop and rescale it by q^n / prod(mu) to
-    per(h).  The draw matrix is built from the eigenvalues, each mode j at
-    quadrature standard deviations sqrt(nbar_j / 2) with
-    nbar_j = d_j / (q - d_j), behind the network u^dag; the embedding's
-    `states`, which round dim modes, are not sampled.
+    per(h).  Mode j is drawn as a thermal mode of nbar_j = d_j / (q - d_j),
+    both quadratures 2 nbar_j above vacuum, behind the network u^dag.
 
     `stderr` is the rescaled standard error, `count` the all-ones hits drawn
     as one Bernoulli per shot, and `low_confidence` marks an effective sample
-    size below LOW_CONFIDENCE_COUNT; a zero matrix reads exactly 0 and is
-    never flagged.  For n <= 12 the exact permanent is computed alongside.
+    size below `sampler.LOW_CONFIDENCE_COUNT`; a zero matrix reads exactly 0
+    and is never flagged.  For n <= 12 the exact permanent is computed
+    alongside.
 
     A per(h) whose lower bound prod(h_ii) (Marcus, Bull. AMS 69, 494, 1963)
     is past the top of the float range raises NumericalIntegrityError,
@@ -174,10 +165,10 @@ def estimate_permanent(
     emb = embed(h, headroom=headroom)
     n = emb.h.shape[0]
     # D-tilde = V^dag (1-mu) V = h/q requires the network matrix V = u^dag, fed with thermal modes of
-    # nbar_j = d_j / (q - d_j), whose P functions have quadrature standard deviations sqrt(nbar_j / 2);
-    # a zero matrix embeds as vacuum, whose all-ones weights are exactly 0
-    s = np.sqrt(emb.eigenvalues / (emb.q - emb.eigenvalues) / 2.0)
-    est = _estimate(_draw_matrix(s, s, validate_unitary(emb.u.conj().T).u), np.ones((1, n), np.int64), shots, seed, workers)
+    # nbar_j = d_j / (q - d_j), whose quadratures lie 2 nbar_j above vacuum; a zero matrix embeds as vacuum,
+    # whose all-ones weights are exactly 0
+    x = 2.0 * (emb.eigenvalues / (emb.q - emb.eigenvalues))
+    est = _estimate(_draw_matrix(x, x, validate_unitary(emb.u.conj().T).u), np.ones((1, n), np.int64), shots, seed, workers)
     # Marcus: per(h) >= prod(h_ii) for PSD h, > 0 on a positive diagonal, and >= 2^top as each h_ii = f 2^x with f >= 1/2
     if ((d := emb.h.diagonal().real) > 0).all():
         if (top := (np.frexp(d)[1] - 1).sum()) >= 1024:
@@ -193,7 +184,7 @@ def estimate_permanent(
         count=int(est.count[0]),
         shots=shots,
         exact=exact_permanent_psd(emb.h) if n <= EXACT_CROSSCHECK_LIMIT else None,
-        low_confidence=not emb.is_zero and bool(est.low_confidence[0]),
+        low_confidence=bool(emb.eigenvalues.any() and est.low_confidence[0]),
     )
 
 

@@ -22,7 +22,9 @@ Steps (1) and (2) are one real linear map, built once per run by
     W = [[diag(sx) Re U, diag(sx) Im U], [-diag(sp) Im U, diag(sp) Re U]]
 
 takes a shot's 2M standard normals [x, p] to [Re beta, Im beta], where sx
-and sp are the P functions' quadrature standard deviations.  One block loop,
+and sp are the P functions' quadrature standard deviations: sqrt((v - 1) / 4)
+for a quadrature of variance v (vacuum = 1), whose excess over vacuum, v - 1,
+is 2 nbar for a thermal mode of mean photon number nbar.  One block loop,
 `_run_blocks`, hands each block to a reducer.  A block first draws its
 output intensities |beta|^2 as one product with W (`_block_intensity`),
 then its last step from the same stream: `_block_counts` draws the Poisson
@@ -115,21 +117,17 @@ class _Scratch(threading.local):
         return self.arrays[name][:nrows]
 
 
-def _p_scales(states) -> tuple[np.ndarray, np.ndarray]:
-    """P-function standard deviations (sx, sp) of each mode's two quadratures."""
-    sx = np.sqrt(np.maximum([(s.v_x - 1.0) / 4.0 for s in states], 0.0))
-    sp = np.sqrt(np.maximum([(s.v_p - 1.0) / 4.0 for s in states], 0.0))
-    return sx, sp
-
-
-def _draw_matrix(sx: np.ndarray, sp: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _draw_matrix(ex: np.ndarray, ep: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The run's draw map: the real (2M, 2M) matrix W that takes a shot's 2M
     standard normals [x, p] to [Re beta, Im beta], where
-    beta = (sx x + i sp p) @ u draws the input amplitudes from P functions of
-    quadrature standard deviations (sx, sp) and sends them through u.  W is
-    u's real form [[Re u, Im u], [-Im u, Re u]] with its rows scaled by
-    [sx, sp]."""
-    return np.concatenate([sx, sp])[:, None] * np.block([[u.real, u.imag], [-u.imag, u.real]])
+    beta = (sx x + i sp p) @ u draws the input amplitudes from the P functions
+    and sends them through u.  ex and ep are each mode's quadrature variances
+    above vacuum, v - 1 (2 nbar for a thermal mode), and the P functions'
+    standard deviations are sx = sqrt(ex / 4) and sp = sqrt(ep / 4), with an
+    excess below 0 (vacuum noise up to roundoff) read as 0.  W is u's real form
+    [[Re u, Im u], [-Im u, Re u]] with its rows scaled by [sx, sp]."""
+    s = np.sqrt(np.maximum(np.concatenate([ex, ep]), 0.0) / 4.0)
+    return s[:, None] * np.block([[u.real, u.imag], [-u.imag, u.real]])
 
 
 def _block_intensity(
@@ -168,7 +166,7 @@ def _checked_draw(states, net) -> np.ndarray:
     total = sum(mean_photon_number(s) for s in states)
     if total > MAX_MEAN_PHOTONS:
         raise ValidationError(f"total mean photon number {total:.3g} exceeds {MAX_MEAN_PHOTONS:g}")
-    return _draw_matrix(*_p_scales(states), net.u)
+    return _draw_matrix(np.array([s.v_x for s in states]) - 1.0, np.array([s.v_p for s in states]) - 1.0, net.u)
 
 
 def _run_blocks(w: np.ndarray, shots, seed, workers, draw: Callable, reduce: Callable) -> None:

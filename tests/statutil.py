@@ -11,13 +11,13 @@ from scipy.stats import chi2
 
 from gbsim.engines import enumerate_patterns, prob_thermal
 from gbsim.fock_oracle import FockState, _basis, _row_mass, apply_network, prepare_input
-from gbsim.sampler import BLOCK_SHOTS, _block_counts, _draw_matrix, _p_scales, _Scratch
+from gbsim.sampler import BLOCK_SHOTS, _block_counts, _checked_draw, _Scratch
 
 
 def counter_histogram(states, net, shots: int, seed: int) -> Counter:
     """Reference histogram: every row of every block's `_block_counts` output,
     counted as a tuple in a plain Counter."""
-    w = _draw_matrix(*_p_scales(states), net.u)
+    w = _checked_draw(states, net)
     histogram: Counter = Counter()
     scratch = _Scratch()
     for start in range(0, shots, BLOCK_SHOTS):
@@ -37,9 +37,12 @@ def weights_oracle(states, net, patterns, shots: int, seed: int) -> tuple[list[i
     shot's 2M normals and then one uniform per shot, the order the library
     draws them in.  The shot hits the pattern whose interval of the running
     sum of w over the list, [w_1 + ... + w_(p-1), w_1 + ... + w_p), holds its
-    uniform."""
+    uniform.  The amplitudes' P-function standard deviations are
+    sqrt((v - 1) / 4) of each quadrature's variance v, worked out here rather
+    than taken from the sampler, so the oracle shares no code with it."""
     m = net.m
-    sx, sp = (v.tolist() for v in _p_scales(states))
+    sx = [math.sqrt(max(s.v_x - 1.0, 0.0) / 4.0) for s in states]
+    sp = [math.sqrt(max(s.v_p - 1.0, 0.0) / 4.0) for s in states]
     u = np.asarray(net.u).tolist()
     hits, weights = [0] * len(patterns), [[] for _ in patterns]
     for start in range(0, shots, BLOCK_SHOTS):

@@ -316,6 +316,14 @@ class TestPermanentPsd:
         assert row["exact"] == pytest.approx(1.0, rel=1e-12)
         assert row["ratio"] == pytest.approx(row["estimate"] / row["exact"], rel=1e-12)
 
+    def test_zero_matrix_prints_no(self, tmp_path, capsys):
+        # the flag is a Python bool: a numpy bool would print as "False"
+        f = tmp_path / "zero.txt"
+        f.write_text(dump_complex_matrix(np.zeros((3, 3))))
+        assert main(["permanent-psd", "--matrix", str(f), "--shots", "2000", "--seed", "1", "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[-2:]
+        assert dict(zip(header.split(","), row.split(",")))["low_confidence"] == "no"
+
     @pytest.mark.parametrize("headroom", ["1e-10", "1e-15"])
     def test_all_zero_sample_exits_1(self, tmp_path, capsys, headroom):
         # per(I24) = 1, yet every all-ones weight underflows at this headroom: refused, naming it
@@ -398,6 +406,15 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("gbsim: error: cutoff 30 needs ") and "above the cap 4096" in err
         assert err.endswith("; give the config 'patterns' or a smaller 'n_max'\n")
+
+    def test_listed_patterns_beyond_the_cap_advise_lighter_patterns(self, tmp_path, capsys):
+        # the config already lists its patterns, so the advice is lighter ones, not 'patterns' or 'n_max'
+        path = self._config(tmp_path, 40)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "states": [{"type": "thermal", "v": 1.5}] * 40, "patterns": [[1] * 40]}))
+        assert main(["validate", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err == f"gbsim: error: cutoff 40 needs {math.comb(80, 40)} basis states, above the cap 4096; give the config lighter 'patterns'\n"
 
     @pytest.mark.parametrize("n_max", [40, -1])
     def test_n_max_outside_the_modes_refused_before_the_cap(self, tmp_path, capsys, n_max):
@@ -787,7 +804,7 @@ def test_non_finite_matrix_file_exits_1(tmp_path, argv, entry, capsys):
     _assert_error_exit(capsys, f"matrix file {path} has a non-finite entry")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")  # numpy's, on the way
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way either
 @pytest.mark.parametrize(
     "argv, matrix, fragment",
     [

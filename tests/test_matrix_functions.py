@@ -352,6 +352,37 @@ class TestFloatRange:
         assert permanent(np.diag(diagonal)) == pytest.approx(value, rel=1e-15, abs=0)
 
 
+class TestSpreadRows:
+    """Glynn on rows far apart in scale, where it is wrong without an error
+    today (ROADMAP item 4).  The xfails are strict: the fix must flip them."""
+
+    @staticmethod
+    def _rows_1_to_6_scaled():
+        # a 7x7 complex Gaussian B with rows 1-6 scaled by 1e-3, so per(D B) = prod(d) per(B)
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        d = np.array([1.0] + [1e-3] * 6)
+        return b, d[:, None] * b, math.prod(d)
+
+    def test_the_reference_holds(self):
+        # Glynn on B and the naive sum on D B both agree with prod(d) per(B): the value is well conditioned
+        b, a, scale = self._rows_1_to_6_scaled()
+        per_b = permanent_naive(b)
+        assert abs(permanent(b) - per_b) <= 1e-14 * abs(per_b)
+        assert abs(permanent_naive(a) - scale * per_b) <= 1e-14 * abs(scale * per_b)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: Glynn is off by 0.51 relative on rows 1-6 scaled by 1e-3")
+    def test_rows_scaled_by_1e_3(self):
+        b, a, scale = self._rows_1_to_6_scaled()
+        want = scale * permanent_naive(b)
+        assert abs(permanent(a) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: per = 1e-400 is returned as 0j, as every column sum loses 1e-200 beside 1")
+    def test_a_value_below_the_range_from_spread_rows_raises(self):
+        with pytest.raises(NumericalIntegrityError, match=r"10\^-400.0"):
+            permanent([[1, 1e-200], [1e-200, 0]])
+
+
 class TestLowRankReference:
     """`permanent_low_rank`, the tests' exact permanent of V V^dag for an n x r matrix V."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from gbsim import (
 )
 from gbsim import psd_permanent
 from gbsim.matrix_functions import hafnian
-from gbsim.states import vacuum
 from permutil import permanent_low_rank
 
 
@@ -33,15 +33,21 @@ class TestEmbed:
         emb = embed(np.diag([1.0, 2.0]))
         assert emb.q == pytest.approx(2 / 0.9, rel=1e-14)
         assert np.allclose(sorted(emb.mus, reverse=True), [0.55, 0.1], atol=1e-12)
-        vs = sorted((s.v_x for s in emb.states))
-        assert vs[0] == pytest.approx(2 / 0.55 - 1, rel=1e-12)
-        assert vs[1] == pytest.approx(19.0, rel=1e-12)
+        assert np.allclose(emb.eigenvalues, [1.0, 2.0], rtol=1e-14, atol=0)
+        # thermal modes of mean photon number d / (q - d): quadrature variances 1 + 2 nbar = 2/mu - 1
+        nbar = np.sort(emb.eigenvalues / (emb.q - emb.eigenvalues))
+        assert 1 + 2 * nbar[0] == pytest.approx(2 / 0.55 - 1, rel=1e-12)
+        assert 1 + 2 * nbar[1] == pytest.approx(19.0, rel=1e-12)
 
     def test_zero_matrix_flagged(self):
         # the one path from eigh: the zero matrix embeds as vacuum at q = 1
         emb = embed(np.zeros((3, 3)))
-        assert emb.is_zero
-        assert emb.q == 1.0 and (emb.mus == 1.0).all() and emb.states == (vacuum(),) * 3
+        assert not emb.eigenvalues.any()
+        assert emb.q == 1.0 and (emb.mus == 1.0).all()
+
+    def test_fields(self):
+        # the instance is its eigendecomposition and scale: the thermal inputs follow from them, and no field repeats them
+        assert [f.name for f in dataclasses.fields(psd_permanent.ThermalEmbedding)] == ["h", "u", "eigenvalues", "q", "mus"]
 
     def test_reconstruction(self):
         h = random_psd(5, 1)
@@ -84,7 +90,7 @@ class TestEmbed:
     def test_numpy_headroom_is_bit_identical(self):
         h = random_psd(3, 4)
         want, got = embed(h, 0.1), embed(h, np.float64(0.1))
-        assert got.q == want.q and np.array_equal(got.mus, want.mus) and got.states == want.states
+        assert got.q == want.q and np.array_equal(got.mus, want.mus) and np.array_equal(got.eigenvalues, want.eigenvalues)
         assert estimate_permanent(h, 4096, 3, headroom=np.float64(0.1)) == estimate_permanent(h, 4096, 3)
 
     def test_empty_matrix_rejected(self):
@@ -211,6 +217,10 @@ class TestEstimate:
         res = estimate_permanent(np.zeros((2, 2)), 1000, seed=7)
         assert res.estimate == 0.0
         assert res.exact == 0.0
+
+    def test_zero_matrix_is_never_flagged(self):
+        # a Python bool, as the CLI prints "no" for it and "False" for a numpy bool
+        assert estimate_permanent(np.zeros((3, 3)), 1000, seed=7).low_confidence is False
 
     def test_low_confidence_flag(self):
         # tiny shot budget: the all-ones pattern is rarely (if ever) seen

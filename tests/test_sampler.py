@@ -7,6 +7,7 @@ import pytest
 
 import gbsim.sampler as sampler_module
 from gbsim import (
+    GaussianModeState,
     SampleReport,
     ValidationError,
     build_qform,
@@ -233,10 +234,31 @@ class TestDrawMatrix:
         # [x, p] @ W = [Re beta, Im beta] with beta = (sx x + i sp p) @ U, on classical states with unequal sx and sp
         states, net = classical_mixed_inputs(m), haar_random(m, 90 + m)
         normals = np.random.default_rng(m).standard_normal((1000, 2 * m))
-        sx, sp = sampler_module._p_scales(states)
+        sx = np.sqrt([(s.v_x - 1.0) / 4.0 for s in states])
+        sp = np.sqrt([(s.v_p - 1.0) / 4.0 for s in states])
         beta = (normals[:, :m] * sx + 1j * normals[:, m:] * sp) @ net.u
         drawn = normals @ sampler_module._checked_draw(states, net)
         assert (np.abs(drawn[:, :m] + 1j * drawn[:, m:] - beta) <= 1e-14 * np.abs(beta).max(axis=1, keepdims=True)).all()
+
+    def test_rows_are_the_widths_times_the_real_form(self):
+        # row j is sqrt((v_x - 1) / 4) [Re U_j, Im U_j] and row m + j is sqrt((v_p - 1) / 4) [-Im U_j, Re U_j],
+        # bit for bit; a v_p a roundoff below vacuum (still classical) has width 0
+        states = [vacuum(), thermal(2.0), squeezed_thermal(3.0, 0.3), GaussianModeState(3.0, 1.0 - 1e-13), thermal(2001.0)]
+        m, net = len(states), haar_random(len(states), 93)
+        w, u = sampler_module._checked_draw(states, net), net.u
+        for j, s in enumerate(states):
+            sx, sp = (math.sqrt(max(v - 1.0, 0.0) / 4.0) for v in (s.v_x, s.v_p))
+            assert np.array_equal(w[j], np.concatenate([sx * u[j].real, sx * u[j].imag]))
+            assert np.array_equal(w[m + j], np.concatenate([sp * -u[j].imag, sp * u[j].real]))
+        assert not w[m + 3].any() and not w[0].any() and not w[m].any()
+
+    def test_thermal_excess_is_twice_nbar(self):
+        # the PSD estimator passes 2 nbar for both quadratures: the rows are bit for bit those of width sqrt(nbar / 2)
+        nbar = np.array([0.0, 5e-324, 1e-310, 1e-15, 1.0 / 3.0, 0.9 / 1.1, 9.0, 1e6, 2.0**54])
+        u = haar_random(len(nbar), 94).u
+        s = np.sqrt(nbar / 2.0)
+        want = np.concatenate([s, s])[:, None] * np.block([[u.real, u.imag], [-u.imag, u.real]])
+        assert np.array_equal(sampler_module._draw_matrix(2.0 * nbar, 2.0 * nbar, u), want)
 
 
 class TestPhotonNumberLaw:
@@ -329,7 +351,8 @@ class TestOnesWeights:
     def test_estimator_matches_row_oracle(self, n, shots):
         h = random_psd(n)
         emb = embed(h)
-        states, net = list(emb.states), validate_unitary(emb.u.conj().T)
+        states = [thermal(1.0 + 2.0 * nbar) for nbar in emb.eigenvalues / (emb.q - emb.eigenvalues)]
+        net = validate_unitary(emb.u.conj().T)
         (hits,), (w_sum,), (w2_sum,) = weights_oracle(states, net, [(1,) * n], shots, 41)
         factor = emb.q**n / math.prod(emb.mus)
         mean = w_sum / shots
