@@ -3,7 +3,7 @@
 One output Q form (K, C, D-tilde) feeds three formulas:
 
   general   p = K * haf(pairing matrix)       any Gaussian inputs
-  thermal   p = prod(mu) * per([D-tilde]_N)   thermal/vacuum inputs
+  thermal   p = K * per([D-tilde]_N)          thermal/vacuum inputs (K = prod(mu))
   squeezed  p = K * |2^{N/2} haf([C]_N)|^2    pure squeezed inputs
 
 The specialized engines are not optimizations; they are independent

@@ -9,11 +9,15 @@ closed form.
 
 import math
 
-from gbsim import build_qform, prob_general, prob_squeezed, squeezed, tmsv_network
+import numpy as np
+
+from gbsim import build_qform, prob_general, prob_squeezed, squeezed, validate_unitary
 from gbsim.fock_oracle import apply_network, pattern_probabilities, prepare_input
 
 r = 0.5
-net = tmsv_network()
+# a pi/2 phase on input 0, then a 50:50 splitter: rows are inputs, beta = alpha @ U
+c = 1 / math.sqrt(2)
+net = validate_unitary(np.diag([1j, 1.0]) @ np.array([[c, -c], [c, c]]))
 qf = build_qform([squeezed(r)] * 2, net)
 
 print(f"squeezing r = {r}; network = pi/2 phase on mode 0, then 50:50 splitter")

@@ -28,7 +28,6 @@ from .errors import (
 from .interferometer import (
     Interferometer,
     haar_random,
-    tmsv_network,
     validate_unitary,
 )
 from .matrix_functions import (
@@ -69,7 +68,7 @@ __all__ = [
     "GaussianModeState", "QFunctionParams", "vacuum", "thermal", "squeezed",
     "squeezed_thermal", "derive_q_params", "is_classical", "mean_photon_number",
     "state_from_descriptor",
-    "Interferometer", "validate_unitary", "haar_random", "tmsv_network",
+    "Interferometer", "validate_unitary", "haar_random",
     "OutputQForm", "build_qform",
     "permanent", "hafnian",
     "PERMANENT_LIMIT", "HAFNIAN_LIMIT",

@@ -7,11 +7,16 @@ the package:
 
   prob_general   pairing sum over (2N-1)!! matchings = K * haf(B) where B is
                  the 2N x 2N second-derivative (pairing) matrix
-  prob_thermal   prod(mu) * per(D-tilde submatrix), thermal/vacuum inputs only;
-                 each permanent by `principal_permanents`, on D-tilde's
-                 diagonal power-of-two scale, its range judged by the kernel
+  prob_thermal   K * per(D-tilde submatrix), thermal/vacuum inputs only
+                 (K = prod(mu) there); each permanent by `principal_permanents`,
+                 on D-tilde's diagonal power-of-two scale, its range judged
+                 by the kernel
   prob_squeezed  K * |O_N|^2 with O_N = 2^{N/2} haf(C submatrix), pure
                  squeezed-vacuum inputs only; odd N vanishes identically
+
+The specialized engines are the pairing sum with C = 0 or with D-tilde = 0:
+each applies where the term it drops, every mode's |lam| or t = 1 - mu, is
+within `states.KIND_TOL`, as `build_qform` records in the Q form's `kinds`.
 
 The engines evaluate tables, `probabilities(qform, name, patterns)`; a
 single-pattern engine is the table of its one pattern, bit for bit.
@@ -26,7 +31,7 @@ import numpy as np
 from .errors import ContractError, NumericalIntegrityError, ValidationError, integer
 from .matrix_functions import count_table, hafnian, principal_permanents, submatrices
 from .qform import OutputQForm
-from .states import input_kinds
+from .states import KIND_TOL
 
 _IM_TOL = 1e-10
 _NEG_TOL = 1e-10
@@ -41,7 +46,7 @@ def applicable(qform: OutputQForm) -> list[str]:
     Ordered general, thermal, squeezed; the last entry is the most specialized
     applicable engine, so all-vacuum inputs pick the squeezed engine.
     """
-    return ["general", *input_kinds(qform.lams, qform.mus)]
+    return ["general", *qform.kinds]
 
 
 def check_n_max(m: int, n_max) -> int:
@@ -83,14 +88,14 @@ def _squeezed(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:
 
 
 def _thermal(qform: OutputQForm, modes: np.ndarray) -> np.ndarray:
-    return np.prod(qform.mus) * principal_permanents(qform.d_tilde, modes)
+    return qform.k * principal_permanents(qform.d_tilde, modes)
 
 
 # name -> (batched engine on (P, N) rows of detected modes, what it computes, its precondition)
 _TABLES = {
     "general": (lambda qf, modes: qf.k * hafnian(_pairing_matrices(qf, modes)), "general-engine probability", None),
-    "thermal": (_thermal, "thermal-engine probability", "thermal engine requires lam_s = 0 for every mode (thermal/vacuum inputs)"),
-    "squeezed": (_squeezed, "squeezed-engine probability", "squeezed engine requires mu_s = 1 for every mode (pure squeezed vacuum)"),
+    "thermal": (_thermal, "thermal-engine probability", f"thermal engine requires lam_s = 0 for every mode (thermal/vacuum inputs; |lam_s| <= {KIND_TOL:g})"),
+    "squeezed": (_squeezed, "squeezed-engine probability", f"squeezed engine requires t_s = 1 - mu_s = 0 for every mode (pure squeezed vacuum; t_s <= {KIND_TOL:g})"),
 }
 
 
@@ -154,10 +159,12 @@ def prob_general(qform: OutputQForm, pattern) -> float:
 
 
 def prob_thermal(qform: OutputQForm, pattern) -> float:
-    """prod(mu) * per(D-tilde restricted to the detected modes).
+    """K * per(D-tilde restricted to the detected modes), K = prod(mu) on
+    thermal inputs.
 
-    Precondition: every input mode is thermal or vacuum (lam_s = 0); calling
-    it with squeezing present is a contract violation, not a silent fallback.
+    Precondition: every input mode is thermal or vacuum (|lam_s| <= KIND_TOL);
+    calling it with squeezing present is a contract violation, not a silent
+    fallback.
     """
     return float(probabilities(qform, "thermal", [pattern])[0])
 
@@ -165,6 +172,7 @@ def prob_thermal(qform: OutputQForm, pattern) -> float:
 def prob_squeezed(qform: OutputQForm, pattern) -> float:
     """K |O_N|^2 with O_N = 2^{N/2} haf([C]_N); exactly 0 for odd N.
 
-    Precondition: every input mode is pure squeezed vacuum (mu_s = 1).
+    Precondition: every input mode is pure squeezed vacuum (t_s = 1 - mu_s
+    <= KIND_TOL); a thermal mode, however dim, is a contract violation.
     """
     return float(probabilities(qform, "squeezed", [pattern])[0])

@@ -67,8 +67,7 @@ class FockState:
 
 
 def _classify(state: GaussianModeState) -> tuple[str, float]:
-    q = derive_q_params(state)
-    if "thermal" in (kinds := input_kinds(q.lam, q.mu)):
+    if "thermal" in (kinds := input_kinds([derive_q_params(state)])):
         return "thermal", mean_photon_number(state)  # 0 for vacuum
     if "squeezed" in kinds:
         return "squeezed", 0.5 * math.log(state.v_x)  # squeezing parameter r

@@ -22,23 +22,22 @@ import numpy as np
 
 from .errors import ValidationError
 from .interferometer import Interferometer, _readonly
-from .states import GaussianModeState, derive_q_params
+from .states import GaussianModeState, derive_q_params, input_kinds
 
 
 @dataclass(frozen=True)
 class OutputQForm:
     """Normalization K, pair-correlation matrix C, and D-tilde = U^dag diag(1 - mu) U.
 
-    Also records the per-mode (lam, mu) of the inputs so the specialized
-    engines can enforce their preconditions and thermal probabilities can
-    use prod(mu) directly.
+    Also records the inputs' `kinds` (`states.input_kinds`), the preconditions
+    of the specialized engines: "thermal" where C = 0, "squeezed" where D-tilde = 0,
+    each up to roundoff.
     """
 
     k: float
     c: np.ndarray
     d_tilde: np.ndarray
-    lams: np.ndarray
-    mus: np.ndarray
+    kinds: tuple[str, ...]
 
     @property
     def m(self) -> int:
@@ -50,8 +49,6 @@ def build_qform(states: list[GaussianModeState], net: Interferometer) -> OutputQ
     if len(states) != net.m:
         raise ValidationError(f"{len(states)} states supplied for a {net.m}-mode network")
     params = [derive_q_params(s) for s in states]
-    lams = np.array([p.lam for p in params])
-    mus = np.array([p.mu for p in params])
     k = float(np.prod([p.norm for p in params]))
     if not (0.0 < k <= 1.0 + 1e-12):
         raise ValidationError(f"normalization K = {k} outside (0, 1]")
@@ -59,9 +56,9 @@ def build_qform(states: list[GaussianModeState], net: Interferometer) -> OutputQ
         raise ValidationError(f"normalization K = {k} is below the smallest normal float; the inputs are too bright")
 
     ud = net.u.conj().T
-    c = ud @ (lams[:, None] * net.u.conj())
+    c = ud @ (np.array([p.lam for p in params])[:, None] * net.u.conj())
     c = (c + c.T) * 0.5
     # from each mode's own t = 1 - mu >= 0: PSD for any U, and no 1 - D to cancel on dim inputs
     dt = ud @ (np.array([p.t for p in params])[:, None] * net.u)
     dt = (dt + dt.conj().T) * 0.5
-    return OutputQForm(k, _readonly(c), _readonly(dt), _readonly(lams), _readonly(mus))
+    return OutputQForm(k, _readonly(c), _readonly(dt), input_kinds(params))

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -179,6 +180,7 @@ def _run_blocks(w: np.ndarray, shots, seed, workers, draw: Callable, reduce: Cal
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     if (workers := integer(workers, "worker count")) < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)  # a thread beyond the cores adds only its own scratch
     nblocks = (shots + BLOCK_SHOTS - 1) // BLOCK_SHOTS
     scratch = _Scratch()
 

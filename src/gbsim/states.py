@@ -29,16 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError, real
 
 # Tolerance for the purity bound v_x * v_p >= 1 and for the classicality
 # threshold v_p >= 1; absorbs exp() roundoff in the constructors.
 _REL_TOL = 1e-12
-# Roundoff allowed in `input_kinds`: on |lam| for thermal, on |mu - 1| for pure.
-_THERMAL_LAM_TOL = 1e-14
-_PURE_MU_TOL = 1e-12
+# Roundoff allowed in `input_kinds` on the term each specialized engine drops:
+# |lam| for thermal, t = 1 - mu for pure.  Pure inputs read t <= 1.6e-16 up to
+# r = 16, and thermal modes read t = nbar/(nbar + 1), so nbar >= 1e-14 is never pure.
+KIND_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,12 @@ def derive_q_params(state: GaussianModeState) -> QFunctionParams:
     return QFunctionParams(lam, mu, min(1.0, 2.0 / math.sqrt(prod)), max(0.0, (x * p + x + p) / prod))
 
 
-def input_kinds(lam, mu) -> list[str]:
+def input_kinds(params: list[QFunctionParams]) -> tuple[str, ...]:
     """The kinds, of "thermal" (lam = 0: thermal or vacuum) and "squeezed"
-    (mu = 1: pure squeezed vacuum), that every mode with these Q parameters
-    (scalars or arrays) is, up to roundoff; vacuum is both."""
-    close = {"thermal": np.abs(lam) <= _THERMAL_LAM_TOL, "squeezed": np.abs(np.subtract(mu, 1.0)) <= _PURE_MU_TOL}
-    return [kind for kind, ok in close.items() if ok.all()]
+    (t = 1 - mu = 0: pure squeezed vacuum), that every mode with these Q
+    parameters is, up to KIND_TOL; vacuum is both."""
+    dropped = {"thermal": [abs(q.lam) for q in params], "squeezed": [q.t for q in params]}
+    return tuple(kind for kind, terms in dropped.items() if max(terms) <= KIND_TOL)
 
 
 def is_classical(state: GaussianModeState) -> bool:

@@ -26,11 +26,11 @@ from gbsim import (
     sample_patterns,
     squeezed,
     thermal,
-    tmsv_network,
     validate_unitary,
 )
 from gbsim.cli import main as cli_main
 from gbsim.fock_oracle import apply_network, pattern_probabilities, prepare_input
+from netutil import tmsv_network
 from statutil import photon_number_distribution, thermal_chi2_pvalue
 
 

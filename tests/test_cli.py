@@ -10,6 +10,7 @@ import gbsim
 from gbsim import cli, engines
 from gbsim.cli import _load_run, main
 from gbsim.matrixio import dump_complex_matrix, load_complex_matrix, matrix_from_json
+from netutil import tmsv_network
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ def _edited_config(path, **fields):
 
 @pytest.fixture
 def tmsv_config(tmp_path):
-    net = gbsim.tmsv_network()
+    net = tmsv_network()
     cfg = {
         "schema": 1,
         "modes": 2,
@@ -352,7 +353,7 @@ class TestValidate:
         assert rows["1,1"]["oracle"] == pytest.approx(rows["1,1"]["thermal"], rel=1e-9)
 
     def test_near_thermal_mode_is_thermal(self, tmsv_config, capsys):
-        # |lam| <= 1e-14 makes a mode thermal for the engines and the oracle alike
+        # |lam| <= KIND_TOL = 1e-15 makes a mode thermal for the engines and the oracle alike; here |lam| = 5e-16
         states = [{"type": "squeezed_thermal", "v": 1.5, "r": 1e-15}, {"type": "thermal", "v": 1.4}]
         path = _edited_config(tmsv_config, states=states)
         assert main(["validate", "--config", str(path), "--format", "json"]) == 0

@@ -19,7 +19,6 @@ from gbsim import (
     squeezed,
     squeezed_thermal,
     thermal,
-    tmsv_network,
     vacuum,
     validate_unitary,
 )
@@ -27,6 +26,7 @@ from gbsim import engines
 from gbsim.engines import applicable, probabilities
 from gbsim.fock_oracle import apply_network, pattern_probabilities, prepare_input
 from gbsim.matrix_functions import count_table, hafnian, photon_counts
+from netutil import tmsv_network
 from statutil import photon_number_law
 
 # the single-pattern engines, by the names `applicable` returns
@@ -228,6 +228,11 @@ APPLICABILITY = [
     ([thermal(2.0), squeezed(0.4)], ["general"]),
     ([squeezed_thermal(1.5, 0.3), vacuum()], ["general"]),
     ([vacuum(), vacuum()], ["general", "thermal", "squeezed"]),
+    # vacuum beside a dim thermal mode is thermal, never pure squeezed vacuum
+    ([vacuum(), thermal(1 + 2 * 5e-13)], ["general", "thermal"]),
+    ([vacuum(), thermal(1 + 2 * 1e-13)], ["general", "thermal"]),
+    ([vacuum(), thermal(1 + 2 * 1e-14)], ["general", "thermal"]),
+    ([squeezed(1e-9), squeezed(1e-9)], ["general", "squeezed"]),
 ]
 
 
@@ -245,6 +250,15 @@ class TestApplicable:
             else:
                 with pytest.raises(ContractError):
                     ONE_PATTERN[name](qf, (1, 1))
+
+    def test_kinds_across_the_dim_and_bright_ends(self):
+        # squeezed vacuum stays pure however weak or strong, and a thermal mode
+        # beside vacuum never reads as pure, down to the dimmest nbar the engines take
+        net = haar_random(2, 71)
+        for r in np.geomspace(1e-9, 16, 200):
+            assert "squeezed" in applicable(build_qform([squeezed(r), vacuum()], net)), r
+        for nbar in np.geomspace(1e-14, 1e-2, 200):
+            assert applicable(build_qform([vacuum(), thermal(1 + 2 * nbar)], net)) == ["general", "thermal"], nbar
 
 
 # --- tables: probabilities(qform, name, patterns) ---------------------------

@@ -16,13 +16,13 @@ from gbsim import (
     squeezed,
     squeezed_thermal,
     thermal,
-    tmsv_network,
     vacuum,
     validate_unitary,
 )
 from gbsim import fock_oracle
 from gbsim.engines import applicable, probabilities
 from gbsim.fock_oracle import FockState, _row_mass, apply_network, pattern_probabilities, prepare_input
+from netutil import tmsv_network
 from statutil import photon_number_distribution, photon_number_law
 
 

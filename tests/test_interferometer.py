@@ -6,10 +6,10 @@ import pytest
 from gbsim import (
     ValidationError,
     haar_random,
-    tmsv_network,
     validate_unitary,
 )
 from gbsim.fock_oracle import _basis, _givens, _sector_unitaries
+from netutil import tmsv_network
 
 
 class TestValidate:

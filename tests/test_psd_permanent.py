@@ -207,7 +207,7 @@ class TestEstimate:
         assert res.exact == pytest.approx(2.0, rel=1e-12)
         assert abs(res.estimate - 2.0) < 5 * res.stderr
 
-    def test_random_psd_matches_ryser(self):
+    def test_random_psd_matches_glynn(self):
         h = random_psd(4, 5)
         res = estimate_permanent(h, 300_000, seed=6)
         assert res.count > 0

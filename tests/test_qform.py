@@ -114,12 +114,13 @@ def test_d_tilde_at_the_psd_clamp(kind):
 
 
 def test_k_of_thermal_inputs_is_prod_mu():
-    # lam = 0, so each mode's norm is its mu, and K is prod(mu) bit for bit
+    # lam = 0, so each mode's norm is its mu, and K is prod(mu) bit for bit:
+    # the thermal engine's prefactor K is the paper's prod(mu)
     rng = np.random.default_rng(11)
-    for m in range(1, 9):
+    for m in range(1, 77):
         states = [thermal(v) if v > 1.1 else vacuum() for v in 1.0 + 10.0 ** rng.uniform(-2, 4, m)]
         qf = build_qform(states, haar_random(m, m))
-        assert qf.k == float(np.prod(qf.mus)), m
+        assert qf.k == float(np.prod([derive_q_params(s).mu for s in states])), m
 
 
 def test_trace_preserved_under_conjugation():

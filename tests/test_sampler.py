@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -218,6 +219,30 @@ class TestSamplePatterns:
         rep = sample_patterns([thermal(2.0)], validate_unitary(np.eye(1)), 100 * 4096, seed=0, workers=2)
         assert sum(rep.histogram.values()) == 100 * 4096
         assert started_during_stall[0] < 4 * 2
+
+    def test_threads_bounded_by_cores(self, monkeypatch):
+        # a worker count far above the cores asks the pool for at most os.cpu_count()
+        # threads; the stand-in pool records the request and runs its blocks serially
+        states, net = [thermal(2.0), thermal(3.0)], haar_random(2, 6)
+        want = sample_patterns(states, net, 30_000, seed=9).histogram
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sampler_module, "ThreadPoolExecutor", SerialPool)
+        assert sample_patterns(states, net, 30_000, seed=9, workers=10**6).histogram == want
+        assert requested == [min(10**6, os.cpu_count() or 1)]
 
 
 def classical_mixed_inputs(m: int) -> list:
